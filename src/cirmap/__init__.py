@@ -9,13 +9,13 @@ cosine.
 """
 
 from .autodiff import Tape, Tensor, backward
-from .composer import ComposerSpec, EmbeddingTable, PromptComposer
+from .composer import ComposerSpec, PromptComposer
 from .errors import CirmapError
 from .losses import BatchEmbeddings, LossWeights
-from .mappers import MapperParams, init_mapper, load_checkpoint, save_checkpoint
+from .mappers import MapperParams, Mappers, init_mapper, load_checkpoint, save_checkpoint
 from .mining import BatchSelection, select_batch
 from .retrieval import EvalTask, Gallery, Query, RankedResult
-from .training import Mappers, TrainConfig, TrainResult, train
+from .training import TrainConfig, TrainResult, train
 from .worldgen import World, WorldSpec, generate_world
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "BatchSelection",
     "CirmapError",
     "ComposerSpec",
-    "EmbeddingTable",
     "EvalTask",
     "Gallery",
     "LossWeights",

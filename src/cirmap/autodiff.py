@@ -60,10 +60,13 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out_id", "parents", "backward_fn")
+    # The node holds its output so that the output's id stays unique while
+    # the tape lives; a dropped output's id could otherwise be reused by a
+    # leaf created later, which would then be routed as a produced node.
+    __slots__ = ("out", "parents", "backward_fn")
 
-    def __init__(self, out_id, parents, backward_fn):
-        self.out_id = out_id
+    def __init__(self, out, parents, backward_fn):
+        self.out = out
         self.parents = parents
         self.backward_fn = backward_fn
 
@@ -92,7 +95,7 @@ class Tape:
         _active_tape = None
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> None:
-        self._nodes.append(_Node(id(out), parents, backward_fn))
+        self._nodes.append(_Node(out, parents, backward_fn))
         self._produced.add(id(out))
 
     def __len__(self) -> int:
@@ -129,7 +132,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Tensor]:
     leaf_grads: dict[Tensor, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
-        upstream = slots.pop(node.out_id, None)
+        upstream = slots.pop(id(node.out), None)
         if upstream is None:
             continue
         parent_grads = node.backward_fn(upstream)

@@ -16,9 +16,9 @@ from . import config as cfg
 from . import fileio, mining, worldgen
 from .composer import ComposerSpec, PromptComposer
 from .errors import CirmapError
-from .mappers import load_checkpoint, save_checkpoint
+from .mappers import Mappers, load_checkpoint, save_checkpoint
 from .retrieval import compose_query, evaluate_task
-from .training import Mappers, train
+from .training import train
 
 log = logging.getLogger("cirmap")
 
@@ -64,8 +64,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(
         run_dir / "checkpoint",
-        result.mappers.pseudo,
-        result.mappers.supplement,
+        result.mappers,
         step=run_cfg.train.steps,
         composer_seed=run_cfg.train.composer_seed,
     )
@@ -119,12 +118,12 @@ def cmd_mine_sset(args) -> int:
     return 0
 
 
-def _load_mappers_and_composer(checkpoint: str) -> tuple[Mappers, PromptComposer, dict]:
-    pseudo, supplement, manifest = load_checkpoint(Path(checkpoint))
+def _load_mappers_and_composer(checkpoint: str) -> tuple[Mappers, PromptComposer]:
+    mappers, manifest = load_checkpoint(Path(checkpoint))
     composer = PromptComposer(
         ComposerSpec(dim=manifest["dim"], seed=manifest["composer_seed"])
     )
-    return Mappers(pseudo, supplement), composer, manifest
+    return mappers, composer
 
 
 def cmd_evaluate(args) -> int:
@@ -137,7 +136,7 @@ def cmd_evaluate(args) -> int:
     if args.mode == "composed":
         if not args.checkpoint:
             raise CirmapError("composed evaluation requires --checkpoint")
-        mappers, composer, _ = _load_mappers_and_composer(args.checkpoint)
+        mappers, composer = _load_mappers_and_composer(args.checkpoint)
 
     report = evaluate_task(
         task,
@@ -161,7 +160,7 @@ def cmd_compose(args) -> int:
     run_cfg = cfg.load_config(args.config, seed_override=args.seed)
     data_dir = Path(run_cfg.paths.data_dir)
     task, _ = worldgen.load_task(data_dir)
-    mappers, composer, _ = _load_mappers_and_composer(args.checkpoint)
+    mappers, composer = _load_mappers_and_composer(args.checkpoint)
     gamma = args.gamma if args.gamma is not None else run_cfg.eval.gamma
 
     by_ref = {q.reference_id: q for q in task.queries}

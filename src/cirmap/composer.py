@@ -1,4 +1,4 @@
-"""Frozen synthetic prompt composer and embedding tables.
+"""Frozen synthetic prompt composer.
 
 The composer stands in for a frozen text encoder: it turns a prompt template
 plus inserted token vectors into a unit-norm embedding, is differentiable
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateInputError, MissingIdError, ShapeError, TemplateError
+from .errors import ShapeError, TemplateError
 
 # Template name -> slot arity. "photo_of" hosts a single token ("a photo of
 # [token]"); "photo_of_that" hosts a token plus a condition embedding
@@ -108,7 +108,10 @@ class PromptComposer:
             raise TemplateError(f"unknown template {template!r}") from None
 
     def compose_rows(self, template: str, slot_rows: list[Tensor]) -> Tensor:
-        """Compose a batch: each slot argument is an [N x d] block of row vectors."""
+        """Compose a batch: each slot argument is an [N x d] block of row vectors.
+
+        This is the only composition path; a single prompt is a batch of one.
+        """
         arity = self._template_arity(template)
         if len(slot_rows) != arity:
             raise TemplateError(
@@ -129,83 +132,3 @@ class PromptComposer:
         x = ad.concat(blocks, axis=1)
         hidden = ad.tanh(ad.add_rowvec(ad.matmul(x, self._w1_t), self._b1_t))
         return ad.l2_normalize_rows(ad.matmul(hidden, self._w2_t))
-
-    def compose(self, template: str, slots: list[Tensor]) -> Tensor:
-        """Compose a single prompt from 1-D slot vectors into a unit vector."""
-        rows = []
-        for s in slots:
-            if s.values.ndim != 1:
-                raise ShapeError(f"slot must be a 1-D vector, got {s.shape}")
-            rows.append(ad.reshape(s, (1, s.shape[0])))
-        out = self.compose_rows(template, rows)
-        return ad.reshape(out, (self.spec.dim,))
-
-    def prompt_text(self, cond: Tensor) -> Tensor:
-        """Embed 'a photo of [cond]' for a single condition vector."""
-        return self.compose("photo_of", [cond])
-
-    def prompt_text_rows(self, cond_rows: Tensor) -> Tensor:
-        return self.compose_rows("photo_of", [cond_rows])
-
-
-class EmbeddingTable:
-    """Immutable id -> unit vector map backing precomputed embeddings."""
-
-    @classmethod
-    def load(cls, path, role: str) -> "EmbeddingTable":
-        from . import fileio
-
-        matrix, ids = fileio.read_embeddings(path)
-        return cls(ids, matrix, role)
-
-    def __init__(self, ids: list[str], vectors: np.ndarray, role: str):
-        if role not in ("image", "text"):
-            raise ShapeError(f"role must be 'image' or 'text', got {role!r}")
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or len(ids) != vectors.shape[0]:
-            raise ShapeError("ids and vectors disagree")
-        if len(set(ids)) != len(ids):
-            raise ShapeError("duplicate ids in embedding table")
-        norms = np.linalg.norm(vectors.astype(np.float64), axis=1, keepdims=True)
-        if not np.all(norms > 1e-6):
-            bad = int(np.argmin(norms))
-            raise DegenerateInputError(f"table row {bad} ({ids[bad]}) has near-zero norm")
-        # Renormalize on load; tolerates lossy 32-bit storage.
-        self._vectors = (vectors.astype(np.float64) / norms).astype(np.float32)
-        self._vectors.flags.writeable = False
-        self.ids = list(ids)
-        self.role = role
-        self._index = {i: row for row, i in enumerate(ids)}
-
-    @property
-    def dim(self) -> int:
-        return self._vectors.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def get(self, key: str) -> Tensor:
-        """Fetch the stored unit vector; encoders are frozen, so no gradient."""
-        try:
-            row = self._index[key]
-        except KeyError:
-            raise MissingIdError(f"id {key!r} not present in {self.role} table") from None
-        return Tensor(self._vectors[row])
-
-    def get_array(self, key: str) -> np.ndarray:
-        try:
-            row = self._index[key]
-        except KeyError:
-            raise MissingIdError(f"id {key!r} not present in {self.role} table") from None
-        return self._vectors[row]
-
-    def matrix(self) -> np.ndarray:
-        return self._vectors
-
-
-def encode_pair(table: EmbeddingTable, key: str) -> Tensor:
-    """Fetch the stored unit vector for an id; encoders are frozen."""
-    return table.get(key)

@@ -25,10 +25,6 @@ class TemplateError(CirmapError, ValueError):
     """Unknown prompt template or slot arity mismatch."""
 
 
-class MissingIdError(CirmapError, KeyError):
-    """Lookup of an id that is not present in an embedding table."""
-
-
 class FormatError(CirmapError, ValueError):
     """A file on disk does not conform to the expected binary/JSON layout."""
 

@@ -54,8 +54,12 @@ def write_json(path: Path, obj) -> None:
 
 
 def read_json(path: Path):
+    """Parse one JSON document; malformed JSON or UTF-8 raises FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def write_jsonl(path: Path, rows) -> None:
@@ -64,12 +68,15 @@ def write_jsonl(path: Path, rows) -> None:
 
 
 def read_jsonl(path: Path) -> list:
+    """Parse one JSON value per non-blank line; errors name the file and line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+            if text:
+                out.append(json.loads(text))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
     return out
 
 

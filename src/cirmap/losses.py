@@ -1,8 +1,10 @@
-"""Training objectives: bidirectional InfoNCE and its combinations.
+"""Training objective: bidirectional InfoNCE terms and their one combination.
 
-Log keys in trainer output (L_ori, L_itcon, L_mse, L_ts, L_ss, L_deg) match
-the names used here. All losses are scalar tensors built on the active tape,
-so one backward pass covers any combination.
+:func:`objective` is the only place the terms are combined,
+L_deg = L_ori + L_ts + beta * L_ss with L_ts = L_itcon + alpha * L_mse; its
+component keys are the trainer's ``metrics.jsonl`` keys. All losses are
+scalar tensors built on the active tape, so one backward pass covers any
+combination.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ class LossWeights:
     alpha: float = 1.0  # weight on the embedding-gap MSE inside the supplement loss
     beta: float = 2.0  # weight on the selected-subset contrastive term
     tau: float = 0.01  # shared softmax temperature
+    use_itcon: bool = True  # False: the itcon term is held at zero
+    use_mse: bool = True  # False: the composed-block MSE term is held at zero
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -101,9 +105,8 @@ def loss_mse(batch: BatchEmbeddings) -> Tensor:
     return ad.mse(batch.composed_pseudo, batch.composed_supplement)
 
 
-def loss_ts(batch: BatchEmbeddings, weights: LossWeights) -> Tensor:
-    """Supplement objective: itcon plus alpha times the composed-block MSE."""
-    return ad.add(loss_itcon(batch, weights.tau), ad.scale(loss_mse(batch), weights.alpha))
+def _zero() -> Tensor:
+    return Tensor(np.zeros(()))
 
 
 def loss_sset(batch: BatchEmbeddings, selection: BatchSelection, tau: float) -> Tensor:
@@ -116,7 +119,7 @@ def loss_sset(batch: BatchEmbeddings, selection: BatchSelection, tau: float) -> 
     if idx and (min(idx) < 0 or max(idx) >= batch.batch_size):
         raise ShapeError(f"selection indices out of range for batch of {batch.batch_size}")
     if len(idx) == 0:
-        return Tensor(np.zeros(()))
+        return _zero()
     return info_nce_bidirectional(
         ad.gather_rows(batch.images, idx),
         ad.gather_rows(batch.composed_supplement, idx),
@@ -124,7 +127,29 @@ def loss_sset(batch: BatchEmbeddings, selection: BatchSelection, tau: float) -> 
     )
 
 
-def loss_deg(batch: BatchEmbeddings, selection: BatchSelection, weights: LossWeights) -> Tensor:
-    """Combined objective: ori + ts + beta * sset."""
-    total = ad.add(loss_ori(batch, weights.tau), loss_ts(batch, weights))
-    return ad.add(total, ad.scale(loss_sset(batch, selection, weights.tau), weights.beta))
+def objective(
+    batch: BatchEmbeddings, selection: BatchSelection | None, weights: LossWeights
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """The combined objective and its named components.
+
+    Switched-off terms (``use_itcon``, ``use_mse``, and ``selection is None``
+    for the S-Set term) are constant zeros. Terms are built in the order ori,
+    itcon, mse, ts, ss, total; the tape order fixes the order of gradient
+    accumulation, so it is part of the result.
+    """
+    tau = weights.tau
+    l_ori = loss_ori(batch, tau)
+    l_itcon = loss_itcon(batch, tau) if weights.use_itcon else _zero()
+    l_mse = loss_mse(batch) if weights.use_mse else _zero()
+    l_ts = ad.add(l_itcon, ad.scale(l_mse, weights.alpha))
+    l_ss = _zero() if selection is None else loss_sset(batch, selection, tau)
+    total = ad.add(ad.add(l_ori, l_ts), ad.scale(l_ss, weights.beta))
+    components = {
+        "L_ori": l_ori,
+        "L_itcon": l_itcon,
+        "L_mse": l_mse,
+        "L_ts": l_ts,
+        "L_ss": l_ss,
+        "L_deg": total,
+    }
+    return total, components

@@ -3,7 +3,8 @@
 Both mappers share one architecture: a 3-layer perceptron d -> h -> h -> d
 with tanh hidden activations and a linear output. Tokens are free vectors
 (not normalized). Parameters live in immutable tensors; the optimizer swaps
-in fresh tensors each step.
+in fresh tensors each step. :class:`Mappers` holds the pair, and its
+``named_params`` order is shared by the optimizer and the checkpoint.
 """
 
 from __future__ import annotations
@@ -75,24 +76,27 @@ def map_rows(params: MapperParams, x_rows: Tensor) -> Tensor:
     return ad.add_rowvec(ad.matmul(h2, w["w3"]), w["b3"])
 
 
-def map_token(params: MapperParams, x: Tensor) -> Tensor:
-    """Map a single embedding vector to its token."""
-    if x.values.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got {x.shape}")
-    rows = map_rows(params, ad.reshape(x, (1, x.shape[0])))
-    return ad.reshape(rows, (params.dim,))
+@dataclass
+class Mappers:
+    """Both trainable mappers. ``named_params`` order is the optimizer's order
+    and the checkpoint's layout."""
 
+    pseudo: MapperParams
+    supplement: MapperParams
 
-def map_pseudo_token(phi: MapperParams, image_emb: Tensor) -> Tensor:
-    if phi.role != ROLE_PSEUDO:
-        raise ShapeError(f"mapper role is {phi.role!r}, expected {ROLE_PSEUDO!r}")
-    return map_token(phi, image_emb)
+    def named_params(self) -> dict[str, Tensor]:
+        return dict(self.pseudo.named() + self.supplement.named())
 
+    def apply_update(self, updated: dict[str, Tensor]) -> "Mappers":
+        def pick(mapper: MapperParams) -> MapperParams:
+            new = {
+                key: updated[f"{mapper.role}.{key}"]
+                for key in mapper.weights
+                if f"{mapper.role}.{key}" in updated
+            }
+            return mapper.replaced(new)
 
-def map_supplement_token(phi_ts: MapperParams, text_emb: Tensor) -> Tensor:
-    if phi_ts.role != ROLE_SUPPLEMENT:
-        raise ShapeError(f"mapper role is {phi_ts.role!r}, expected {ROLE_SUPPLEMENT!r}")
-    return map_token(phi_ts, text_emb)
+        return Mappers(pick(self.pseudo), pick(self.supplement))
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +113,26 @@ def checkpoint_paths(base: Path) -> tuple[Path, Path]:
 
 def save_checkpoint(
     base: Path,
-    pseudo: MapperParams,
-    supplement: MapperParams,
+    mappers: Mappers,
     step: int,
     composer_seed: int,
     extra: dict | None = None,
 ) -> None:
     emb_path, manifest_path = checkpoint_paths(base)
     chunks, entries, offset = [], [], 0
-    for mapper in (pseudo, supplement):
-        for name, tensor in mapper.named():
-            flat = tensor.values.reshape(-1)
-            entries.append(
-                {"name": name, "shape": list(tensor.shape), "offset": offset}
-            )
-            chunks.append(flat)
-            offset += flat.size
+    for name, tensor in mappers.named_params().items():
+        flat = tensor.values.reshape(-1)
+        entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
+        chunks.append(flat)
+        offset += flat.size
     vector = np.concatenate(chunks).astype(np.float32).reshape(1, offset)
     fileio.write_embeddings(emb_path, vector, ["params"])
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "dim": pseudo.dim,
-        "hidden": pseudo.hidden,
-        "pseudo_seed": pseudo.seed,
-        "supplement_seed": supplement.seed,
+        "dim": mappers.pseudo.dim,
+        "hidden": mappers.pseudo.hidden,
+        "pseudo_seed": mappers.pseudo.seed,
+        "supplement_seed": mappers.supplement.seed,
         "composer_seed": composer_seed,
         "step": step,
         "total_parameters": offset,
@@ -143,10 +143,52 @@ def save_checkpoint(
     fileio.write_json(manifest_path, manifest)
 
 
-def load_checkpoint(base: Path) -> tuple[MapperParams, MapperParams, dict]:
+_MANIFEST_KEYS = {
+    "format": int,
+    "dim": int,
+    "hidden": int,
+    "pseudo_seed": int,
+    "supplement_seed": int,
+    "composer_seed": int,
+    "step": int,
+    "total_parameters": int,
+    "params": list,
+}
+_ENTRY_KEYS = {"name": str, "shape": list, "offset": int}
+
+
+def _checked(doc, keys: dict[str, type], where: str) -> None:
+    """Raise FormatError naming ``where`` and the key unless every key is present
+    with its type (a bool is not an int)."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key, kind in keys.items():
+        if key not in doc:
+            raise FormatError(f"{where}: missing key {key!r}")
+        value = doc[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise FormatError(
+                f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            )
+
+
+def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    return {
+        "w1": (dim, hidden),
+        "b1": (hidden,),
+        "w2": (hidden, hidden),
+        "b2": (hidden,),
+        "w3": (hidden, dim),
+        "b3": (dim,),
+    }
+
+
+def load_checkpoint(base: Path) -> tuple[Mappers, dict]:
+    """Load both mappers and the manifest; malformed manifests raise FormatError."""
     emb_path, manifest_path = checkpoint_paths(base)
     manifest = fileio.read_json(manifest_path)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    _checked(manifest, _MANIFEST_KEYS, str(manifest_path))
+    if manifest["format"] != CHECKPOINT_FORMAT:
         raise FormatError(f"{manifest_path}: unsupported checkpoint format")
     matrix, ids = fileio.read_embeddings(emb_path)
     if matrix.shape[0] != 1 or ids != ["params"]:
@@ -156,14 +198,25 @@ def load_checkpoint(base: Path) -> tuple[MapperParams, MapperParams, dict]:
         raise FormatError(f"{emb_path}: parameter count mismatch")
 
     dim, hidden = manifest["dim"], manifest["hidden"]
+    expected = _param_shapes(dim, hidden)
     by_role: dict[str, dict[str, Tensor]] = {ROLE_PSEUDO: {}, ROLE_SUPPLEMENT: {}}
-    for entry in manifest["params"]:
-        role, key = entry["name"].split(".", 1)
+    for i, entry in enumerate(manifest["params"]):
+        where = f"{manifest_path}: params[{i}]"
+        _checked(entry, _ENTRY_KEYS, where)
+        role, _, key = entry["name"].partition(".")
         if role not in by_role or key not in _PARAM_NAMES:
-            raise FormatError(f"{manifest_path}: unknown parameter {entry['name']!r}")
-        shape = tuple(entry["shape"])
+            raise FormatError(f"{where}: unknown parameter {entry['name']!r}")
+        shape = expected[key]
+        if entry["shape"] != list(shape):
+            raise FormatError(
+                f"{where}: key 'shape' is {entry['shape']} for {entry['name']!r}, expected "
+                f"{list(shape)} from dim {dim} and hidden {hidden}"
+            )
         size = int(np.prod(shape))
-        chunk = flat[entry["offset"] : entry["offset"] + size]
+        offset = entry["offset"]
+        if offset < 0:
+            raise FormatError(f"{where}: key 'offset' must be >= 0, got {offset}")
+        chunk = flat[offset : offset + size]
         if chunk.size != size:
             raise FormatError(f"{emb_path}: truncated parameter {entry['name']!r}")
         by_role[role][key] = Tensor(chunk.reshape(shape), requires_grad=True)
@@ -171,8 +224,10 @@ def load_checkpoint(base: Path) -> tuple[MapperParams, MapperParams, dict]:
         if set(weights) != set(_PARAM_NAMES):
             raise FormatError(f"{manifest_path}: incomplete parameters for {role!r}")
 
-    pseudo = MapperParams(ROLE_PSEUDO, dim, hidden, manifest["pseudo_seed"], by_role[ROLE_PSEUDO])
-    supplement = MapperParams(
-        ROLE_SUPPLEMENT, dim, hidden, manifest["supplement_seed"], by_role[ROLE_SUPPLEMENT]
+    mappers = Mappers(
+        MapperParams(ROLE_PSEUDO, dim, hidden, manifest["pseudo_seed"], by_role[ROLE_PSEUDO]),
+        MapperParams(
+            ROLE_SUPPLEMENT, dim, hidden, manifest["supplement_seed"], by_role[ROLE_SUPPLEMENT]
+        ),
     )
-    return pseudo, supplement, manifest
+    return mappers, manifest

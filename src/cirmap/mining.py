@@ -19,7 +19,6 @@ from .errors import ParameterError, ShapeError
 
 @dataclass
 class BatchSelection:
-    uncertainty: Tensor  # [N x N], row i = softmax over captions for image i
     argmax_index: np.ndarray  # per-row predicted caption index
     caption_similarity: np.ndarray  # s_i = <w_pred, w_i>
     mask_f: np.ndarray  # prediction differs from the row index
@@ -39,7 +38,6 @@ class BatchSelection:
 def full_batch_selection(n: int) -> BatchSelection:
     """Selection covering every row; the 'no selection filter' ablation."""
     return BatchSelection(
-        uncertainty=Tensor(np.eye(n, dtype=np.float32)),
         argmax_index=np.arange(n, dtype=np.int64),
         caption_similarity=np.ones(n),
         mask_f=np.ones(n, dtype=bool),
@@ -63,37 +61,27 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def caption_uncertainty(images, texts, sigma: float) -> Tensor:
-    """Softmax over batch captions per image at temperature sigma; detached."""
+def caption_uncertainty(images, texts, sigma: float) -> np.ndarray:
+    """Softmax over batch captions per image at temperature sigma; detached.
+
+    Stored as float32, so the argmax in :func:`selection_from_uncertainty`
+    sees ties at float32 resolution and resolves them to the lowest index.
+    """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma!r}")
     v, w = _rows(images), _rows(texts)
     if v.shape != w.shape:
         raise ShapeError(f"images {v.shape} and texts {w.shape} disagree")
-    return Tensor(_row_softmax((v @ w.T) / sigma))
-
-
-def misprediction_mask(uncertainty) -> np.ndarray:
-    """True where the row argmax is off-diagonal. Ties resolve to the lowest index."""
-    u = _rows(uncertainty)
-    if u.shape[0] != u.shape[1]:
-        raise ShapeError(f"uncertainty must be square, got {u.shape}")
-    argmax = np.argmax(u, axis=1)
-    return argmax != np.arange(u.shape[0])
-
-
-def similar_caption_mask(texts, argmax_index: np.ndarray, threshold: float) -> np.ndarray:
-    """True where the predicted caption's cosine to the true caption is >= threshold."""
-    w = _rows(texts)
-    idx = np.asarray(argmax_index, dtype=np.int64)
-    if idx.shape != (w.shape[0],):
-        raise ShapeError(f"argmax index shape {idx.shape} does not match {w.shape[0]} rows")
-    sims = np.sum(w[idx] * w, axis=1)
-    return sims >= threshold
+    return _row_softmax((v @ w.T) / sigma).astype(np.float32)
 
 
 def selection_from_uncertainty(uncertainty, texts, threshold: float) -> BatchSelection:
-    """Assemble a selection from a precomputed uncertainty matrix."""
+    """Assemble a selection from a precomputed uncertainty matrix.
+
+    mask_f is true where the row argmax is off-diagonal (ties resolve to the
+    lowest index); mask_s is true where the predicted caption's cosine to the
+    true caption is at least ``threshold``.
+    """
     u = _rows(uncertainty)
     w = _rows(texts)
     argmax = np.argmax(u, axis=1)
@@ -102,7 +90,6 @@ def selection_from_uncertainty(uncertainty, texts, threshold: float) -> BatchSel
     mask_s = sims >= threshold
     mask = mask_f & mask_s
     return BatchSelection(
-        uncertainty=uncertainty if isinstance(uncertainty, Tensor) else Tensor(u),
         argmax_index=argmax,
         caption_similarity=sims,
         mask_f=mask_f,

@@ -10,8 +10,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import PromptComposer
 from .errors import ParameterError, ShapeError
-from .mappers import map_token
-from .training import Mappers
+from .mappers import Mappers, map_rows
 
 BASELINE_MODES = ("image_only", "text_only", "average", "slerp")
 
@@ -80,18 +79,20 @@ def compose_query(
 
     The mixed token is a bare convex combination (tokens are free vectors, so
     no renormalization) inserted into the two-slot template together with the
-    condition embedding.
+    condition embedding. The query runs through the batched paths as a batch
+    of one.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    ref = Tensor(query.reference_emb)
-    cond = Tensor(query.condition_emb)
-    pseudo_token = map_token(mappers.pseudo, ref)
-    supplement_token = map_token(mappers.supplement, composer.prompt_text(cond))
+    ref = Tensor(query.reference_emb.reshape(1, -1))
+    cond = Tensor(query.condition_emb.reshape(1, -1))
+    pseudo_token = map_rows(mappers.pseudo, ref)
+    prompted = composer.compose_rows("photo_of", [cond])
+    supplement_token = map_rows(mappers.supplement, prompted)
     token = ad.add(
         ad.scale(pseudo_token, gamma), ad.scale(supplement_token, 1.0 - gamma)
     )
-    return composer.compose("photo_of_that", [token, cond]).values
+    return composer.compose_rows("photo_of_that", [token, cond]).values[0]
 
 
 def baseline_compose(query: Query, mode: str, t: float = 0.5) -> np.ndarray:

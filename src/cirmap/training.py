@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .mappers import MapperParams, ROLE_PSEUDO, ROLE_SUPPLEMENT, init_mapper, map_rows
+from .mappers import ROLE_PSEUDO, ROLE_SUPPLEMENT, Mappers, init_mapper, map_rows
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,15 @@ class TrainConfig:
             raise ParameterError("learning_rate and weight_decay must be non-negative")
 
     def loss_weights(self) -> L.LossWeights:
-        return L.LossWeights(alpha=self.alpha, beta=self.beta, tau=self.tau)
+        """The objective's weights and term switches; the S-Set switches act
+        through the selection instead."""
+        return L.LossWeights(
+            alpha=self.alpha,
+            beta=self.beta,
+            tau=self.tau,
+            use_itcon=self.use_itcon,
+            use_mse=self.use_mse,
+        )
 
 
 @dataclass
@@ -129,26 +137,6 @@ def adamw_step(
     return out
 
 
-@dataclass
-class Mappers:
-    pseudo: MapperParams
-    supplement: MapperParams
-
-    def named_params(self) -> dict[str, Tensor]:
-        return dict(self.pseudo.named() + self.supplement.named())
-
-    def apply_update(self, updated: dict[str, Tensor]) -> "Mappers":
-        def pick(mapper: MapperParams) -> MapperParams:
-            new = {
-                key: updated[f"{mapper.role}.{key}"]
-                for key in mapper.weights
-                if f"{mapper.role}.{key}" in updated
-            }
-            return mapper.replaced(new)
-
-        return Mappers(pick(self.pseudo), pick(self.supplement))
-
-
 def init_mappers(config: TrainConfig) -> Mappers:
     seeds = np.random.SeedSequence([config.seed, 0]).generate_state(2)
     return Mappers(
@@ -168,10 +156,6 @@ def forward_batch(
         "photo_of", [map_rows(mappers.supplement, texts_t)]
     )
     return L.BatchEmbeddings(images_t, texts_t, composed_pseudo, composed_supplement)
-
-
-def _zero() -> Tensor:
-    return Tensor(np.zeros(()))
 
 
 @dataclass
@@ -250,30 +234,19 @@ def _train_step(config, mappers, composer, batch_images, batch_texts, state, ste
     with Tape() as tape:
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
-        if config.use_sset:
-            if config.sset_select:
-                selection = mining.select_batch(
-                    batch_images, batch_texts, config.sigma, config.lam
-                )
-            else:
-                selection = mining.full_batch_selection(config.batch_size)
-            n_selected = selection.count
-        else:
+        if not config.use_sset:
             selection = None
-            n_selected = 0
+        elif config.sset_select:
+            selection = mining.select_batch(batch_images, batch_texts, config.sigma, config.lam)
+        else:
+            selection = mining.full_batch_selection(config.batch_size)
 
-        l_ori = L.loss_ori(batch, config.tau)
-        l_itcon = L.loss_itcon(batch, config.tau) if config.use_itcon else _zero()
-        l_mse = L.loss_mse(batch) if config.use_mse else _zero()
-        l_ts = ad.add(l_itcon, ad.scale(l_mse, config.alpha))
-        l_ss = L.loss_sset(batch, selection, config.tau) if config.use_sset else _zero()
-        l_total = ad.add(ad.add(l_ori, l_ts), ad.scale(l_ss, config.beta))
-
+        l_total, parts = L.objective(batch, selection, config.loss_weights())
         if not np.isfinite(l_total.values):
             raise TrainingDivergedError(
                 f"non-finite loss at step {step}: "
-                f"ori={l_ori.item()!r} itcon={l_itcon.item()!r} "
-                f"mse={l_mse.item()!r} ss={l_ss.item()!r}"
+                f"ori={parts['L_ori'].item()!r} itcon={parts['L_itcon'].item()!r} "
+                f"mse={parts['L_mse'].item()!r} ss={parts['L_ss'].item()!r}"
             )
 
         grad_map = ad.backward(l_total, tape)
@@ -292,12 +265,7 @@ def _train_step(config, mappers, composer, batch_images, batch_texts, state, ste
     step_metrics = {
         "step": step,
         "lr": lr_t,
-        "L_ori": l_ori.item(),
-        "L_itcon": l_itcon.item(),
-        "L_mse": l_mse.item(),
-        "L_ts": l_ts.item(),
-        "L_ss": l_ss.item(),
-        "L_deg": l_total.item(),
-        "N_S": n_selected,
+        **{name: term.item() for name, term in parts.items()},
+        "N_S": 0 if selection is None else selection.count,
     }
     return mappers, step_metrics

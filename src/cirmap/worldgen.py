@@ -143,9 +143,10 @@ def _one_hot(tuples: np.ndarray, n_values: int) -> np.ndarray:
 def _sample_separated_tuples(
     rng: np.random.Generator, n: int, n_attr: int, n_values: int, min_hamming: int
 ) -> np.ndarray:
-    accepted = np.empty((0, n_attr), dtype=np.int64)
+    accepted = np.empty((n, n_attr), dtype=np.int64)
+    count = 0
     attempts = 0
-    while accepted.shape[0] < n:
+    while count < n:
         attempts += 1
         if attempts > 500 * n:
             raise InconsistentSpecError(
@@ -153,11 +154,12 @@ def _sample_separated_tuples(
                 f"{n_values}^{n_attr} space"
             )
         cand = rng.integers(0, n_values, size=n_attr)
-        if accepted.shape[0]:
-            dist = np.sum(accepted != cand, axis=1)
+        if count:
+            dist = np.sum(accepted[:count] != cand, axis=1)
             if int(dist.min()) < min_hamming:
                 continue
-        accepted = np.vstack([accepted, cand])
+        accepted[count] = cand
+        count += 1
     return accepted
 
 
@@ -183,7 +185,7 @@ class _Embedder:
         if self.spec.caption_style == "linear":
             return descriptors.copy()
         rows = Tensor(descriptors.astype(np.float32))
-        return self.composer.prompt_text_rows(rows).values.astype(np.float64)
+        return self.composer.compose_rows("photo_of", [rows]).values.astype(np.float64)
 
     def images(
         self, tuples: np.ndarray, descriptors: np.ndarray, noise_rng: np.random.Generator

@@ -16,17 +16,8 @@ from cirmap.autodiff import Tape, Tensor, backward
 from cirmap.cli import main
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import FormatError
-from cirmap.losses import (
-    BatchEmbeddings,
-    LossWeights,
-    loss_deg,
-    loss_itcon,
-    loss_mse,
-    loss_ori,
-    loss_sset,
-    loss_ts,
-)
-from cirmap.mappers import ROLE_PSEUDO, ROLE_SUPPLEMENT, init_mapper, map_rows
+from cirmap.losses import BatchEmbeddings, LossWeights, loss_itcon, loss_sset, objective
+from cirmap.mappers import ROLE_PSEUDO, ROLE_SUPPLEMENT, Mappers, init_mapper, map_rows
 from cirmap.mining import full_batch_selection, select_batch, selection_from_uncertainty
 from cirmap.retrieval import (
     Gallery,
@@ -38,7 +29,7 @@ from cirmap.retrieval import (
     rank,
     recall_at_k,
 )
-from cirmap.training import Mappers, TrainConfig, init_mappers, train
+from cirmap.training import TrainConfig, init_mappers, train
 from cirmap.worldgen import WorldSpec, generate_world
 from oracles import (
     brute_force_map,
@@ -103,14 +94,8 @@ def test_criterion_1_gradient_fidelity():
                     "photo_of", [map_rows(supplement, Tensor(texts))]
                 ),
             )
-            losses = {
-                "ori": loss_ori(batch, tau),
-                "itcon": loss_itcon(batch, tau),
-                "mse": loss_mse(batch),
-                "ts": loss_ts(batch, weights),
-                "ss": loss_sset(batch, selection, tau),
-                "deg": loss_deg(batch, selection, weights),
-            }
+            _, parts = objective(batch, selection, weights)
+            losses = {name: parts[f"L_{name}"] for name in LOSS_NAMES}
 
         tape_grads = {}
         for name, loss in losses.items():

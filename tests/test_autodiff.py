@@ -266,3 +266,18 @@ def test_backward_visits_each_node_exactly_once():
     assert counts[:-1] == [1] * (len(counts) - 1)  # each loss-path node once
     # diamond: d(loss)/dx = mean'(tanh'(s) + 3) routed through one shared node
     assert grads[x].shape == (2, 2)
+
+
+def test_leaf_created_after_dropped_output_keeps_its_gradient():
+    # An op output dropped inside the tape must not free its id for reuse by
+    # a leaf created afterwards; otherwise the leaf is routed as a produced
+    # node and its gradient vanishes.
+    w = Tensor(np.ones(3), requires_grad=True)
+    for _ in range(200):
+        with Tape() as tape:
+            ad.scale(w, 3.0)
+            v = Tensor(np.ones(3), requires_grad=True)
+            loss = ad.sum_all(ad.scale(v, 2.0))
+        grads = backward(loss, tape)
+        assert set(grads) == {v}
+        assert np.array_equal(grads[v].values, np.full(3, 2.0, dtype=np.float32))

@@ -253,6 +253,39 @@ def test_corrupt_embedding_file_exits_nonzero(pipeline):
     assert main(["train", "--config", str(config)]) == 1
 
 
+def test_manifest_missing_key_is_an_error_not_a_traceback(pipeline, capsys):
+    tmp_path, config = pipeline
+    manifest_path = tmp_path / "run" / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["total_parameters"]
+    manifest_path.write_text(json.dumps(manifest))
+    argv = ["evaluate", "--config", str(config), "--checkpoint", str(tmp_path / "run" / "checkpoint")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(manifest_path) in err and "'total_parameters'" in err
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_json_is_an_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("not json")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_malformed_queries_line_names_file_and_line(pipeline, capsys):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    lines = queries.read_text().splitlines()
+    lines[2] = lines[2][:-1]
+    queries.write_text("\n".join(lines) + "\n")
+    argv = ["evaluate", "--config", str(config), "--mode", "image_only"]
+    assert main(argv) == 1
+    assert f"{queries}:3: " in capsys.readouterr().err
+
+
 def test_full_pipeline_determinism(tmp_path):
     # two gen-data -> train -> evaluate runs: byte-identical checkpoint/report
     artifacts = []

@@ -3,9 +3,14 @@ import pytest
 
 import cirmap.autodiff as ad
 from cirmap.autodiff import Tape, Tensor, backward
-from cirmap.composer import ComposerSpec, EmbeddingTable, PromptComposer, encode_pair
-from cirmap.errors import DegenerateInputError, MissingIdError, ShapeError, TemplateError
+from cirmap.composer import ComposerSpec, PromptComposer
+from cirmap.errors import ShapeError, TemplateError
 from oracles import composer_weights, ref_compose_rows, rel_err, unit_rows
+
+
+def row(values) -> Tensor:
+    """A single slot vector as a batch of one."""
+    return Tensor(np.asarray(values).reshape(1, -1))
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +21,8 @@ def composer():
 def test_output_unit_norm(composer):
     rng = np.random.default_rng(0)
     for _ in range(20):
-        slots = [Tensor(rng.standard_normal(16))]
-        out = composer.compose("photo_of", slots)
+        slots = [row(rng.standard_normal(16))]
+        out = composer.compose_rows("photo_of", slots)
         assert abs(np.linalg.norm(out.values.astype(np.float64)) - 1.0) < 1e-6
 
 
@@ -25,9 +30,9 @@ def test_same_seed_bit_identical():
     a = PromptComposer(ComposerSpec(dim=16, seed=5))
     b = PromptComposer(ComposerSpec(dim=16, seed=5))
     assert a.weights_hash() == b.weights_hash()
-    slot = Tensor(np.linspace(-1, 1, 16))
-    out_a = a.compose("photo_of", [slot])
-    out_b = b.compose("photo_of", [slot])
+    slot = row(np.linspace(-1, 1, 16))
+    out_a = a.compose_rows("photo_of", [slot])
+    out_b = b.compose_rows("photo_of", [slot])
     assert np.array_equal(out_a.values, out_b.values)
 
 
@@ -38,36 +43,38 @@ def test_different_seed_differs():
 
 
 def test_arity_mismatch(composer):
-    slot = Tensor(np.ones(16))
+    slot = row(np.ones(16))
     with pytest.raises(TemplateError):
-        composer.compose("photo_of", [slot, slot])
+        composer.compose_rows("photo_of", [slot, slot])
     with pytest.raises(TemplateError):
-        composer.compose("photo_of_that", [slot])
+        composer.compose_rows("photo_of_that", [slot])
     with pytest.raises(TemplateError):
-        composer.compose("photo_of_this", [slot])
+        composer.compose_rows("photo_of_this", [slot])
 
 
 def test_slot_dimension_checked(composer):
     with pytest.raises(ShapeError):
-        composer.compose("photo_of", [Tensor(np.ones(8))])
+        composer.compose_rows("photo_of", [row(np.ones(8))])
 
 
 def test_gradient_through_slots_matches_fd(composer):
     cw = composer_weights(composer)
     rng = np.random.default_rng(1)
     for template, arity in (("photo_of", 1), ("photo_of_that", 2)):
-        slots = [Tensor(rng.standard_normal(16), requires_grad=True) for _ in range(arity)]
+        slots = [
+            Tensor(rng.standard_normal((1, 16)), requires_grad=True) for _ in range(arity)
+        ]
         coord = int(rng.integers(16))
         onehot = np.zeros(16)
         onehot[coord] = 1.0
 
         with Tape() as tape:
-            out = composer.compose(template, slots)
-            loss = ad.sum_all(ad.dot_rows(ad.reshape(out, (1, 16)), Tensor(onehot.reshape(1, 16))))
+            out = composer.compose_rows(template, slots)
+            loss = ad.sum_all(ad.dot_rows(out, Tensor(onehot.reshape(1, 16))))
         grads = backward(loss, tape)
 
         for si, slot in enumerate(slots):
-            base = slot.values.astype(np.float64)
+            base = slot.values.astype(np.float64).ravel()
 
             def f(vec, si=si):
                 rows = [
@@ -86,9 +93,9 @@ def test_gradient_through_slots_matches_fd(composer):
 
 
 def test_no_gradients_for_frozen_weights(composer):
-    slot = Tensor(np.linspace(0.1, 1.0, 16), requires_grad=True)
+    slot = Tensor(np.linspace(0.1, 1.0, 16).reshape(1, 16), requires_grad=True)
     with Tape() as tape:
-        out = composer.compose("photo_of", [slot])
+        out = composer.compose_rows("photo_of", [slot])
         loss = ad.mean(out)
     grads = backward(loss, tape)
     assert set(grads) == {slot}
@@ -112,18 +119,21 @@ def test_injectivity_at_desk_scale():
     assert gram.max() < 1.0 - 1e-5
 
 
-def test_prompt_text_is_photo_of(composer):
-    cond = Tensor(np.linspace(-0.5, 0.5, 16))
-    via_prompt = composer.prompt_text(cond)
-    via_compose = composer.compose("photo_of", [cond])
-    assert np.array_equal(via_prompt.values, via_compose.values)
+def test_batch_of_one_matches_batch_row(composer):
+    # a single prompt is a batch of one; it agrees with its row in a batch
+    rng = np.random.default_rng(4)
+    conds = unit_rows(rng, 5, 16)
+    batched = composer.compose_rows("photo_of", [Tensor(conds)]).values
+    single = composer.compose_rows("photo_of", [row(conds[2])]).values
+    assert single.shape == (1, 16)
+    assert rel_err(single[0], batched[2]) < 1e-6
 
 
-def test_prompt_text_moves_generic_inputs():
+def test_photo_of_moves_generic_inputs():
     composer = PromptComposer(ComposerSpec(dim=16, seed=13))
     rng = np.random.default_rng(4)
     conds = unit_rows(rng, 100, 16)
-    outs = composer.prompt_text_rows(Tensor(conds)).values.astype(np.float64)
+    outs = composer.compose_rows("photo_of", [Tensor(conds)]).values.astype(np.float64)
     cosines = np.sum(outs * conds, axis=1)
     assert np.all(cosines < 1.0 - 1e-4)
 
@@ -134,50 +144,3 @@ def test_matches_reference_forward(composer):
     out = composer.compose_rows("photo_of_that", [Tensor(r) for r in rows]).values
     ref = ref_compose_rows(composer_weights(composer), "photo_of_that", rows)
     assert rel_err(out, ref) < 1e-5
-
-
-class TestEmbeddingTable:
-    def _table(self):
-        vecs = np.array(
-            [[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], dtype=np.float32
-        )
-        return EmbeddingTable(["a", "b"], vecs, role="image")
-
-    def test_renormalizes_on_load(self):
-        t = self._table()
-        fetched = encode_pair(t, "a")
-        assert np.allclose(fetched.values, [0.6, 0.8, 0.0, 0.0], atol=1e-6)
-        assert not fetched.requires_grad
-
-    def test_missing_id(self):
-        with pytest.raises(MissingIdError):
-            self._table().get("missing")
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ShapeError):
-            EmbeddingTable(["a", "a"], np.eye(2, dtype=np.float32), role="text")
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            EmbeddingTable(["a"], np.zeros((1, 3), np.float32), role="image")
-
-    def test_unit_norm_after_load(self):
-        rng = np.random.default_rng(6)
-        vecs = (rng.standard_normal((10, 8)) * 3).astype(np.float32)
-        t = EmbeddingTable([f"id{i}" for i in range(10)], vecs, role="text")
-        norms = np.linalg.norm(t.matrix().astype(np.float64), axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-5
-
-
-def test_embedding_table_load_from_file(tmp_path):
-    from cirmap import fileio
-
-    rng = np.random.default_rng(7)
-    matrix = (rng.standard_normal((4, 6)) * 2).astype(np.float32)
-    ids = [f"v{i}" for i in range(4)]
-    path = tmp_path / "table.emb"
-    fileio.write_embeddings(path, matrix, ids)
-    table = EmbeddingTable.load(path, role="text")
-    assert table.ids == ids and table.dim == 6
-    norms = np.linalg.norm(table.matrix().astype(np.float64), axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-5

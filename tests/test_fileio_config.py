@@ -171,3 +171,19 @@ class TestRunConfig:
         assert run.train.hidden == 64
         run32 = cfg.parse_config({"seed": 1})
         assert run32.train.hidden == 128
+
+
+def test_read_jsonl_bad_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+    with pytest.raises(FormatError) as err:
+        fileio.read_jsonl(path)
+    assert f"{path}:2: " in str(err.value)
+
+
+def test_read_json_bad_utf8_names_file(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(FormatError) as err:
+        fileio.read_json(path)
+    assert str(path) in str(err.value)

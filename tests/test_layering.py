@@ -1,0 +1,69 @@
+"""Import layering: every module imports only from modules of strictly lower rank.
+
+Modules of equal rank (composer and mappers; training and retrieval) may not
+import each other. The package ``__init__`` re-exports and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cirmap
+
+RANKS = {
+    "errors": 0,
+    "fileio": 1,
+    "autodiff": 2,
+    "composer": 3,
+    "mappers": 3,
+    "mining": 4,
+    "losses": 5,
+    "training": 6,
+    "retrieval": 6,
+    "worldgen": 7,
+    "config": 8,
+    "cli": 9,
+}
+PACKAGE_DIR = Path(cirmap.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def package_imports(module: str) -> set[str]:
+    """Names of the package modules that ``module`` imports."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("cirmap"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "cirmap" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_every_module_is_ranked():
+    assert set(MODULES) == set(RANKS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_lower_ranks(module):
+    upward = sorted(
+        dep for dep in package_imports(module) if RANKS.get(dep, len(RANKS)) >= RANKS[module]
+    )
+    assert upward == [], f"{module} (rank {RANKS[module]}) imports {upward}"
+
+
+def test_parser_sees_relative_imports():
+    assert package_imports("retrieval") >= {"autodiff", "composer", "mappers", "errors"}
+    assert package_imports("cli") >= {"config", "fileio", "mining", "worldgen", "training"}

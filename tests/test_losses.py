@@ -7,12 +7,11 @@ from cirmap.losses import (
     BatchEmbeddings,
     LossWeights,
     info_nce_bidirectional,
-    loss_deg,
     loss_itcon,
     loss_mse,
     loss_ori,
     loss_sset,
-    loss_ts,
+    objective,
 )
 from cirmap.mining import BatchSelection, full_batch_selection
 from oracles import ref_info_nce, ref_mse, unit_rows
@@ -27,12 +26,17 @@ def make_batch(rng, n, d):
     )
 
 
+def components(batch, weights, selection=None):
+    """The objective's components as floats, keyed like metrics.jsonl."""
+    _, parts = objective(batch, selection, weights)
+    return {name: term.item() for name, term in parts.items()}
+
+
 def selection_of(indices, n):
     base = full_batch_selection(n)
     mask = np.zeros(n, dtype=bool)
     mask[list(indices)] = True
     return BatchSelection(
-        uncertainty=base.uncertainty,
         argmax_index=base.argmax_index,
         caption_similarity=base.caption_similarity,
         mask_f=mask,
@@ -165,13 +169,13 @@ class TestLossTs:
         rng = np.random.default_rng(11)
         batch = make_batch(rng, 4, 6)
         w = LossWeights(alpha=0.0, beta=1.0, tau=0.5)
-        assert abs(loss_ts(batch, w).item() - loss_itcon(batch, 0.5).item()) < 1e-7
+        assert abs(components(batch, w)["L_ts"] - loss_itcon(batch, 0.5).item()) < 1e-7
 
     def test_alpha_slope_is_mse(self):
         rng = np.random.default_rng(12)
         batch = make_batch(rng, 4, 6)
-        lo = loss_ts(batch, LossWeights(alpha=1.0, beta=1.0, tau=0.5)).item()
-        hi = loss_ts(batch, LossWeights(alpha=3.0, beta=1.0, tau=0.5)).item()
+        lo = components(batch, LossWeights(alpha=1.0, beta=1.0, tau=0.5))["L_ts"]
+        hi = components(batch, LossWeights(alpha=3.0, beta=1.0, tau=0.5))["L_ts"]
         slope = (hi - lo) / 2.0
         assert abs(slope - loss_mse(batch).item()) < 1e-5
 
@@ -185,8 +189,7 @@ class TestLossTs:
             Tensor(rows),
         )
         w = LossWeights(alpha=1.0, beta=1.0, tau=0.5)
-        assert abs(loss_ts(batch, w).item() - loss_itcon(batch, 0.5).item()) < 1e-7
-
+        assert abs(components(batch, w)["L_ts"] - loss_itcon(batch, 0.5).item()) < 1e-7
 
 class TestLossSset:
     def test_empty_selection_zero(self):
@@ -219,23 +222,23 @@ class TestLossDeg:
         batch = make_batch(rng, 4, 6)
         sel = selection_of([0, 2], 4)
         w0 = LossWeights(alpha=1.0, beta=0.0, tau=0.5)
-        total = loss_deg(batch, sel, w0).item()
-        expected = loss_ori(batch, 0.5).item() + loss_ts(batch, w0).item()
-        assert abs(total - expected) < 1e-6
+        parts = components(batch, w0, sel)
+        expected = loss_ori(batch, 0.5).item() + parts["L_ts"]
+        assert abs(parts["L_deg"] - expected) < 1e-6
 
     def test_component_sum(self):
         rng = np.random.default_rng(19)
         batch = make_batch(rng, 5, 6)
         sel = selection_of([1, 3, 4], 5)
         w = LossWeights(alpha=1.5, beta=2.0, tau=0.2)
-        total = loss_deg(batch, sel, w).item()
+        total, _ = objective(batch, sel, w)
         parts = (
             loss_ori(batch, 0.2).item()
-            + loss_ts(batch, w).item()
+            + components(batch, w)["L_ts"]
             + 2.0 * loss_sset(batch, sel, 0.2).item()
         )
         # float32 storage bounds agreement to ~1 ulp of the total
-        assert abs(total - parts) < 1e-6 * max(1.0, abs(parts))
+        assert abs(total.item() - parts) < 1e-6 * max(1.0, abs(parts))
 
     def test_all_zero_components(self):
         # single pair, identical composed blocks, empty selection
@@ -248,7 +251,45 @@ class TestLossDeg:
             Tensor(rows),
         )
         w = LossWeights(alpha=1.0, beta=2.0, tau=0.5)
-        assert loss_deg(batch, selection_of([], 1), w).item() == 0.0
+        assert objective(batch, selection_of([], 1), w)[0].item() == 0.0
+
+
+class TestObjective:
+    def test_component_keys_and_total(self):
+        rng = np.random.default_rng(23)
+        batch = make_batch(rng, 4, 6)
+        total, parts = objective(batch, selection_of([0, 3], 4), LossWeights(tau=0.3))
+        assert list(parts) == ["L_ori", "L_itcon", "L_mse", "L_ts", "L_ss", "L_deg"]
+        assert parts["L_deg"] is total
+
+    def test_terms_match_term_functions(self):
+        rng = np.random.default_rng(24)
+        batch = make_batch(rng, 5, 6)
+        sel = selection_of([1, 2, 4], 5)
+        parts = components(batch, LossWeights(tau=0.3), sel)
+        assert parts["L_ori"] == loss_ori(batch, 0.3).item()
+        assert parts["L_itcon"] == loss_itcon(batch, 0.3).item()
+        assert parts["L_mse"] == loss_mse(batch).item()
+        assert parts["L_ss"] == loss_sset(batch, sel, 0.3).item()
+
+    @pytest.mark.parametrize("use_itcon,use_mse", [(False, True), (True, False), (False, False)])
+    def test_switched_off_terms_are_zero(self, use_itcon, use_mse):
+        rng = np.random.default_rng(25)
+        batch = make_batch(rng, 4, 6)
+        w = LossWeights(alpha=1.0, beta=2.0, tau=0.3, use_itcon=use_itcon, use_mse=use_mse)
+        parts = components(batch, w, selection_of([0, 1], 4))
+        assert (parts["L_itcon"] == 0.0) != use_itcon
+        assert (parts["L_mse"] == 0.0) != use_mse
+        expected = parts["L_itcon"] + parts["L_mse"]
+        assert abs(parts["L_ts"] - expected) < 1e-6
+
+    def test_no_selection_turns_subset_term_off(self):
+        rng = np.random.default_rng(26)
+        batch = make_batch(rng, 4, 6)
+        parts = components(batch, LossWeights(tau=0.3), None)
+        assert parts["L_ss"] == 0.0
+        expected = parts["L_ori"] + parts["L_ts"]
+        assert abs(parts["L_deg"] - expected) < 1e-6 * max(1.0, abs(expected))
 
 
 class TestBatchPermutationEquivariance:
@@ -271,10 +312,10 @@ class TestBatchPermutationEquivariance:
             (loss_ori(batch, 0.1), loss_ori(pbatch, 0.1)),
             (loss_itcon(batch, 0.1), loss_itcon(pbatch, 0.1)),
             (loss_mse(batch), loss_mse(pbatch)),
-            (loss_ts(batch, w), loss_ts(pbatch, w)),
             (loss_sset(batch, sel, 0.1), loss_sset(pbatch, psel, 0.1)),
-            (loss_deg(batch, sel, w), loss_deg(pbatch, psel, w)),
         ]
+        ours_parts, permuted_parts = objective(batch, sel, w)[1], objective(pbatch, psel, w)[1]
+        pairs += [(ours_parts[k], permuted_parts[k]) for k in ("L_ts", "L_deg")]
         for ours, permuted in pairs:
             assert abs(ours.item() - permuted.item()) < 1e-6
 

@@ -6,10 +6,8 @@ from cirmap.errors import ParameterError, ShapeError
 from cirmap.mining import (
     caption_uncertainty,
     full_batch_selection,
-    misprediction_mask,
     select_batch,
     selection_from_uncertainty,
-    similar_caption_mask,
 )
 from oracles import brute_force_select, unit_rows
 
@@ -25,6 +23,18 @@ def hand_texts():
     return np.vstack([w0, w1, w2])
 
 
+def mask_f_of(uncertainty):
+    """mask_f of a selection; captions and threshold do not enter it."""
+    n = uncertainty.shape[0]
+    return selection_from_uncertainty(uncertainty, np.eye(n), 0.0).mask_f
+
+
+def mask_s_of(texts, argmax_index, threshold):
+    """mask_s of a selection whose uncertainty predicts ``argmax_index``."""
+    uncertainty = np.eye(len(argmax_index))[argmax_index]
+    return selection_from_uncertainty(uncertainty, texts, threshold).mask_s
+
+
 def softmax_rows(sims, sigma):
     z = sims / sigma
     z -= z.max(axis=1, keepdims=True)
@@ -38,7 +48,7 @@ class TestCaptionUncertainty:
         images = unit_rows(rng, 4, 6)
         text = unit_rows(rng, 1, 6)
         texts = np.tile(text, (4, 1))
-        u = caption_uncertainty(images, texts, 0.5).values
+        u = caption_uncertainty(images, texts, 0.5)
         assert np.allclose(u, 0.25, atol=1e-6)
 
     def test_sharp_sigma_saturates(self):
@@ -47,7 +57,7 @@ class TestCaptionUncertainty:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        u = caption_uncertainty(unit_rows(rng, 5, 8), unit_rows(rng, 5, 8), 0.01).values
+        u = caption_uncertainty(unit_rows(rng, 5, 8), unit_rows(rng, 5, 8), 0.01)
         assert np.max(np.abs(u.astype(np.float64).sum(axis=1) - 1.0)) < 1e-6
 
     def test_sigma_validation(self):
@@ -65,22 +75,22 @@ class TestCaptionUncertainty:
 class TestMispredictionMask:
     def test_diagonal_dominant_all_false(self):
         u = softmax_rows(np.eye(4) * 0.9 + 0.05, 0.1)
-        assert not misprediction_mask(u).any()
+        assert not mask_f_of(u).any()
 
     def test_off_diagonal_max_true(self):
         sims = np.eye(3) * 0.5
         sims[1, 2] = 0.9
-        assert misprediction_mask(softmax_rows(sims, 0.1)).tolist() == [False, True, False]
+        assert mask_f_of(softmax_rows(sims, 0.1)).tolist() == [False, True, False]
 
     def test_hand_case(self):
         u = softmax_rows(HAND_SIMS, 0.01)
-        assert misprediction_mask(u).tolist() == [False, True, False]
+        assert mask_f_of(u).tolist() == [False, True, False]
 
     def test_tie_breaks_to_lowest_index(self):
         # row 1 ties between columns 0 and 1: argmax 0 != 1 -> flagged
         # row 0 ties between columns 0 and 2: argmax 0 == 0 -> not flagged
         sims = np.array([[0.6, 0.1, 0.6], [0.5, 0.5, 0.1], [0.0, 0.0, 0.9]])
-        assert misprediction_mask(softmax_rows(sims, 0.5)).tolist() == [False, True, False]
+        assert mask_f_of(softmax_rows(sims, 0.5)).tolist() == [False, True, False]
 
 
 class TestSimilarCaptionMask:
@@ -88,23 +98,23 @@ class TestSimilarCaptionMask:
         rng = np.random.default_rng(4)
         texts = unit_rows(rng, 5, 6)
         argmax = np.array([1, 0, 4, 2, 3])
-        assert similar_caption_mask(texts, argmax, -1.0).all()
+        assert mask_s_of(texts, argmax, -1.0).all()
 
     def test_threshold_near_one_only_matching(self):
         # a threshold just under 1 keeps self-predictions and drops the rest
         rng = np.random.default_rng(5)
         texts = unit_rows(rng, 4, 6)
         argmax_self = np.arange(4)
-        assert bool(similar_caption_mask(texts, argmax_self, 1.0 - 1e-6).all())
+        assert bool(mask_s_of(texts, argmax_self, 1.0 - 1e-6).all())
         argmax_other = np.array([1, 0, 3, 2])
-        assert not similar_caption_mask(texts, argmax_other, 1.0 - 1e-6).any()
+        assert not mask_s_of(texts, argmax_other, 1.0 - 1e-6).any()
 
     def test_hand_value(self):
         texts = hand_texts()
         argmax = np.array([0, 0, 2])
-        mask = similar_caption_mask(texts, argmax, 0.5)
+        mask = mask_s_of(texts, argmax, 0.5)
         assert mask.tolist() == [True, True, True]
-        mask_high = similar_caption_mask(texts, argmax, 0.75)
+        mask_high = mask_s_of(texts, argmax, 0.75)
         assert mask_high.tolist() == [True, False, True]
 
 
@@ -164,8 +174,10 @@ class TestSelect:
         rng = np.random.default_rng(8)
         images = Tensor(unit_rows(rng, 4, 5))
         texts = Tensor(unit_rows(rng, 4, 5))
+        u = caption_uncertainty(images, texts, 0.05)
+        assert isinstance(u, np.ndarray) and not isinstance(u, Tensor)
         sel = select_batch(images, texts, 0.05, 0.2)
-        assert not sel.uncertainty.requires_grad
+        assert sel.argmax_index.tolist() == np.argmax(u, axis=1).tolist()
 
     def test_full_batch_selection(self):
         sel = full_batch_selection(5)
