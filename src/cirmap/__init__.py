@@ -12,7 +12,7 @@ from .autodiff import Tape, Tensor, backward
 from .composer import ComposerSpec, PromptComposer
 from .errors import CirmapError
 from .losses import BatchEmbeddings, LossWeights
-from .mappers import MapperParams, Mappers, init_mapper, load_checkpoint, save_checkpoint
+from .mappers import Mappers, init_mapper, load_checkpoint, save_checkpoint
 from .mining import BatchSelection, select_batch
 from .retrieval import EvalTask, Gallery, Query, RankedResult
 from .training import TrainConfig, TrainResult, train
@@ -28,7 +28,6 @@ __all__ = [
     "EvalTask",
     "Gallery",
     "LossWeights",
-    "MapperParams",
     "Mappers",
     "PromptComposer",
     "Query",

@@ -1,14 +1,16 @@
 """Run configuration: strict JSON parsing, defaults, and the resolved echo.
 
 Unknown keys are rejected at every level so a typoed hyperparameter can never
-silently fall back to a default. Seeds left null resolve from the top-level
-seed; the composer seed must agree between the world and train sections since
-both sides must build the identical frozen encoder.
+silently fall back to a default, and every value must have its field's type.
+Seeds left out resolve from the top-level seed; the composer seed must agree
+between the world and train sections since both sides must build the
+identical frozen encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import fileio
@@ -53,14 +55,30 @@ class RunConfig:
     paths: PathsConfig
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type: a bool is not an int, an int
+    is a float, and a list's elements must fit its element type."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = None):
     aliases = aliases or {}
+    hints = typing.get_type_hints(cls)
     allowed = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in doc.items():
         attr = aliases.get(key, key)
         if attr not in allowed:
             raise ConfigError(f"unknown key {name}.{key}")
+        hint = hints[attr]
+        if not _fits(value, hint):
+            expected = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise ConfigError(f"{name}.{key} must be {expected}, got {type(value).__name__}")
         kwargs[attr] = value
     try:
         return cls(**kwargs)
@@ -78,16 +96,16 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     seed = doc.get("seed")
-    if not isinstance(seed, int):
-        raise ConfigError("config requires an integer top-level seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"config requires an integer top-level seed, got {type(seed).__name__}")
+    for name in ("world", "train", "eval", "paths"):
+        if not isinstance(doc.get(name, {}), dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
 
     world_doc = dict(doc.get("world", {}))
     train_doc = dict(doc.get("train", {}))
     eval_doc = dict(doc.get("eval", {}))
     paths_doc = dict(doc.get("paths", {}))
-    for section in (world_doc, train_doc, eval_doc, paths_doc):
-        if not isinstance(section, dict):
-            raise ConfigError("config sections must be JSON objects")
 
     # Seed resolution: absent section seeds derive from the top-level seed.
     world_doc.setdefault("seed", seed)
@@ -97,8 +115,9 @@ def parse_config(doc: dict) -> RunConfig:
 
     world = _build_section("world", WorldSpec, world_doc)
     train_doc.setdefault("dim", world.dim)
-    train_doc.setdefault("hidden", 4 * int(train_doc["dim"]))
     train = _build_section("train", TrainConfig, train_doc, aliases=_TRAIN_ALIASES)
+    if "hidden" not in train_doc:
+        train = replace(train, hidden=4 * train.dim)
     eval_cfg = _build_section("eval", EvalConfig, eval_doc)
     paths = _build_section("paths", PathsConfig, paths_doc)
 

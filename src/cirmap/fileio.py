@@ -9,8 +9,8 @@ Embedding file layout (little-endian):
     payload count*dim float32 values, row-major
 
 Each embedding file has a companion JSONL id file (same path with the
-suffix replaced by ``.ids.jsonl``), one ``{"row": r, "id": ...}`` object per
-line, rows in order.
+suffix ``.ids.jsonl``), one ``{"row": r, "id": ...}`` object per line, rows
+in order. Every value must be finite.
 """
 
 from __future__ import annotations
@@ -115,6 +115,9 @@ def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:
     if len(raw) != expected:
         raise FormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {count * dim * 4}")
     matrix = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim).copy()
+    if not np.isfinite(matrix).all():
+        row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
+        raise FormatError(f"{path}: row {row} holds a non-finite value")
 
     idp = ids_path_for(path)
     if not idp.exists():

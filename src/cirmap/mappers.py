@@ -2,14 +2,16 @@
 
 Both mappers share one architecture: a 3-layer perceptron d -> h -> h -> d
 with tanh hidden activations and a linear output. Tokens are free vectors
-(not normalized). Parameters live in immutable tensors; the optimizer swaps
-in fresh tensors each step. :class:`Mappers` holds the pair, and its
-``named_params`` order is shared by the optimizer and the checkpoint.
+(not normalized). Both mappers' parameters live in one flat float32 vector
+in :func:`layout` order; the optimizer updates that vector and the
+checkpoint stores it. :class:`Mappers` is immutable: an update builds a new
+one from the new vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,25 +23,6 @@ from .errors import FormatError, ShapeError
 
 ROLE_PSEUDO = "pseudo"  # image embedding -> pseudo-word token
 ROLE_SUPPLEMENT = "supplement"  # text embedding -> supplement token
-_PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
-@dataclass
-class MapperParams:
-    role: str
-    dim: int
-    hidden: int
-    seed: int
-    weights: dict[str, Tensor]
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        """Parameters in a stable order, names prefixed with the role."""
-        return [(f"{self.role}.{k}", self.weights[k]) for k in _PARAM_NAMES]
-
-    def replaced(self, new_weights: dict[str, Tensor]) -> "MapperParams":
-        merged = dict(self.weights)
-        merged.update(new_weights)
-        return MapperParams(self.role, self.dim, self.hidden, self.seed, merged)
 
 
 def parameter_count(dim: int, hidden: int) -> int:
@@ -47,61 +30,86 @@ def parameter_count(dim: int, hidden: int) -> int:
     return 2 * hidden * dim + hidden * hidden + 2 * hidden + dim
 
 
-def init_mapper(role: str, dim: int, hidden: int, seed: int) -> MapperParams:
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
-    if role not in (ROLE_PSEUDO, ROLE_SUPPLEMENT):
-        raise ShapeError(f"unknown mapper role {role!r}")
+def layout(dim: int, hidden: int) -> list[dict]:
+    """The flat vector's layout as checkpoint manifest entries: ``w1 b1 w2 b2
+    w3 b3`` of the pseudo mapper, then of the supplement mapper."""
+    shapes = (
+        ("w1", [dim, hidden]),
+        ("b1", [hidden]),
+        ("w2", [hidden, hidden]),
+        ("b2", [hidden]),
+        ("w3", [hidden, dim]),
+        ("b3", [dim]),
+    )
+    entries, offset = [], 0
+    for role in (ROLE_PSEUDO, ROLE_SUPPLEMENT):
+        for key, shape in shapes:
+            entries.append({"name": f"{role}.{key}", "shape": list(shape), "offset": offset})
+            offset += math.prod(shape)
+    return entries
+
+
+def init_mapper(dim: int, hidden: int, seed: int) -> np.ndarray:
+    """One mapper's half of the flat vector: seeded uniform init in
+    [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, drawn in layout order."""
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def layer(fan_in, fan_out):
+    parts = []
+    for fan_in, fan_out in ((dim, hidden), (hidden, hidden), (hidden, dim)):
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
-        b = rng.uniform(-bound, bound, size=(fan_out,)).astype(np.float32)
-        return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-
-    w1, b1 = layer(dim, hidden)
-    w2, b2 = layer(hidden, hidden)
-    w3, b3 = layer(hidden, dim)
-    weights = {"w1": w1, "b1": b1, "w2": w2, "b2": b2, "w3": w3, "b3": b3}
-    return MapperParams(role, dim, hidden, seed, weights)
+        parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        parts.append(rng.uniform(-bound, bound, size=fan_out))
+    return np.concatenate(parts).astype(np.float32)
 
 
-def map_rows(params: MapperParams, x_rows: Tensor) -> Tensor:
-    """Map an [N x d] block of embeddings to [N x d] tokens."""
-    if x_rows.values.ndim != 2 or x_rows.shape[1] != params.dim:
-        raise ShapeError(f"expected [N x {params.dim}] input, got {x_rows.shape}")
-    w = params.weights
-    h1 = ad.tanh(ad.add_rowvec(ad.matmul(x_rows, w["w1"]), w["b1"]))
-    h2 = ad.tanh(ad.add_rowvec(ad.matmul(h1, w["w2"]), w["b2"]))
-    return ad.add_rowvec(ad.matmul(h2, w["w3"]), w["b3"])
+def map_rows(weights: dict[str, Tensor], x_rows: Tensor) -> Tensor:
+    """Map an [N x d] block of embeddings to [N x d] tokens with one mapper's
+    six leaf tensors."""
+    dim = weights["w1"].shape[0]
+    if x_rows.values.ndim != 2 or x_rows.shape[1] != dim:
+        raise ShapeError(f"expected [N x {dim}] input, got {x_rows.shape}")
+    h1 = ad.tanh(ad.add_rowvec(ad.matmul(x_rows, weights["w1"]), weights["b1"]))
+    h2 = ad.tanh(ad.add_rowvec(ad.matmul(h1, weights["w2"]), weights["b2"]))
+    return ad.add_rowvec(ad.matmul(h2, weights["w3"]), weights["b3"])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mappers:
-    """Both trainable mappers. ``named_params`` order is the optimizer's order
-    and the checkpoint's layout."""
+    """Both trainable mappers. ``flat`` holds every parameter in
+    :func:`layout` order; ``pseudo`` and ``supplement`` are each mapper's six
+    leaf tensors, cut from ``flat`` once. A float32 ``flat`` is taken over,
+    not copied: it is made read-only."""
 
-    pseudo: MapperParams
-    supplement: MapperParams
+    dim: int
+    hidden: int
+    seeds: tuple[int, int]  # pseudo, supplement
+    flat: np.ndarray
+    pseudo: dict[str, Tensor] = field(init=False, repr=False)
+    supplement: dict[str, Tensor] = field(init=False, repr=False)
 
-    def named_params(self) -> dict[str, Tensor]:
-        return dict(self.pseudo.named() + self.supplement.named())
+    def __post_init__(self):
+        flat = np.asarray(self.flat, dtype=np.float32)
+        if flat.shape != (2 * parameter_count(self.dim, self.hidden),):
+            raise ShapeError(f"{flat.shape} parameters for dim {self.dim}, hidden {self.hidden}")
+        flat.flags.writeable = False
+        leaves: dict[str, dict[str, Tensor]] = {ROLE_PSEUDO: {}, ROLE_SUPPLEMENT: {}}
+        for entry in layout(self.dim, self.hidden):
+            role, _, key = entry["name"].partition(".")
+            chunk = flat[entry["offset"] : entry["offset"] + math.prod(entry["shape"])]
+            leaves[role][key] = Tensor(chunk.reshape(entry["shape"]), requires_grad=True)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "pseudo", leaves[ROLE_PSEUDO])
+        object.__setattr__(self, "supplement", leaves[ROLE_SUPPLEMENT])
 
-    def apply_update(self, updated: dict[str, Tensor]) -> "Mappers":
-        def pick(mapper: MapperParams) -> MapperParams:
-            new = {
-                key: updated[f"{mapper.role}.{key}"]
-                for key in mapper.weights
-                if f"{mapper.role}.{key}" in updated
-            }
-            return mapper.replaced(new)
-
-        return Mappers(pick(self.pseudo), pick(self.supplement))
+    @classmethod
+    def seeded(cls, dim: int, hidden: int, seeds: tuple[int, int]) -> "Mappers":
+        """Freshly initialized mappers, one seed each (pseudo, supplement)."""
+        flat = np.concatenate([init_mapper(dim, hidden, seed) for seed in seeds])
+        return cls(dim, hidden, tuple(seeds), flat)
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one embedding file holding the flattened parameter vector plus
-# a JSON manifest with shapes, roles, seeds and the step count.
+# checkpoints: one embedding file holding the flat parameter vector plus a
+# JSON manifest with its layout, the seeds and the step count.
 
 CHECKPOINT_FORMAT = 1
 
@@ -119,24 +127,17 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     emb_path, manifest_path = checkpoint_paths(base)
-    chunks, entries, offset = [], [], 0
-    for name, tensor in mappers.named_params().items():
-        flat = tensor.values.reshape(-1)
-        entries.append({"name": name, "shape": list(tensor.shape), "offset": offset})
-        chunks.append(flat)
-        offset += flat.size
-    vector = np.concatenate(chunks).astype(np.float32).reshape(1, offset)
-    fileio.write_embeddings(emb_path, vector, ["params"])
+    fileio.write_embeddings(emb_path, mappers.flat.reshape(1, -1), ["params"])
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "dim": mappers.pseudo.dim,
-        "hidden": mappers.pseudo.hidden,
-        "pseudo_seed": mappers.pseudo.seed,
-        "supplement_seed": mappers.supplement.seed,
+        "dim": mappers.dim,
+        "hidden": mappers.hidden,
+        "pseudo_seed": mappers.seeds[0],
+        "supplement_seed": mappers.seeds[1],
         "composer_seed": composer_seed,
         "step": step,
-        "total_parameters": offset,
-        "params": entries,
+        "total_parameters": mappers.flat.size,
+        "params": layout(mappers.dim, mappers.hidden),
     }
     if extra:
         manifest.update(extra)
@@ -172,15 +173,22 @@ def _checked(doc, keys: dict[str, type], where: str) -> None:
             )
 
 
-def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    return {
-        "w1": (dim, hidden),
-        "b1": (hidden,),
-        "w2": (hidden, hidden),
-        "b2": (hidden,),
-        "w3": (hidden, dim),
-        "b3": (dim,),
-    }
+def _check_layout(params: list, dim: int, hidden: int, where: str) -> None:
+    """Require the manifest's entries to be the layout of ``dim``/``hidden``;
+    otherwise name the first entry and key that differ."""
+    expected = layout(dim, hidden)
+    for i in range(max(len(params), len(expected))):
+        at = f"{where}: params[{i}]"
+        if i >= len(params) or i >= len(expected):
+            raise FormatError(f"{at}: {len(params)} entries, the layout has {len(expected)}")
+        entry, want = params[i], expected[i]
+        _checked(entry, _ENTRY_KEYS, at)
+        for key in [*want, *entry]:
+            if entry.get(key) != want.get(key):
+                raise FormatError(
+                    f"{at}: key {key!r} is {entry.get(key)!r}, expected {want.get(key)!r} "
+                    f"from dim {dim} and hidden {hidden}"
+                )
 
 
 def load_checkpoint(base: Path) -> tuple[Mappers, dict]:
@@ -193,41 +201,14 @@ def load_checkpoint(base: Path) -> tuple[Mappers, dict]:
     matrix, ids = fileio.read_embeddings(emb_path)
     if matrix.shape[0] != 1 or ids != ["params"]:
         raise FormatError(f"{emb_path}: not a parameter checkpoint")
-    flat = matrix[0]
-    if flat.size != manifest["total_parameters"]:
-        raise FormatError(f"{emb_path}: parameter count mismatch")
-
+    flat, total = matrix[0], manifest["total_parameters"]
     dim, hidden = manifest["dim"], manifest["hidden"]
-    expected = _param_shapes(dim, hidden)
-    by_role: dict[str, dict[str, Tensor]] = {ROLE_PSEUDO: {}, ROLE_SUPPLEMENT: {}}
-    for i, entry in enumerate(manifest["params"]):
-        where = f"{manifest_path}: params[{i}]"
-        _checked(entry, _ENTRY_KEYS, where)
-        role, _, key = entry["name"].partition(".")
-        if role not in by_role or key not in _PARAM_NAMES:
-            raise FormatError(f"{where}: unknown parameter {entry['name']!r}")
-        shape = expected[key]
-        if entry["shape"] != list(shape):
-            raise FormatError(
-                f"{where}: key 'shape' is {entry['shape']} for {entry['name']!r}, expected "
-                f"{list(shape)} from dim {dim} and hidden {hidden}"
-            )
-        size = int(np.prod(shape))
-        offset = entry["offset"]
-        if offset < 0:
-            raise FormatError(f"{where}: key 'offset' must be >= 0, got {offset}")
-        chunk = flat[offset : offset + size]
-        if chunk.size != size:
-            raise FormatError(f"{emb_path}: truncated parameter {entry['name']!r}")
-        by_role[role][key] = Tensor(chunk.reshape(shape), requires_grad=True)
-    for role, weights in by_role.items():
-        if set(weights) != set(_PARAM_NAMES):
-            raise FormatError(f"{manifest_path}: incomplete parameters for {role!r}")
-
-    mappers = Mappers(
-        MapperParams(ROLE_PSEUDO, dim, hidden, manifest["pseudo_seed"], by_role[ROLE_PSEUDO]),
-        MapperParams(
-            ROLE_SUPPLEMENT, dim, hidden, manifest["supplement_seed"], by_role[ROLE_SUPPLEMENT]
-        ),
-    )
-    return mappers, manifest
+    _check_layout(manifest["params"], dim, hidden, str(manifest_path))
+    need = 2 * parameter_count(dim, hidden)
+    if not flat.size == total == need:
+        raise FormatError(
+            f"{manifest_path}: key 'total_parameters' is {total}, {emb_path} holds "
+            f"{flat.size} and dim {dim} with hidden {hidden} need {need}"
+        )
+    seeds = (manifest["pseudo_seed"], manifest["supplement_seed"])
+    return Mappers(dim, hidden, seeds, flat), manifest

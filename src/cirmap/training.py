@@ -9,7 +9,7 @@ bit-identical parameter trajectories.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,13 +24,16 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .mappers import ROLE_PSEUDO, ROLE_SUPPLEMENT, Mappers, init_mapper, map_rows
+from .mappers import Mappers, map_rows
 
 log = logging.getLogger(__name__)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# AdamW runs over blocks of this many elements: the float64 temporaries of a
+# block stay in cache, where whole-vector temporaries made the update slower.
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -80,11 +83,11 @@ class TrainConfig:
         )
 
 
-@dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """AdamW moments: one float64 entry per element of the flat parameter vector."""
+
+    def __init__(self, size: int):
+        self.m, self.v, self.step = np.zeros(size), np.zeros(size), 0
 
 
 def lr_schedule(step: int, base_lr: float, warmup_steps: int) -> float:
@@ -95,54 +98,51 @@ def lr_schedule(step: int, base_lr: float, warmup_steps: int) -> float:
 
 
 def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    flat: np.ndarray,
+    grads: list[np.ndarray | None],
     state: OptimizerState,
     lr_t: float,
     weight_decay: float,
-) -> dict[str, Tensor]:
-    """One decoupled-weight-decay Adam update; bias-corrected, 64-bit math.
+) -> np.ndarray:
+    """One decoupled-weight-decay Adam update of the flat parameter vector;
+    bias-corrected, 64-bit math, returned as a new float32 vector.
 
-    Decay applies before the Adam delta. Parameters without a gradient entry
-    are left untouched (their moments do not advance either).
+    ``grads`` holds one flat gradient per equal part of ``flat`` (one per
+    mapper), or None for a part the loss did not reach: that part is neither
+    decayed nor are its moments advanced. Decay applies before the Adam delta.
     """
     if lr_t < 0:
         raise ParameterError(f"lr_t must be >= 0, got {lr_t}")
+    size = flat.size // len(grads)
+    if size * len(grads) != flat.size or state.m.shape != flat.shape:
+        raise ShapeError(f"{flat.size} parameters, {len(grads)} parts, {state.m.size} moments")
     state.step += 1
     t = state.step
-    out: dict[str, Tensor] = {}
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            out[name] = p
+    out = flat.copy()
+    for i, grad in enumerate(grads):
+        if grad is None:
             continue
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match {name} {p.shape}")
-        theta = p.values.astype(np.float64)
-        theta -= lr_t * weight_decay * theta
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        theta -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        out[name] = Tensor(theta.astype(np.float32), requires_grad=True)
+        if np.shape(grad) != (size,):
+            raise ShapeError(f"gradient shape {np.shape(grad)} does not match part {i} ({size},)")
+        for lo in range(0, size, _ADAM_BLOCK):
+            part = slice(i * size + lo, i * size + min(lo + _ADAM_BLOCK, size))
+            g = np.asarray(grad[lo : lo + _ADAM_BLOCK], dtype=np.float64)
+            theta = flat[part].astype(np.float64)
+            theta -= lr_t * weight_decay * theta
+            m = ADAM_BETA1 * state.m[part] + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * state.v[part] + (1.0 - ADAM_BETA2) * g * g
+            state.m[part] = m
+            state.v[part] = v
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            theta -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            out[part] = theta
     return out
 
 
 def init_mappers(config: TrainConfig) -> Mappers:
     seeds = np.random.SeedSequence([config.seed, 0]).generate_state(2)
-    return Mappers(
-        pseudo=init_mapper(ROLE_PSEUDO, config.dim, config.hidden, int(seeds[0])),
-        supplement=init_mapper(ROLE_SUPPLEMENT, config.dim, config.hidden, int(seeds[1])),
-    )
+    return Mappers.seeded(config.dim, config.hidden, (int(seeds[0]), int(seeds[1])))
 
 
 def forward_batch(
@@ -196,7 +196,7 @@ def train(
     frozen_hash = composer.weights_hash()
 
     mappers = init_mappers(config)
-    state = OptimizerState()
+    state = OptimizerState(mappers.flat.size)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, 1]))
     )
@@ -210,15 +210,14 @@ def train(
         if pos == 0:
             order = shuffle_rng.permutation(n)
         rows = order[pos * config.batch_size : (pos + 1) * config.batch_size]
-        batch_images = images[rows]
-        batch_texts = texts[rows]
-
         try:
-            mappers, step_metrics = _train_step(
-                config, mappers, composer, batch_images, batch_texts, state, step
-            )
+            grads, terms = _gradients(config, mappers, composer, images[rows], texts[rows], step)
         except (DegenerateInputError, FloatingPointError) as exc:
             raise TrainingDivergedError(f"numerical fault at step {step}: {exc}") from exc
+        lr_t = lr_schedule(step, config.learning_rate, config.warmup_steps)
+        flat = adamw_step(mappers.flat, grads, state, lr_t, config.weight_decay)
+        mappers = replace(mappers, flat=flat)
+        step_metrics = {"step": step, "lr": lr_t, **terms}
         metrics.append(step_metrics)
         if step % 100 == 0 or step == config.steps - 1:
             log.info(
@@ -230,7 +229,11 @@ def train(
     return TrainResult(mappers=mappers, metrics=metrics, composer=composer)
 
 
-def _train_step(config, mappers, composer, batch_images, batch_texts, state, step):
+def _gradients(config, mappers, composer, batch_images, batch_texts, step):
+    """Forward and backward over one batch. Returns each mapper's flat gradient
+    (None when the loss does not reach it) and the step's loss terms and N_S.
+    The tape and the batch graph are freed on return, so they are no longer
+    alive while the optimizer updates the vector."""
     with Tape() as tape:
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
@@ -251,21 +254,13 @@ def _train_step(config, mappers, composer, batch_images, batch_texts, state, ste
 
         grad_map = ad.backward(l_total, tape)
 
-    params = mappers.named_params()
-    grads = {
-        name: grad_map[tensor].values
-        for name, tensor in params.items()
-        if tensor in grad_map
-    }
-    lr_t = lr_schedule(step, config.learning_rate, config.warmup_steps)
-    mappers = mappers.apply_update(
-        adamw_step(params, grads, state, lr_t, config.weight_decay)
-    )
-
-    step_metrics = {
-        "step": step,
-        "lr": lr_t,
-        **{name: term.item() for name, term in parts.items()},
-        "N_S": 0 if selection is None else selection.count,
-    }
-    return mappers, step_metrics
+    # Every leaf of a mapper lies on the path to its output, so a mapper
+    # gets a gradient for all six leaves or for none.
+    grads = [
+        np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()])
+        if weights["w1"] in grad_map
+        else None
+        for weights in (mappers.pseudo, mappers.supplement)
+    ]
+    terms = {name: term.item() for name, term in parts.items()}
+    return grads, {**terms, "N_S": 0 if selection is None else selection.count}

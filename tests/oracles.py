@@ -55,8 +55,8 @@ def ref_compose_rows(weights: dict, template: str, slots: list[np.ndarray]) -> n
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def mapper_weights_f64(params) -> dict:
-    return {k: t.values.astype(np.float64) for k, t in params.weights.items()}
+def mapper_weights_f64(weights: dict) -> dict:
+    return {k: t.values.astype(np.float64) for k, t in weights.items()}
 
 
 def ref_mapper_rows(weights: dict, x: np.ndarray) -> np.ndarray:
@@ -156,6 +156,54 @@ def fd_gradient(fn, vec: np.ndarray, step: float = 1e-3) -> np.ndarray:
         down[i] -= step
         grad[i] = (fn(up) - fn(down)) / (2.0 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# AdamW per named parameter, each with its own moments
+
+
+class RefAdamState:
+    def __init__(self):
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.step = 0
+
+
+def ref_adamw_step(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: RefAdamState,
+    lr_t: float,
+    weight_decay: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> dict[str, np.ndarray]:
+    """Decoupled-weight-decay Adam on float32 arrays, in 64-bit math. A
+    parameter without a gradient is left as it is and its moments do not
+    advance; the step counter advances once per call."""
+    state.step += 1
+    t = state.step
+    out = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            out[name] = p
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        theta = p.astype(np.float64)
+        theta -= lr_t * weight_decay * theta
+        m = state.m.get(name, np.zeros_like(g))
+        v = state.v.get(name, np.zeros_like(g))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        state.m[name] = m
+        state.v[name] = v
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+        out[name] = theta.astype(np.float32)
+    return out
 
 
 # ---------------------------------------------------------------------------

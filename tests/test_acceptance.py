@@ -17,7 +17,7 @@ from cirmap.cli import main
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import FormatError
 from cirmap.losses import BatchEmbeddings, LossWeights, loss_itcon, loss_sset, objective
-from cirmap.mappers import ROLE_PSEUDO, ROLE_SUPPLEMENT, Mappers, init_mapper, map_rows
+from cirmap.mappers import Mappers, map_rows
 from cirmap.mining import full_batch_selection, select_batch, selection_from_uncertainty
 from cirmap.retrieval import (
     Gallery,
@@ -74,8 +74,8 @@ def test_criterion_1_gradient_fidelity():
         alpha, beta = 1.0, 2.0
 
         composer = PromptComposer(ComposerSpec(dim=d, seed=2000 + case))
-        pseudo = init_mapper(ROLE_PSEUDO, d, h, seed=3000 + case)
-        supplement = init_mapper(ROLE_SUPPLEMENT, d, h, seed=4000 + case)
+        mappers = Mappers.seeded(d, h, (3000 + case, 4000 + case))
+        pseudo, supplement = mappers.pseudo, mappers.supplement
         images = unit_rows(rng, n, d)
         texts = unit_rows(rng, n, d)
         sel_size = int(rng.integers(2, n + 1))
@@ -102,7 +102,7 @@ def test_criterion_1_gradient_fidelity():
             grad_map = backward(loss, tape)
             parts = []
             for mapper in (pseudo, supplement):
-                for _, tensor in mapper.named():
+                for tensor in mapper.values():
                     g = grad_map.get(tensor)
                     parts.append(
                         g.values.ravel() if g is not None else np.zeros(tensor.size)
@@ -184,10 +184,12 @@ def test_criterion_3_ablation_identities(tmp_path):
 
     beta_zero = train(cfg(beta=0.0), world.train_images, world.train_texts)
     no_sset = train(cfg(use_sset=False), world.train_images, world.train_texts)
-    for (name, t_a), (_, t_b) in zip(
-        beta_zero.mappers.named_params().items(), no_sset.mappers.named_params().items()
+    for weights_a, weights_b in (
+        (beta_zero.mappers.pseudo, no_sset.mappers.pseudo),
+        (beta_zero.mappers.supplement, no_sset.mappers.supplement),
     ):
-        assert t_a.values.tobytes() == t_b.values.tobytes(), name
+        for (name, t_a), (_, t_b) in zip(weights_a.items(), weights_b.items()):
+            assert t_a.values.tobytes() == t_b.values.tobytes(), name
 
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -277,8 +279,8 @@ def test_criterion_5_gamma_boundaries(tmp_path):
         return init_mappers(cfg)
 
     base = fresh(1)
-    swapped_supplement = Mappers(pseudo=base.pseudo, supplement=fresh(2).supplement)
-    swapped_pseudo = Mappers(pseudo=fresh(3).pseudo, supplement=base.supplement)
+    swapped_supplement = Mappers.seeded(16, 32, (base.seeds[0], fresh(2).seeds[1]))
+    swapped_pseudo = Mappers.seeded(16, 32, (fresh(3).seeds[0], base.seeds[1]))
 
     for query in task.queries:
         a = rank(task.gallery, compose_query(query, base, composer, 1.0), 10)

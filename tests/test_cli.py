@@ -244,6 +244,37 @@ def test_bad_config_key_exits_nonzero(tmp_path):
     assert main(["gen-data", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"seed": 1, "world": {"dim": "8"}}, "world.dim"),
+        ({"seed": 1, "train": {"use_sset": "no"}}, "train.use_sset"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, doc, where):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_non_finite_gallery_row_is_an_error(pipeline, capsys):
+    tmp_path, config = pipeline
+    gallery = tmp_path / "data" / "gallery.emb"
+    matrix, ids = fileio.read_embeddings(gallery)
+    matrix[5, 3] = np.nan
+    fileio.write_embeddings(gallery, matrix, ids)
+    out = tmp_path / "run" / "image_only.json"
+    argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{gallery}: row 5 " in err
+    assert not out.exists()
+
+
 def test_corrupt_embedding_file_exits_nonzero(pipeline):
     tmp_path, config = pipeline
     target = tmp_path / "data" / "train_images.emb"

@@ -23,6 +23,17 @@ class TestEmbeddingFile:
         assert loaded.tobytes() == matrix.tobytes()
         assert loaded_ids == ids
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_with_path_and_row(self, tmp_path, bad):
+        matrix = np.ones((4, 3), np.float32)
+        matrix[2, 1] = bad
+        matrix[3, 0] = bad
+        path = tmp_path / "vecs.emb"
+        fileio.write_embeddings(path, matrix, ["a", "b", "c", "d"])
+        with pytest.raises(FormatError) as err:
+            fileio.read_embeddings(path)
+        assert str(path) in str(err.value) and "row 2 " in str(err.value)
+
     def test_bad_magic_rejected_with_path(self, tmp_path):
         path = tmp_path / "vecs.emb"
         fileio.write_embeddings(path, np.zeros((1, 2), np.float32), ["a"])
@@ -165,6 +176,39 @@ class TestRunConfig:
             out = tmp_path / f"echo_{gamma}.json"
             cfg.echo_config(run, out)
             assert json.loads(out.read_text())["eval"]["gamma"] == gamma
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"world": {"dim": "8"}}, "world.dim must be int, got str"),
+            ({"world": {"n_train_pairs": 64.0}}, "world.n_train_pairs must be int, got float"),
+            ({"world": {"seed": None}}, "world.seed must be int, got NoneType"),
+            ({"train": {"use_sset": "no"}}, "train.use_sset must be bool, got str"),
+            ({"train": {"steps": True}}, "train.steps must be int, got bool"),
+            ({"train": {"lambda": False}}, "train.lambda must be float, got bool"),
+            ({"eval": {"k_values": [1, "5"]}}, "eval.k_values must be list[int], got list"),
+            ({"eval": {"k_values": [1, True]}}, "eval.k_values must be list[int], got list"),
+            ({"eval": {"metrics": "recall"}}, "eval.metrics must be list[str], got str"),
+            ({"paths": {"run_dir": 3}}, "paths.run_dir must be str, got int"),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, doc, where):
+        with pytest.raises(ConfigError) as err:
+            cfg.parse_config({"seed": 1, **doc})
+        assert where in str(err.value)
+
+    def test_int_accepted_for_float(self):
+        run = cfg.parse_config({"seed": 1, "train": {"learning_rate": 1, "lambda": 0}})
+        assert run.train.learning_rate == 1 and run.train.lam == 0
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+    def test_top_level_seed_must_be_int(self, seed):
+        with pytest.raises(ConfigError, match="integer top-level seed"):
+            cfg.parse_config({"seed": seed})
+
+    def test_section_must_be_object(self):
+        with pytest.raises(ConfigError, match="section world"):
+            cfg.parse_config({"seed": 1, "world": [1, 2]})
 
     def test_hidden_defaults_to_four_dim(self):
         run = cfg.parse_config({"seed": 1, "world": {"dim": 16}})

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import cirmap.autodiff as ad
+from cirmap import fileio
 from cirmap.autodiff import Tape, Tensor, backward
 from cirmap.errors import FormatError, ShapeError
 from cirmap.mappers import (
     ROLE_PSEUDO,
     ROLE_SUPPLEMENT,
     Mappers,
-    init_mapper,
+    layout,
     load_checkpoint,
     map_rows,
     parameter_count,
@@ -20,20 +21,19 @@ from oracles import fd_gradient, mapper_weights_f64, ref_mapper_rows, rel_err, u
 
 
 def test_zero_final_layer_gives_zero_token():
-    params = init_mapper(ROLE_PSEUDO, dim=8, hidden=6, seed=3)
-    zeroed = params.replaced(
-        {
-            "w3": Tensor(np.zeros((6, 8)), requires_grad=True),
-            "b3": Tensor(np.zeros(8), requires_grad=True),
-        }
-    )
+    mappers = Mappers.seeded(dim=8, hidden=6, seeds=(3, 4))
+    flat = mappers.flat.copy()
+    # w3 and b3 close the pseudo half of the vector
+    flat[parameter_count(8, 6) - (6 * 8 + 8) : parameter_count(8, 6)] = 0.0
+    zeroed = Mappers(8, 6, mappers.seeds, flat)
     rng = np.random.default_rng(0)
-    out = map_rows(zeroed, Tensor(unit_rows(rng, 1, 8)))
+    out = map_rows(zeroed.pseudo, Tensor(unit_rows(rng, 1, 8)))
     assert np.all(out.values == 0.0)
+    assert not np.all(map_rows(zeroed.supplement, Tensor(unit_rows(rng, 1, 8))).values == 0.0)
 
 
 def test_distinct_inputs_distinct_tokens():
-    params = init_mapper(ROLE_PSEUDO, dim=8, hidden=16, seed=4)
+    params = Mappers.seeded(dim=8, hidden=16, seeds=(4, 5)).pseudo
     rng = np.random.default_rng(1)
     a, b = unit_rows(rng, 2, 8)
     out_a = map_rows(params, Tensor(a.reshape(1, 8)))
@@ -42,27 +42,28 @@ def test_distinct_inputs_distinct_tokens():
 
 
 def test_same_seed_mappers_bit_identical():
-    a = init_mapper(ROLE_PSEUDO, dim=8, hidden=12, seed=9)
-    b = init_mapper(ROLE_SUPPLEMENT, dim=8, hidden=12, seed=9)
+    mappers = Mappers.seeded(dim=8, hidden=12, seeds=(9, 9))
     x = Tensor(np.linspace(-1, 1, 8).reshape(1, 8))
-    assert np.array_equal(map_rows(a, x).values, map_rows(b, x).values)
+    pseudo, supplement = map_rows(mappers.pseudo, x), map_rows(mappers.supplement, x)
+    assert np.array_equal(pseudo.values, supplement.values)
 
 
 def test_parameter_count_closed_form():
     for d, h in ((8, 12), (16, 64), (32, 128)):
-        params = init_mapper(ROLE_PSEUDO, dim=d, hidden=h, seed=1)
-        actual = sum(t.size for _, t in params.named())
+        mappers = Mappers.seeded(dim=d, hidden=h, seeds=(1, 2))
+        actual = sum(t.size for t in mappers.pseudo.values())
         assert actual == parameter_count(d, h) == 2 * h * d + h * h + 2 * h + d
+        assert mappers.flat.size == 2 * parameter_count(d, h)
 
 
 def test_dimension_checked():
-    params = init_mapper(ROLE_PSEUDO, dim=8, hidden=8, seed=2)
+    params = Mappers.seeded(dim=8, hidden=8, seeds=(2, 3)).pseudo
     with pytest.raises(ShapeError):
         map_rows(params, Tensor(np.ones((1, 4))))
 
 
 def test_matches_reference_forward():
-    params = init_mapper(ROLE_SUPPLEMENT, dim=8, hidden=10, seed=5)
+    params = Mappers.seeded(dim=8, hidden=10, seeds=(4, 5)).supplement
     rng = np.random.default_rng(2)
     x = unit_rows(rng, 5, 8)
     out = map_rows(params, Tensor(x)).values
@@ -71,7 +72,7 @@ def test_matches_reference_forward():
 
 
 def test_gradients_match_fd():
-    params = init_mapper(ROLE_PSEUDO, dim=6, hidden=5, seed=6)
+    params = Mappers.seeded(dim=6, hidden=5, seeds=(6, 7)).pseudo
     rng = np.random.default_rng(3)
     x = unit_rows(rng, 3, 6)
 
@@ -90,36 +91,43 @@ def test_gradients_match_fd():
             return float(np.mean(np.tanh(ref_mapper_rows(w, x))))
 
         fd = fd_gradient(f, base.ravel())
-        tape_grad = grads[params.weights[key]].values
+        tape_grad = grads[params[key]].values
         assert rel_err(tape_grad, fd.reshape(base.shape)) < 1e-3, key
 
 
 def test_checkpoint_round_trip(tmp_path):
-    pseudo = init_mapper(ROLE_PSEUDO, dim=8, hidden=12, seed=7)
-    supplement = init_mapper(ROLE_SUPPLEMENT, dim=8, hidden=12, seed=8)
+    mappers = Mappers.seeded(dim=8, hidden=12, seeds=(7, 8))
     base = tmp_path / "ckpt"
-    save_checkpoint(base, Mappers(pseudo, supplement), step=42, composer_seed=1234)
+    save_checkpoint(base, mappers, step=42, composer_seed=1234)
 
     loaded, manifest = load_checkpoint(base)
     assert manifest["step"] == 42
     assert manifest["composer_seed"] == 1234
-    p2, s2 = loaded.pseudo, loaded.supplement
-    assert p2.role == ROLE_PSEUDO and s2.role == ROLE_SUPPLEMENT
-    for orig, back in ((pseudo, p2), (supplement, s2)):
-        for (name_a, t_a), (name_b, t_b) in zip(orig.named(), back.named()):
-            assert name_a == name_b
-            assert np.array_equal(t_a.values, t_b.values)
-            assert t_b.requires_grad
+    assert (loaded.dim, loaded.hidden, loaded.seeds) == (8, 12, (7, 8))
+    assert loaded.flat.tobytes() == mappers.flat.tobytes()
+    for orig, back in ((mappers.pseudo, loaded.pseudo), (mappers.supplement, loaded.supplement)):
+        assert list(orig) == list(back)
+        for key in orig:
+            assert np.array_equal(orig[key].values, back[key].values)
+            assert back[key].requires_grad
 
 
-def test_checkpoint_layout_follows_named_params(tmp_path):
-    mappers = Mappers(
-        init_mapper(ROLE_PSEUDO, dim=4, hidden=6, seed=1),
-        init_mapper(ROLE_SUPPLEMENT, dim=4, hidden=6, seed=2),
-    )
+def test_checkpoint_manifest_follows_layout(tmp_path):
+    mappers = Mappers.seeded(dim=4, hidden=6, seeds=(1, 2))
     save_checkpoint(tmp_path / "ckpt", mappers, step=1, composer_seed=0)
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
-    assert [e["name"] for e in manifest["params"]] == list(mappers.named_params())
+    assert manifest["params"] == layout(4, 6)
+    assert [e["name"] for e in manifest["params"]] == [
+        f"{role}.{key}"
+        for role in (ROLE_PSEUDO, ROLE_SUPPLEMENT)
+        for key in ("w1", "b1", "w2", "b2", "w3", "b3")
+    ]
+    # each leaf is the vector's range at its entry's offset
+    for entry in manifest["params"]:
+        role, _, key = entry["name"].partition(".")
+        leaf = getattr(mappers, role)[key].values.ravel()
+        start = entry["offset"]
+        assert leaf.tobytes() == mappers.flat[start : start + leaf.size].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -131,15 +139,15 @@ def test_checkpoint_layout_follows_named_params(tmp_path):
         (lambda m: m["params"][0].pop("offset"), "params[0]: missing key 'offset'"),
         (lambda m: m["params"][1].update(shape=[7]), "params[1]: key 'shape' is [7]"),
         (lambda m: m.update(hidden=5), "params[0]: key 'shape' is [8, 12]"),
-        (lambda m: m["params"][2].update(offset=-1), "params[2]: key 'offset' must be >= 0"),
-        (lambda m: m["params"][0].update(name="pseudo"), "params[0]: unknown parameter"),
+        (lambda m: m["params"][2].update(offset=-1), "params[2]: key 'offset' is -1"),
+        (lambda m: m["params"][0].update(name="pseudo"), "params[0]: key 'name' is 'pseudo'"),
+        (lambda m: m["params"].insert(4, m["params"].pop(5)), "params[4]: key 'name' is 'pseudo.b3'"),
+        (lambda m: m["params"].pop(), "params[11]: 11 entries, the layout"),
+        (lambda m: m["params"][3].update(dtype="f4"), "params[3]: key 'dtype' is 'f4'"),
     ],
 )
 def test_malformed_manifest_rejected_with_path_and_key(tmp_path, tamper, message):
-    mappers = Mappers(
-        init_mapper(ROLE_PSEUDO, dim=8, hidden=12, seed=7),
-        init_mapper(ROLE_SUPPLEMENT, dim=8, hidden=12, seed=8),
-    )
+    mappers = Mappers.seeded(dim=8, hidden=12, seeds=(7, 8))
     base = tmp_path / "ckpt"
     save_checkpoint(base, mappers, step=3, composer_seed=1)
     manifest_path = tmp_path / "ckpt.json"
@@ -150,3 +158,18 @@ def test_malformed_manifest_rejected_with_path_and_key(tmp_path, tamper, message
         load_checkpoint(base)
     assert str(manifest_path) in str(err.value)
     assert message in str(err.value)
+
+
+def test_vector_longer_than_layout_rejected(tmp_path):
+    mappers = Mappers.seeded(dim=4, hidden=6, seeds=(1, 2))
+    base = tmp_path / "ckpt"
+    save_checkpoint(base, mappers, step=1, composer_seed=0)
+    longer = np.append(mappers.flat, np.float32(0.5)).reshape(1, -1)
+    fileio.write_embeddings(tmp_path / "ckpt.emb", longer, ["params"])
+    manifest_path = tmp_path / "ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["total_parameters"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(base)
+    assert f"{manifest_path}: key 'total_parameters' is {mappers.flat.size + 1}" in str(err.value)

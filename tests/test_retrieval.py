@@ -3,6 +3,7 @@ import pytest
 
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import ParameterError, ShapeError
+from cirmap.mappers import Mappers
 from cirmap.retrieval import (
     Gallery,
     Query,
@@ -65,7 +66,7 @@ class TestComposeQuery:
             dim=16, hidden=32, seed=999, composer_seed=3, batch_size=4, steps=1
         )
         other = init_mappers(reinit)
-        swapped = type(mappers)(pseudo=mappers.pseudo, supplement=other.supplement)
+        swapped = Mappers.seeded(16, 32, (mappers.seeds[0], other.seeds[1]))
         again = compose_query(query, swapped, composer, 1.0)
         assert np.array_equal(base, again)
 
@@ -77,7 +78,7 @@ class TestComposeQuery:
             dim=16, hidden=32, seed=777, composer_seed=3, batch_size=4, steps=1
         )
         other = init_mappers(reinit)
-        swapped = type(mappers)(pseudo=other.pseudo, supplement=mappers.supplement)
+        swapped = Mappers.seeded(16, 32, (other.seeds[0], mappers.seeds[1]))
         again = compose_query(query, swapped, composer, 0.0)
         assert np.array_equal(base, again)
 

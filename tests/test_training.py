@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from cirmap.autodiff import Tensor
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import ParameterError, ShapeError, TrainingDivergedError
-from cirmap.mappers import map_rows
+from cirmap.mappers import Mappers, layout, map_rows
 from cirmap.training import (
     ADAM_EPS,
     OptimizerState,
@@ -16,7 +18,7 @@ from cirmap.training import (
     train,
 )
 from cirmap.worldgen import WorldSpec, generate_world
-from oracles import unit_rows
+from oracles import RefAdamState, ref_adamw_step, unit_rows
 
 
 @pytest.fixture(scope="module")
@@ -62,44 +64,86 @@ class TestLrSchedule:
 
 
 class TestAdamW:
-    def _params(self):
-        return {"p": Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)}
+    def _flat(self):
+        return np.array([1.0, -2.0, 3.0], dtype=np.float32)
 
     def test_zero_grad_zero_decay_is_identity(self):
-        params = self._params()
-        out = adamw_step(params, {"p": np.zeros(3)}, OptimizerState(), 0.1, 0.0)
-        assert np.array_equal(out["p"].values, params["p"].values)
+        flat = self._flat()
+        out = adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.0)
+        assert np.array_equal(out, flat)
 
     def test_first_step_is_sign_scaled(self):
         # one step from zero moments: delta = -lr * g / (|g| + eps)
-        params = self._params()
+        flat = self._flat()
         g = np.array([0.5, -0.25, 1.0])
-        out = adamw_step(params, {"p": g}, OptimizerState(), 0.01, 0.0)
-        expected = params["p"].values.astype(np.float64) - 0.01 * g / (np.abs(g) + ADAM_EPS)
-        assert np.allclose(out["p"].values, expected, atol=1e-7)
+        out = adamw_step(flat, [g], OptimizerState(3), 0.01, 0.0)
+        expected = flat.astype(np.float64) - 0.01 * g / (np.abs(g) + ADAM_EPS)
+        assert np.allclose(out, expected, atol=1e-7)
 
     def test_decay_only_shrinks(self):
-        params = self._params()
-        out = adamw_step(params, {"p": np.zeros(3)}, OptimizerState(), 0.1, 0.5)
-        expected = params["p"].values * (1.0 - 0.1 * 0.5)
-        assert np.allclose(out["p"].values, expected, atol=1e-7)
+        flat = self._flat()
+        out = adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.5)
+        expected = flat * (1.0 - 0.1 * 0.5)
+        assert np.allclose(out, expected, atol=1e-7)
 
     def test_missing_grad_leaves_param(self):
-        params = self._params()
-        state = OptimizerState()
-        out = adamw_step(params, {}, state, 0.1, 0.5)
-        assert out["p"] is params["p"]
+        flat = np.arange(6, dtype=np.float32)
+        state = OptimizerState(6)
+        out = adamw_step(flat, [None, np.ones(3)], state, 0.1, 0.5)
+        assert np.array_equal(out[:3], flat[:3])
+        assert not np.array_equal(out[3:], flat[3:])
+        assert not state.m[:3].any() and not state.v[:3].any()
+        assert state.m[3:].all() and state.v[3:].all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adamw_step(self._params(), {"p": np.zeros(4)}, OptimizerState(), 0.1, 0.0)
+            adamw_step(self._flat(), [np.zeros(4)], OptimizerState(3), 0.1, 0.0)
 
     def test_step_counter_increases(self):
-        state = OptimizerState()
-        params = self._params()
+        state = OptimizerState(6)
+        flat = np.ones(6, dtype=np.float32)
         for expected in (1, 2, 3):
-            params = adamw_step(params, {"p": np.ones(3)}, state, 0.01, 0.0)
+            flat = adamw_step(flat, [np.ones(3), None], state, 0.01, 0.0)
             assert state.step == expected
+
+    def test_matches_per_name_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        # 46,464 parameters per mapper: the update runs over more than one block
+        entries = layout(dim=64, hidden=160)
+        shapes = {e["name"]: tuple(e["shape"]) for e in entries}
+        flat = Mappers.seeded(64, 160, (11, 12)).flat
+        ref = {
+            e["name"]: flat[e["offset"] : e["offset"] + math.prod(e["shape"])].reshape(
+                e["shape"]
+            )
+            for e in entries
+        }
+        state, ref_state = OptimizerState(flat.size), RefAdamState()
+        for step in range(20):
+            grads = {
+                name: rng.standard_normal(shape).astype(np.float32)
+                for name, shape in shapes.items()
+            }
+            # step 3: the supplement mapper gets no gradient; step 0: the pseudo one
+            skip = {0: "pseudo.", 3: "supplement."}.get(step, "-")
+            grads = {name: g for name, g in grads.items() if not name.startswith(skip)}
+            halves = [
+                np.concatenate([grads[n].ravel() for n in shapes if n.startswith(role)])
+                if not role.startswith(skip)
+                else None
+                for role in ("pseudo.", "supplement.")
+            ]
+            lr_t, decay = float(rng.uniform(0.0, 1e-2)), 0.1
+            flat = adamw_step(flat, halves, state, lr_t, decay)
+            ref = ref_adamw_step(ref, grads, ref_state, lr_t, decay)
+
+            assert flat.tobytes() == np.concatenate([ref[n].ravel() for n in shapes]).tobytes()
+            for moments, ref_moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
+                expected = np.concatenate(
+                    [ref_moments.get(n, np.zeros(shapes[n])).ravel() for n in shapes]
+                )
+                assert moments.tobytes() == expected.tobytes()
+            assert state.step == ref_state.step == step + 1
 
 
 class TestForwardBatch:
@@ -117,16 +161,7 @@ class TestForwardBatch:
         rng = np.random.default_rng(1)
         cfg = small_config()
         mappers = init_mappers(cfg)
-        twin = type(mappers)(
-            pseudo=mappers.pseudo,
-            supplement=type(mappers.supplement)(
-                role="supplement",
-                dim=mappers.pseudo.dim,
-                hidden=mappers.pseudo.hidden,
-                seed=mappers.pseudo.seed,
-                weights=dict(mappers.pseudo.weights),
-            ),
-        )
+        twin = Mappers.seeded(cfg.dim, cfg.hidden, (mappers.seeds[0], mappers.seeds[0]))
         rows = unit_rows(rng, 4, 16)
         composer = PromptComposer(ComposerSpec(dim=16, seed=21))
         batch = forward_batch(rows, rows, twin, composer)
@@ -150,11 +185,7 @@ class TestTrain:
         cfg = small_config()
         a = train(cfg, small_world.train_images, small_world.train_texts)
         b = train(cfg, small_world.train_images, small_world.train_texts)
-        for (name_a, t_a), (name_b, t_b) in zip(
-            a.mappers.named_params().items(), b.mappers.named_params().items()
-        ):
-            assert name_a == name_b
-            assert np.array_equal(t_a.values, t_b.values)
+        assert a.mappers.flat.tobytes() == b.mappers.flat.tobytes()
         assert a.metrics == b.metrics
 
     def test_loss_component_accounting(self, small_world):
@@ -193,11 +224,7 @@ class TestTrain:
             small_world.train_images,
             small_world.train_texts,
         )
-        for (name, t_a), (_, t_b) in zip(
-            beta_zero.mappers.named_params().items(),
-            no_sset.mappers.named_params().items(),
-        ):
-            assert np.array_equal(t_a.values, t_b.values), name
+        assert beta_zero.mappers.flat.tobytes() == no_sset.mappers.flat.tobytes()
 
     def test_all_flags_off_is_pseudo_only_loss(self, small_world):
         cfg = small_config(steps=8, use_itcon=False, use_mse=False, use_sset=False)
@@ -208,6 +235,16 @@ class TestTrain:
             assert row["L_ss"] == 0.0
             assert row["N_S"] == 0
             assert row["L_deg"] == row["L_ori"]
+
+    def test_unreached_supplement_stays_at_init(self, small_world):
+        # with every supplement term off the loss never reaches that mapper:
+        # its half of the vector is neither decayed nor moved
+        cfg = small_config(steps=8, use_itcon=False, use_mse=False, use_sset=False)
+        result = train(cfg, small_world.train_images, small_world.train_texts)
+        init = init_mappers(cfg).flat
+        half = init.size // 2
+        assert result.mappers.flat[half:].tobytes() == init[half:].tobytes()
+        assert result.mappers.flat[:half].tobytes() != init[:half].tobytes()
 
     def test_no_select_uses_full_batch(self, small_world):
         cfg = small_config(steps=4, sset_select=False)
