@@ -15,8 +15,8 @@ from pathlib import Path
 from . import config as cfg
 from . import fileio, mining, worldgen
 from .composer import ComposerSpec, PromptComposer
-from .errors import CirmapError
-from .mappers import Mappers, load_checkpoint, save_checkpoint
+from .errors import CirmapError, FormatError
+from .mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from .retrieval import compose_query, evaluate_task
 from .training import train
 
@@ -118,8 +118,16 @@ def cmd_mine_sset(args) -> int:
     return 0
 
 
-def _load_mappers_and_composer(checkpoint: str) -> tuple[Mappers, PromptComposer]:
+def _load_mappers_and_composer(
+    checkpoint: str, data_dir: Path, task_doc: dict
+) -> tuple[Mappers, PromptComposer]:
     mappers, manifest = load_checkpoint(Path(checkpoint))
+    if manifest["dim"] != task_doc["dim"]:
+        manifest_path = checkpoint_paths(Path(checkpoint))[1]
+        raise FormatError(
+            f"{manifest_path}: checkpoint dim {manifest['dim']} does not match "
+            f"dim {task_doc['dim']} of {data_dir / worldgen.TASK}"
+        )
     composer = PromptComposer(
         ComposerSpec(dim=manifest["dim"], seed=manifest["composer_seed"])
     )
@@ -129,14 +137,14 @@ def _load_mappers_and_composer(checkpoint: str) -> tuple[Mappers, PromptComposer
 def cmd_evaluate(args) -> int:
     run_cfg = cfg.load_config(args.config, seed_override=args.seed)
     data_dir = Path(run_cfg.paths.data_dir)
-    task, _ = worldgen.load_task(data_dir)
+    task, task_doc = worldgen.load_task(data_dir)
     gamma = args.gamma if args.gamma is not None else run_cfg.eval.gamma
 
     mappers = composer = None
     if args.mode == "composed":
         if not args.checkpoint:
             raise CirmapError("composed evaluation requires --checkpoint")
-        mappers, composer = _load_mappers_and_composer(args.checkpoint)
+        mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
 
     report = evaluate_task(
         task,
@@ -159,8 +167,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compose(args) -> int:
     run_cfg = cfg.load_config(args.config, seed_override=args.seed)
     data_dir = Path(run_cfg.paths.data_dir)
-    task, _ = worldgen.load_task(data_dir)
-    mappers, composer = _load_mappers_and_composer(args.checkpoint)
+    task, task_doc = worldgen.load_task(data_dir)
+    mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
     gamma = args.gamma if args.gamma is not None else run_cfg.eval.gamma
 
     by_ref = {q.reference_id: q for q in task.queries}
@@ -169,17 +177,9 @@ def cmd_compose(args) -> int:
         raise CirmapError(f"reference id {args.reference_id!r} not used by any query")
     if args.condition_id not in by_cond:
         raise CirmapError(f"condition id {args.condition_id!r} not used by any query")
-    query = by_ref[args.reference_id]
-    cond_query = by_cond[args.condition_id]
-    probe = type(query)(
-        query_id="compose-debug",
-        reference_id=query.reference_id,
-        reference_emb=query.reference_emb,
-        condition_id=cond_query.condition_id,
-        condition_emb=cond_query.condition_emb,
-        target_ids=query.target_ids,
-    )
-    vec = compose_query(probe, mappers, composer, gamma)
+    reference = by_ref[args.reference_id].reference_emb
+    condition = by_cond[args.condition_id].condition_emb
+    vec = compose_query(reference[None], condition[None], mappers, composer, gamma)[0]
     out = {
         "reference_id": args.reference_id,
         "condition_id": args.condition_id,

@@ -16,6 +16,7 @@ in order. Every value must be finite.
 from __future__ import annotations
 
 import json
+import json.scanner
 import os
 import struct
 import tempfile
@@ -67,14 +68,27 @@ def write_jsonl(path: Path, rows) -> None:
     atomic_write_text(path, text)
 
 
+# The decoder's own scanner: it parses one value and reports where it stopped.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_jsonl(path: Path) -> list:
-    """Parse one JSON value per non-blank line; errors name the file and line."""
+    """Parse one JSON value per non-blank line; errors name the file and line.
+
+    A line the scanner cannot take whole is handed to ``json.loads``, which
+    raises the decoder's own error for it.
+    """
     out = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             text = line.decode("utf-8").strip()
-            if text:
-                out.append(json.loads(text))
+            if not text:
+                continue
+            try:
+                value, end = _scan_value(text, 0)
+            except StopIteration:
+                end = -1
+            out.append(value if end == len(text) else json.loads(text))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
     return out
@@ -127,7 +141,7 @@ def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:
         raise FormatError(f"{idp}: {len(rows)} ids for {count} rows")
     ids = []
     for r, row in enumerate(rows):
-        if set(row) != {"row", "id"} or row["row"] != r:
+        if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
             raise FormatError(f"{idp}: malformed id record at line {r}")
         ids.append(str(row["id"]))
     return matrix, ids

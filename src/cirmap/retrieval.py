@@ -73,41 +73,48 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 def compose_query(
-    query: Query, mappers: Mappers, composer: PromptComposer, gamma: float
+    reference_rows: np.ndarray,
+    condition_rows: np.ndarray,
+    mappers: Mappers,
+    composer: PromptComposer,
+    gamma: float,
 ) -> np.ndarray:
-    """Mix the reference pseudo token with the prompted supplement token and compose.
+    """Compose a [Q x d] block of queries from their reference and condition rows.
 
-    The mixed token is a bare convex combination (tokens are free vectors, so
-    no renormalization) inserted into the two-slot template together with the
-    condition embedding. The query runs through the batched paths as a batch
-    of one.
+    Each reference pseudo token is mixed with its prompted supplement token as
+    a bare convex combination (tokens are free vectors, so no renormalization)
+    and inserted into the two-slot template together with the condition
+    embedding. A single query is a batch of one.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-    ref = Tensor(query.reference_emb.reshape(1, -1))
-    cond = Tensor(query.condition_emb.reshape(1, -1))
+    ref = Tensor(reference_rows)
+    cond = Tensor(condition_rows)
     pseudo_token = map_rows(mappers.pseudo, ref)
     prompted = composer.compose_rows("photo_of", [cond])
     supplement_token = map_rows(mappers.supplement, prompted)
     token = ad.add(
         ad.scale(pseudo_token, gamma), ad.scale(supplement_token, 1.0 - gamma)
     )
-    return composer.compose_rows("photo_of_that", [token, cond]).values[0]
+    return composer.compose_rows("photo_of_that", [token, cond]).values
 
 
-def baseline_compose(query: Query, mode: str, t: float = 0.5) -> np.ndarray:
-    """Training-free query compositions used as comparison rows."""
+def baseline_compose(
+    reference_rows: np.ndarray, condition_rows: np.ndarray, mode: str, t: float = 0.5
+) -> np.ndarray:
+    """Training-free compositions of a [Q x d] block, used as comparison rows."""
+    if mode not in BASELINE_MODES:
+        raise ParameterError(f"unknown baseline mode {mode!r}")
     if mode == "image_only":
-        return query.reference_emb.copy()
+        return np.array(reference_rows, dtype=np.float32)
     if mode == "text_only":
-        return query.condition_emb.copy()
+        return np.array(condition_rows, dtype=np.float32)
+    pairs = zip(reference_rows, condition_rows)
     if mode == "average":
-        return _unit(
-            query.reference_emb.astype(np.float64) + query.condition_emb.astype(np.float64)
-        )
-    if mode == "slerp":
-        return slerp(query.reference_emb, query.condition_emb, t)
-    raise ParameterError(f"unknown baseline mode {mode!r}")
+        mixed = [_unit(r.astype(np.float64) + c.astype(np.float64)) for r, c in pairs]
+    else:
+        mixed = [slerp(r, c, t) for r, c in pairs]
+    return np.stack(mixed)
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -126,17 +133,40 @@ def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return _unit(mixed)
 
 
-def rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
-    """Exhaustive top-k by cosine against every gallery row."""
+def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> list[RankedResult]:
+    """Exact top-k inner-product search of each query row against every gallery row.
+
+    Scores are float64 (the gallery is cast once per call); each query's
+    scores are one matrix-vector product, so they do not depend on the other
+    rows of the batch. Order is descending score, ties broken by ascending
+    id: a partition finds the k-th score, and only the rows scoring at least
+    that much are sorted.
+    """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    q = np.asarray(query_vec, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != gallery.vectors.shape[1]:
-        raise ShapeError(f"query vector shape {q.shape} does not match gallery")
-    scores = gallery.vectors.astype(np.float64) @ q
-    ids = np.array(gallery.ids)
-    order = np.lexsort((ids, -scores))[: min(k, len(gallery))]
-    return RankedResult([(str(ids[i]), float(scores[i])) for i in order])
+    q64 = np.asarray(query_rows, dtype=np.float64)
+    if q64.ndim != 2 or q64.shape[1] != gallery.vectors.shape[1]:
+        raise ShapeError(f"query block shape {q64.shape} does not match gallery")
+    g64 = gallery.vectors.astype(np.float64)
+    n = len(gallery)
+    k = min(k, n)
+    results = []
+    for q in q64:
+        scores = g64 @ q
+        neg = -scores
+        if k < n:
+            kth = neg[np.argpartition(neg, k - 1)[k - 1]]
+            # NaN scores compare false either way, so they stay candidates
+            # and the sort places them last, as a full sort would.
+            cand = np.flatnonzero(~(neg > kth))
+        else:
+            cand = np.arange(n)
+        cand_ids = np.array([gallery.ids[i] for i in cand])
+        order = np.lexsort((cand_ids, neg[cand]))[:k]
+        results.append(
+            RankedResult([(str(cand_ids[i]), float(scores[cand[i]])) for i in order])
+        )
+    return results
 
 
 def _check_metric_inputs(results: list[RankedResult], queries: list[Query], k: int) -> None:
@@ -192,16 +222,18 @@ def evaluate_task(
         raise ParameterError(f"unknown evaluation mode {mode!r}")
     if mode == "composed" and (mappers is None or composer is None):
         raise ParameterError("composed evaluation needs mappers and a composer")
+    if not task.queries:
+        raise ShapeError("no queries to score")
     gamma = task.gamma if gamma is None else gamma
     max_k = max(task.k_values)
 
-    results = []
-    for query in task.queries:
-        if mode == "composed":
-            vec = compose_query(query, mappers, composer, gamma)
-        else:
-            vec = baseline_compose(query, mode, slerp_t)
-        results.append(rank(task.gallery, vec, max_k))
+    refs = np.stack([q.reference_emb for q in task.queries])
+    conds = np.stack([q.condition_emb for q in task.queries])
+    if mode == "composed":
+        rows = compose_query(refs, conds, mappers, composer, gamma)
+    else:
+        rows = baseline_compose(refs, conds, mode, slerp_t)
+    results = rank(task.gallery, rows, max_k)
 
     report: dict = {
         "mode": mode,

@@ -395,13 +395,34 @@ def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray]:
     return images, texts
 
 
+def _row_index(ids: list[str], emb_path: Path) -> dict[str, int]:
+    """Map each id of an embedding file to its row; a repeated id is a FormatError."""
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):
+        seen: set[str] = set()
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise FormatError(f"{fileio.ids_path_for(emb_path)}: id {repeated!r} appears twice")
+    return row_of
+
+
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     data_dir = Path(data_dir)
     task_doc = fileio.read_json(data_dir / TASK)
-    gallery_matrix, gallery_ids = fileio.read_embeddings(data_dir / task_doc["gallery"])
-    cond_matrix, cond_ids = fileio.read_embeddings(data_dir / task_doc["conditions"])
-    cond_row = {i: r for r, i in enumerate(cond_ids)}
-    gal_row = {i: r for r, i in enumerate(gallery_ids)}
+    gallery_path = data_dir / task_doc["gallery"]
+    cond_path = data_dir / task_doc["conditions"]
+    gallery_matrix, gallery_ids = fileio.read_embeddings(gallery_path)
+    cond_matrix, cond_ids = fileio.read_embeddings(cond_path)
+    dim = gallery_matrix.shape[1]
+    if task_doc.get("dim") != dim:
+        raise FormatError(
+            f"{gallery_path}: rows are {dim}-d, {data_dir / TASK} has dim {task_doc.get('dim')}"
+        )
+    if cond_matrix.shape[1] != dim:
+        raise FormatError(
+            f"{cond_path}: rows are {cond_matrix.shape[1]}-d, {gallery_path} rows are {dim}-d"
+        )
+    gal_row = _row_index(gallery_ids, gallery_path)
+    cond_row = _row_index(cond_ids, cond_path)
     queries = []
     for rec in fileio.read_jsonl(data_dir / task_doc["queries"]):
         if rec["reference_id"] not in gal_row:

@@ -7,11 +7,15 @@ treated as input data.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from cirmap.composer import MAX_SLOTS, PromptComposer
+from cirmap.errors import FormatError, ParameterError, ShapeError
+from cirmap.retrieval import Gallery, RankedResult
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
@@ -243,6 +247,19 @@ def brute_force_select(images: np.ndarray, texts: np.ndarray, sigma: float, lam:
 # brute-force retrieval and metrics
 
 
+def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
+    """The per-query ranker: full float64 scores, full lexsort (score desc, id asc)."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    q = np.asarray(query_vec, dtype=np.float64)
+    if q.ndim != 1 or q.shape[0] != gallery.vectors.shape[1]:
+        raise ShapeError(f"query vector shape {q.shape} does not match gallery")
+    scores = gallery.vectors.astype(np.float64) @ q
+    ids = np.array(gallery.ids)
+    order = np.lexsort((ids, -scores))[: min(k, len(gallery))]
+    return RankedResult([(str(ids[i]), float(scores[i])) for i in order])
+
+
 def brute_force_rank(ids: list[str], vectors: np.ndarray, query: np.ndarray, k: int):
     scored = []
     for i, g in zip(ids, np.asarray(vectors, dtype=np.float64)):
@@ -270,3 +287,20 @@ def brute_force_map(ranked_ids: list[list[str]], targets: list[set], k: int) -> 
                 ap += hits / r
         total += ap / min(k, len(tgt))
     return total / len(targets)
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def ref_read_jsonl(path: Path) -> list:
+    """The line reader that decodes every line with ``json.loads``."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+            if text:
+                out.append(json.loads(text))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
+    return out

@@ -252,7 +252,7 @@ def test_criterion_4_metric_oracles():
         for qi in range(int(rng.integers(1, 4))):
             targets = set(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False).tolist())
             q = query(tuple(targets), f"q{qi}", d=d, seed=seed * 10 + qi)
-            r = rank(gallery, q.reference_emb, n)
+            r = rank(gallery, q.reference_emb[None], n)[0]
             queries.append(q)
             results.append(r)
             ranked_ids.append(r.ids())
@@ -283,11 +283,12 @@ def test_criterion_5_gamma_boundaries(tmp_path):
     swapped_pseudo = Mappers.seeded(16, 32, (fresh(3).seeds[0], base.seeds[1]))
 
     for query in task.queries:
-        a = rank(task.gallery, compose_query(query, base, composer, 1.0), 10)
-        b = rank(task.gallery, compose_query(query, swapped_supplement, composer, 1.0), 10)
+        ref, cond = query.reference_emb[None], query.condition_emb[None]
+        a = rank(task.gallery, compose_query(ref, cond, base, composer, 1.0), 10)[0]
+        b = rank(task.gallery, compose_query(ref, cond, swapped_supplement, composer, 1.0), 10)[0]
         assert a.items == b.items
-        c = rank(task.gallery, compose_query(query, base, composer, 0.0), 10)
-        d = rank(task.gallery, compose_query(query, swapped_pseudo, composer, 0.0), 10)
+        c = rank(task.gallery, compose_query(ref, cond, base, composer, 0.0), 10)[0]
+        d = rank(task.gallery, compose_query(ref, cond, swapped_pseudo, composer, 0.0), 10)[0]
         assert c.items == d.items
 
     # the shipped mixing defaults load from config files and echo back

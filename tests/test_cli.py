@@ -6,6 +6,7 @@ import pytest
 
 from cirmap import fileio
 from cirmap.cli import main
+from cirmap.mappers import Mappers, checkpoint_paths, save_checkpoint
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -315,6 +316,61 @@ def test_malformed_queries_line_names_file_and_line(pipeline, capsys):
     argv = ["evaluate", "--config", str(config), "--mode", "image_only"]
     assert main(argv) == 1
     assert f"{queries}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["gallery", "conditions"])
+def test_duplicate_id_names_file_and_id(pipeline, capsys, name):
+    tmp_path, config = pipeline
+    path = tmp_path / "data" / f"{name}.emb"
+    matrix, ids = fileio.read_embeddings(path)
+    ids[1] = ids[0]
+    fileio.write_embeddings(path, matrix, ids)
+    out = tmp_path / "run" / "image_only.json"
+    argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{fileio.ids_path_for(path)}: id {ids[0]!r} appears twice" in err
+    assert not out.exists()
+
+
+def _conditions_in_4d(data):
+    path = data / "conditions.emb"
+    matrix, ids = fileio.read_embeddings(path)
+    fileio.write_embeddings(path, matrix[:, :4], ids)
+    return path, data / "gallery.emb"
+
+
+def _task_dim_8(data):
+    doc = json.loads((data / "task.json").read_text())
+    doc["dim"] = 8
+    (data / "task.json").write_text(json.dumps(doc))
+    return data / "gallery.emb", data / "task.json"
+
+
+@pytest.mark.parametrize("edit", [_conditions_in_4d, _task_dim_8])
+def test_embedding_dim_mismatch_names_both_files(pipeline, capsys, edit):
+    tmp_path, config = pipeline
+    first, second = edit(tmp_path / "data")
+    assert main(["evaluate", "--config", str(config), "--mode", "average"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{first}: " in err and str(second) in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compose"])
+def test_checkpoint_dim_mismatch_names_both_files(pipeline, capsys, command):
+    tmp_path, config = pipeline
+    base = tmp_path / "run8" / "checkpoint"
+    save_checkpoint(base, Mappers.seeded(8, 32, (1, 2)), step=0, composer_seed=17)
+    argv = [command, "--config", str(config), "--checkpoint", str(base)]
+    if command == "compose":
+        query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
+        argv += ["--reference-id", query["reference_id"], "--condition-id", query["condition_id"]]
+        argv += ["--out", str(tmp_path / "run" / "composed.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{checkpoint_paths(base)[1]}: " in err
+    assert str(tmp_path / "data" / "task.json") in err
 
 
 def test_full_pipeline_determinism(tmp_path):

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirmap import config as cfg
 from cirmap import fileio
 from cirmap.errors import ConfigError, FormatError
+from oracles import ref_read_jsonl
 
 
 def random_matrix(rng, n, d):
@@ -84,6 +87,16 @@ class TestEmbeddingFile:
             '{"row": 0, "id": "a"}\n{"row": 5, "id": "b"}\n',
         )
         with pytest.raises(FormatError, match="malformed"):
+            fileio.read_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "record", ['5', '["row", "id"]', '"rowid"', '{"row": 0}', '{"row": 0, "id": "a", "x": 1}']
+    )
+    def test_id_record_must_be_a_row_id_object(self, tmp_path, record):
+        path = tmp_path / "vecs.emb"
+        fileio.write_embeddings(path, np.zeros((1, 2), np.float32), ["a"])
+        fileio.atomic_write_text(fileio.ids_path_for(path), record + "\n")
+        with pytest.raises(FormatError, match="malformed id record at line 0"):
             fileio.read_embeddings(path)
 
     def test_header_layout(self, tmp_path):
@@ -231,3 +244,50 @@ def test_read_json_bad_utf8_names_file(tmp_path):
     with pytest.raises(FormatError) as err:
         fileio.read_json(path)
     assert str(path) in str(err.value)
+
+
+JSONL_CASES = {
+    "crlf": b'{"a": 1}\r\n{"b": 2}\r\n',
+    "blank_and_whitespace_lines": b'\n{"a": 1}\n   \n\t \n {"b": [1, 2]} \n\n',
+    "line_separator_in_string": '{"a": "x\u2028y"}\n{"b": "\u0085"}\n'.encode("utf-8"),
+    "value_split_over_lines": b"[1\n2]\n3,4\n",
+    "trailing_text": b"{} x\n",
+    "two_values_on_a_line": b"1 2\n",
+    "bad_utf8_on_line_3": b'1\n"two"\n"\xff"\n4\n',
+    "byte_order_mark": b'\xef\xbb\xbf{"a": 1}\n',
+    "constants_and_numbers": b"NaN\n-Infinity\n-0\n1e400\n1.5e-3\ntrue\nnull\n",
+    "empty_file": b"",
+}
+
+
+def _jsonl_outcome(read, path):
+    try:
+        return "ok", repr(read(path))
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_CASES))
+def test_read_jsonl_matches_reference_reader(tmp_path, name):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(JSONL_CASES[name])
+    assert _jsonl_outcome(fileio.read_jsonl, path) == _jsonl_outcome(ref_read_jsonl, path)
+
+
+def test_read_jsonl_keeps_line_of_bad_byte(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(JSONL_CASES["bad_utf8_on_line_3"])
+    assert _jsonl_outcome(fileio.read_jsonl, path)[1].startswith(f"{path}:3: ")
+
+
+_line_parts = st.sampled_from(
+    [b"{}", b"[1", b"2]", b" 3 ", b'"a"', b'"\xff"', b"\xef\xbb\xbf{}", b"NaN", b"1 2", b"\r", b"", b"\x0b"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_line_parts, st.binary(max_size=6)), max_size=6))
+def test_read_jsonl_property_matches_reference_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "property.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    assert _jsonl_outcome(fileio.read_jsonl, path) == _jsonl_outcome(ref_read_jsonl, path)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cirmap.retrieval as retrieval
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import ParameterError, ShapeError
 from cirmap.mappers import Mappers
 from cirmap.retrieval import (
+    EvalTask,
     Gallery,
     Query,
     RankedResult,
@@ -18,7 +22,7 @@ from cirmap.retrieval import (
     slerp,
 )
 from cirmap.training import TrainConfig, init_mappers
-from oracles import brute_force_map, brute_force_rank, brute_force_recall, unit_rows
+from oracles import brute_force_map, brute_force_rank, brute_force_recall, ref_rank, unit_rows
 
 
 def make_query(rng, d=8, targets=("t0",), qid="q"):
@@ -31,6 +35,11 @@ def make_query(rng, d=8, targets=("t0",), qid="q"):
         condition_emb=cond.astype(np.float32),
         target_ids=frozenset(targets),
     )
+
+
+def rows(query):
+    """The query's reference and condition embeddings as [1 x d] blocks."""
+    return query.reference_emb[None], query.condition_emb[None]
 
 
 def ranked(ids):
@@ -49,59 +58,59 @@ class TestComposeQuery:
         query = make_query(np.random.default_rng(0), d=16)
         for bad in (-0.1, 1.1):
             with pytest.raises(ParameterError):
-                compose_query(query, mappers, composer, bad)
+                compose_query(*rows(query), mappers, composer, bad)
 
     def test_output_unit_norm(self, setup16):
         mappers, composer = setup16
         query = make_query(np.random.default_rng(1), d=16)
         for gamma in (0.0, 0.5, 1.0):
-            vec = compose_query(query, mappers, composer, gamma)
+            vec = compose_query(*rows(query), mappers, composer, gamma)[0]
             assert abs(np.linalg.norm(vec.astype(np.float64)) - 1.0) < 1e-6
 
     def test_gamma_one_ignores_supplement_mapper(self, setup16):
         mappers, composer = setup16
         query = make_query(np.random.default_rng(2), d=16)
-        base = compose_query(query, mappers, composer, 1.0)
+        base = compose_query(*rows(query), mappers, composer, 1.0)
         reinit = TrainConfig(
             dim=16, hidden=32, seed=999, composer_seed=3, batch_size=4, steps=1
         )
         other = init_mappers(reinit)
         swapped = Mappers.seeded(16, 32, (mappers.seeds[0], other.seeds[1]))
-        again = compose_query(query, swapped, composer, 1.0)
+        again = compose_query(*rows(query), swapped, composer, 1.0)
         assert np.array_equal(base, again)
 
     def test_gamma_zero_ignores_pseudo_mapper(self, setup16):
         mappers, composer = setup16
         query = make_query(np.random.default_rng(3), d=16)
-        base = compose_query(query, mappers, composer, 0.0)
+        base = compose_query(*rows(query), mappers, composer, 0.0)
         reinit = TrainConfig(
             dim=16, hidden=32, seed=777, composer_seed=3, batch_size=4, steps=1
         )
         other = init_mappers(reinit)
         swapped = Mappers.seeded(16, 32, (other.seeds[0], mappers.seeds[1]))
-        again = compose_query(query, swapped, composer, 0.0)
+        again = compose_query(*rows(query), swapped, composer, 0.0)
         assert np.array_equal(base, again)
 
 
 class TestBaselines:
     def test_image_only(self):
         q = make_query(np.random.default_rng(4))
-        assert np.array_equal(baseline_compose(q, "image_only"), q.reference_emb)
+        assert np.array_equal(baseline_compose(*rows(q), "image_only")[0], q.reference_emb)
 
     def test_text_only(self):
         q = make_query(np.random.default_rng(5))
-        assert np.array_equal(baseline_compose(q, "text_only"), q.condition_emb)
+        assert np.array_equal(baseline_compose(*rows(q), "text_only")[0], q.condition_emb)
 
     def test_average_normalized(self):
         q = make_query(np.random.default_rng(6))
-        out = baseline_compose(q, "average")
+        out = baseline_compose(*rows(q), "average")[0]
         expected = q.reference_emb.astype(np.float64) + q.condition_emb.astype(np.float64)
         expected /= np.linalg.norm(expected)
         assert np.allclose(out, expected, atol=1e-6)
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
-            baseline_compose(make_query(np.random.default_rng(7)), "mystery")
+            baseline_compose(*rows(make_query(np.random.default_rng(7))), "mystery")
 
 
 class TestSlerp:
@@ -139,26 +148,26 @@ class TestRank:
 
     def test_self_retrieval_first(self):
         g = self._gallery()
-        res = rank(g, np.array([0.8, 0.6, 0.0], dtype=np.float32), 3)
+        res = rank(g, np.array([[0.8, 0.6, 0.0]], dtype=np.float32), 3)[0]
         assert res.items[0][0] == "g1"
         assert res.items[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_k_larger_than_gallery(self):
         g = self._gallery()
-        res = rank(g, np.array([1.0, 0.0, 0.0], dtype=np.float32), 99)
+        res = rank(g, np.array([[1.0, 0.0, 0.0]], dtype=np.float32), 99)[0]
         assert len(res.items) == 5
 
     def test_hand_gallery_matches_brute_force(self):
         g = self._gallery()
         q = np.array([0.6, 0.0, 0.8], dtype=np.float32)
-        ours = rank(g, q, 5).items
+        ours = rank(g, q[None], 5)[0].items
         ref = brute_force_rank(g.ids, g.vectors, q, 5)
         assert [i for i, _ in ours] == [i for i, _ in ref]
 
     def test_tie_break_ascending_id(self):
         vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         g = Gallery(["b", "a", "c"], vecs)
-        res = rank(g, np.array([1.0, 0.0], dtype=np.float32), 3)
+        res = rank(g, np.array([[1.0, 0.0]], dtype=np.float32), 3)[0]
         assert res.ids() == ["a", "b", "c"]
 
     def test_oracle_equivalence_seeded_suite(self):
@@ -170,16 +179,122 @@ class TestRank:
             g = Gallery([f"i{j:03d}" for j in range(n)], unit_rows(rng, n, d))
             q = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, n + 1))
-            ours = rank(g, q, k)
+            ours = rank(g, q[None], k)[0]
             ref = brute_force_rank(g.ids, g.vectors, q, k)
             assert ours.ids() == [i for i, _ in ref], seed
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(9)
         g = Gallery([f"i{j}" for j in range(20)], unit_rows(rng, 20, 6))
-        res = rank(g, unit_rows(rng, 1, 6)[0], 20)
+        res = rank(g, unit_rows(rng, 1, 6), 20)[0]
         scores = [s for _, s in res.items]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+
+def tied_gallery(rng, n, d):
+    """Random rows, a third of them overwritten by copies of two rows.
+
+    The copies score equally against any query, so equal scores fall on both
+    sides of the k-th place for many k. Ids are shuffled so that id order and
+    row order differ.
+    """
+    vecs = unit_rows(rng, n, d).astype(np.float32)
+    copies = rng.choice(n, size=max(1, n // 3), replace=False)
+    vecs[copies] = vecs[rng.choice(n, size=2)][rng.integers(0, 2, size=copies.size)]
+    return Gallery([f"i{j:03d}" for j in rng.permutation(n)], vecs)
+
+
+class TestBatchedRank:
+    @pytest.mark.parametrize("n_queries", [1, 5])
+    def test_equals_reference_ranker_with_ties(self, n_queries):
+        straddled = 0
+        for seed in range(150):
+            rng = np.random.default_rng(40_000 + seed)
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(2, 6))
+            g = tied_gallery(rng, n, d)
+            # half the queries are gallery rows, so the copies can also rank first
+            picks = g.vectors[rng.integers(0, n, size=n_queries)]
+            queries = np.where(
+                rng.random((n_queries, 1)) < 0.5, picks, unit_rows(rng, n_queries, d)
+            ).astype(np.float32)
+            for k in (1, n - 1, n, n + 3):
+                ours = rank(g, queries, k)
+                assert len(ours) == n_queries
+                for q, res in zip(queries, ours):
+                    ref = ref_rank(g, q, k).items
+                    assert res.items == ref, (seed, k)
+                    full = [s for _, s in ref_rank(g, q, n).items]
+                    straddled += k < n and full[k - 1] == full[k]
+        assert straddled >= 50
+
+    def test_query_block_must_be_two_dimensional(self):
+        rng = np.random.default_rng(24)
+        g = Gallery(["a", "b"], unit_rows(rng, 2, 3))
+        with pytest.raises(ShapeError):
+            rank(g, unit_rows(rng, 1, 3)[0], 1)
+        with pytest.raises(ShapeError):
+            rank(g, unit_rows(rng, 1, 4), 1)
+
+    def test_non_finite_scores_rank_as_the_reference_does(self):
+        g = Gallery(
+            ["d", "c", "b", "a"],
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], dtype=np.float32),
+        )
+        queries = np.array([[np.nan, 1.0], [np.inf, 0.0], [1.0, 0.0]], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            for k in (1, 2, 3, 4):
+                for q, res in zip(queries, rank(g, queries, k)):
+                    assert str(res.items) == str(ref_rank(g, q, k).items)
+
+
+_values = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.floats(-1.0, 1.0, width=32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_equals_reference_property(data):
+    n = data.draw(st.integers(1, 24), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    q_count = data.draw(st.integers(1, 4), label="queries")
+    row = st.lists(_values, min_size=d, max_size=d)
+    vecs = np.array([data.draw(row) for _ in range(n + q_count)], dtype=np.float32)
+    ids = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    k = data.draw(st.integers(1, n + 3), label="k")
+    g = Gallery(ids, vecs[:n])
+    queries = vecs[n:]
+    for q, res in zip(queries, rank(g, queries, k)):
+        assert res.items == ref_rank(g, q, k).items
+
+
+class TestBatchedComposition:
+    @pytest.mark.parametrize("dim", [16, 32, 256])
+    def test_rows_equal_batches_of_one(self, dim):
+        cfg = TrainConfig(dim=dim, hidden=4 * dim, seed=5, composer_seed=5, batch_size=4, steps=1)
+        mappers, composer = init_mappers(cfg), PromptComposer(ComposerSpec(dim=dim, seed=5))
+        rng = np.random.default_rng(dim)
+        refs = unit_rows(rng, 33, dim).astype(np.float32)
+        conds = unit_rows(rng, 33, dim).astype(np.float32)
+        block = compose_query(refs, conds, mappers, composer, 0.6)
+        assert block.shape == (33, dim) and block.dtype == np.float32
+        for i in range(33):
+            one = compose_query(refs[i : i + 1], conds[i : i + 1], mappers, composer, 0.6)
+            assert np.array_equal(block[i], one[0]), i
+
+    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average", "slerp"])
+    def test_baseline_rows_equal_batches_of_one(self, mode):
+        rng = np.random.default_rng(25)
+        refs = unit_rows(rng, 9, 8).astype(np.float32)
+        conds = unit_rows(rng, 9, 8).astype(np.float32)
+        conds[3] = refs[3]  # slerp's near-parallel fallback
+        block = baseline_compose(refs, conds, mode, 0.3)
+        assert block.shape == (9, 8) and block.dtype == np.float32
+        for i in range(9):
+            one = baseline_compose(refs[i : i + 1], conds[i : i + 1], mode, 0.3)
+            assert np.array_equal(block[i], one[0]), i
 
 
 class TestMetrics:
@@ -236,7 +351,7 @@ class TestMetrics:
                 n_targets = int(rng.integers(1, 4))
                 targets = set(rng.choice(ids, size=n_targets, replace=False).tolist())
                 q = make_query(rng, d=d, targets=tuple(targets), qid=f"q{qi}")
-                res = rank(g, q.reference_emb, n)
+                res = rank(g, q.reference_emb[None], n)[0]
                 queries.append(q)
                 results.append(res)
                 ranked_ids.append(res.ids())
@@ -283,8 +398,6 @@ class TestMetrics:
 class TestEvaluateTask:
     def test_composed_requires_models(self):
         rng = np.random.default_rng(20)
-        from cirmap.retrieval import EvalTask
-
         g = Gallery(["a", "b"], unit_rows(rng, 2, 8).astype(np.float32))
         task = EvalTask(gallery=g, queries=[make_query(rng, targets=("a",))])
         with pytest.raises(ParameterError):
@@ -292,8 +405,6 @@ class TestEvaluateTask:
 
     def test_baseline_report_shape(self):
         rng = np.random.default_rng(21)
-        from cirmap.retrieval import EvalTask
-
         g = Gallery(["a", "b", "t0"], unit_rows(rng, 3, 8).astype(np.float32))
         task = EvalTask(
             gallery=g,
@@ -305,6 +416,62 @@ class TestEvaluateTask:
         assert report["mode"] == "image_only"
         assert set(report["metrics"]) == {"recall@1", "recall@2", "map@1", "map@2"}
         assert len(report["per_query"]) == 1
+
+
+class TestEvaluateTaskBatched:
+    @pytest.fixture
+    def task16(self):
+        rng = np.random.default_rng(26)
+        g = tied_gallery(rng, 60, 16)
+        queries = [
+            Query(
+                query_id=f"q{i}",
+                reference_id=g.ids[i],
+                reference_emb=g.vectors[i],
+                condition_id=f"c{i}",
+                condition_emb=unit_rows(rng, 1, 16)[0],
+                target_ids=frozenset(g.ids[i + 1 : i + 3]),
+            )
+            for i in range(7)
+        ]
+        return EvalTask(gallery=g, queries=queries, k_values=[1, 5, 10])
+
+    def _count_calls(self, monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(retrieval, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(retrieval, name, counted)
+        return calls
+
+    def test_composed_is_one_compose_and_one_rank(self, task16, setup16, monkeypatch):
+        mappers, composer = setup16
+        calls = self._count_calls(monkeypatch, ["compose_query", "rank"])
+        report = evaluate_task(task16, mappers, composer, gamma=0.6, per_query=True)
+        assert calls == {"compose_query": 1, "rank": 1}
+        for q, row in zip(task16.queries, report["per_query"]):
+            vec = compose_query(*rows(q), mappers, composer, 0.6)[0]
+            expected = ref_rank(task16.gallery, vec, 10).items
+            assert row["top"] == [[i, s] for i, s in expected]
+
+    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average", "slerp"])
+    def test_baseline_is_one_compose_and_one_rank(self, task16, mode, monkeypatch):
+        calls = self._count_calls(monkeypatch, ["baseline_compose", "rank"])
+        report = evaluate_task(task16, None, None, mode=mode, slerp_t=0.3, per_query=True)
+        assert calls == {"baseline_compose": 1, "rank": 1}
+        for q, row in zip(task16.queries, report["per_query"]):
+            vec = baseline_compose(*rows(q), mode, 0.3)[0]
+            expected = ref_rank(task16.gallery, vec, 10).items
+            assert row["top"] == [[i, s] for i, s in expected]
+
+    def test_no_queries_is_a_shape_error(self, task16):
+        task16.queries = []
+        with pytest.raises(ShapeError, match="no queries"):
+            evaluate_task(task16, None, None, mode="image_only")
 
 
 def test_query_requires_targets():
