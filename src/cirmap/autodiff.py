@@ -29,14 +29,20 @@ class Tensor:
 
     ``requires_grad`` marks leaves whose gradients should be produced by
     :func:`backward`; for op outputs it is derived from the parents.
+
+    An array that is already float32, C-contiguous and read-only is taken
+    over, not copied, so a tensor can be a view of a larger read-only buffer;
+    whoever made that buffer read-only must not write it again. Any other
+    input is copied and the copy made read-only.
     """
 
     __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.array(values, dtype=np.float32, order="C", copy=True)
-        arr.flags.writeable = False
-        self.values = arr
+        if not _frozen_f32(values):
+            values = np.array(values, dtype=np.float32, order="C", copy=True)
+            values.flags.writeable = False
+        self.values = values
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -102,13 +108,35 @@ class Tape:
         return len(self._nodes)
 
 
+def _frozen_f32(values) -> bool:
+    return (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float32
+        and values.flags.c_contiguous
+        and not values.flags.writeable
+    )
+
+
+def _tracked(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over these parents is recorded: a tape is active and
+    some parent needs a gradient."""
+    return _active_tape is not None and any(p.requires_grad for p in parents)
+
+
 def _make(values, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
-    """Create an op output, recording it when a tape is active and any parent is tracked."""
-    tape = _active_tape
-    track = tape is not None and any(p.requires_grad for p in parents)
-    out = Tensor(values, requires_grad=track)
+    """Create an op output, recording it when :func:`_tracked`.
+
+    ``values`` must be the op's own fresh result: a float32 C-contiguous
+    array is frozen and taken over, anything else is truncated to one.
+    ``backward_fn`` maps the upstream gradient to one gradient per parent,
+    or None for a parent that needs none.
+    """
+    arr = np.asarray(values, dtype=np.float32, order="C")
+    arr.flags.writeable = False
+    track = _tracked(parents)
+    out = Tensor(arr, requires_grad=track)
     if track:
-        tape._record(out, parents, backward_fn)
+        _active_tape._record(out, parents, backward_fn)
     return out
 
 
@@ -163,11 +191,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(_f64(a) + _f64(b), (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _make(_f64(a) - _f64(b), (a, b), lambda g: (g, -g))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(_f64(a) * c, (a,), lambda g: (g * c,))
@@ -179,9 +202,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     av, bv = _f64(a), _f64(b)
+    # Each side's gradient needs the other side's values; hold only those.
+    a_t = av.T if b.requires_grad else None
+    b_t = bv.T if a.requires_grad else None
 
     def grad(g):
-        return g @ bv.T, av.T @ g
+        return (
+            None if b_t is None else g @ b_t,
+            None if a_t is None else a_t @ g,
+        )
 
     return _make(av @ bv, (a, b), grad)
 
@@ -190,13 +219,6 @@ def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
     return _make(_f64(a).T, (a,), lambda g: (g.T,))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    return _make(_f64(a).reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -212,14 +234,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat operands must share rank")
     if axis < 0 or axis >= ndim:
         raise ShapeError(f"concat axis {axis} out of range for rank {ndim}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    # Constant blocks get no gradient.
+    blocks, lo = [], 0
+    for p in parts:
+        hi = lo + p.shape[axis]
+        blocks.append((slice(None),) * axis + (slice(lo, hi),) if p.requires_grad else None)
+        lo = hi
 
     def grad(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(sizes))
-        )
+        return tuple(None if block is None else g[block] for block in blocks)
 
     return _make(np.concatenate([_f64(p) for p in parts], axis=axis), tuple(parts), grad)
 
@@ -228,12 +251,10 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-n vector to every row of an m-by-n matrix."""
     if a.values.ndim != 2 or v.values.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec: incompatible shapes {a.shape} and {v.shape}")
-    return _make(_f64(a) + _f64(v), (a, v), lambda g: (g, g.sum(axis=0)))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shp = a.shape
-    return _make(np.sum(_f64(a)), (a,), lambda g: (np.full(shp, float(g), dtype=np.float64),))
+    need_v = v.requires_grad
+    return _make(
+        _f64(a) + _f64(v), (a, v), lambda g: (g, g.sum(axis=0) if need_v else None)
+    )
 
 
 def mean(a: Tensor) -> Tensor:
@@ -250,24 +271,13 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = _f64(a) - _f64(b)
     n = a.size
 
+    need_b = b.requires_grad
+
     def grad(g):
         d = (2.0 * float(g) / n) * diff
-        return d, -d
+        return d, -d if need_b else None
 
     return _make(np.mean(diff * diff), (a, b), grad)
-
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row dot product of two m-by-d matrices, yielding a length-m vector."""
-    _check_same_shape(a, b, "dot_rows")
-    if a.values.ndim != 2:
-        raise ShapeError(f"dot_rows expects 2-D operands, got {a.shape}")
-    av, bv = _f64(a), _f64(b)
-
-    def grad(g):
-        return g[:, None] * bv, g[:, None] * av
-
-    return _make(np.sum(av * bv, axis=1), (a, b), grad)
 
 
 def l2_normalize_rows(a: Tensor, eps: float = DEFAULT_ROW_NORM_EPS) -> Tensor:
@@ -294,24 +304,8 @@ def _check_temperature(temperature: float) -> float:
     return t
 
 
-def scaled_row_softmax(logits: Tensor, temperature: float) -> Tensor:
-    """Row-wise softmax of logits/temperature, stabilized by per-row max subtraction."""
-    t = _check_temperature(temperature)
-    if logits.values.ndim != 2:
-        raise ShapeError(f"scaled_row_softmax expects a 2-D tensor, got {logits.shape}")
-    z = _f64(logits) / t
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def grad(g):
-        return ((p * g - p * np.sum(p * g, axis=1, keepdims=True)) / t,)
-
-    return _make(p, (logits,), grad)
-
-
 def scaled_row_log_softmax(logits: Tensor, temperature: float) -> Tensor:
-    """Row-wise log-softmax of logits/temperature; stable companion to the softmax."""
+    """Row-wise log-softmax of logits/temperature, stabilized by per-row max subtraction."""
     t = _check_temperature(temperature)
     if logits.values.ndim != 2:
         raise ShapeError(f"scaled_row_log_softmax expects a 2-D tensor, got {logits.shape}")

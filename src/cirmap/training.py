@@ -255,12 +255,15 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
         grad_map = ad.backward(l_total, tape)
 
     # Every leaf of a mapper lies on the path to its output, so a mapper
-    # gets a gradient for all six leaves or for none.
-    grads = [
-        np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()])
-        if weights["w1"] in grad_map
-        else None
-        for weights in (mappers.pseudo, mappers.supplement)
-    ]
+    # gets a gradient for all six leaves or for none. The leaves are views
+    # of ``mappers.flat`` in layout order, so one buffer of its size holds
+    # every gradient at its parameter's offset.
+    grads = []
+    for weights, part in zip(
+        (mappers.pseudo, mappers.supplement), np.split(np.empty_like(mappers.flat), 2)
+    ):
+        if weights["w1"] in grad_map:
+            np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()], out=part)
+        grads.append(part if weights["w1"] in grad_map else None)
     terms = {name: term.item() for name, term in parts.items()}
     return grads, {**terms, "N_S": 0 if selection is None else selection.count}
