@@ -1,10 +1,23 @@
 """Dense float32 tensors with a reverse-mode differentiation tape.
 
-Values are stored as 32-bit floats. Each operation evaluates in 64-bit and
-truncates its result to the storage format, and backward accumulation also
-runs in 64-bit before gradients are truncated on the way out; this keeps
-forward values deterministic while leaving enough precision headroom for
-finite-difference verification.
+Values are stored as 32-bit floats. The precision contract:
+
+- Elementwise ops, reductions and softmaxes evaluate in 64-bit and truncate
+  their result to the storage format.
+- A matmul recorded on the tape multiplies its float32 operands in float32,
+  the storage precision. Its backward GEMMs also run in float32, on the
+  upstream gradient truncated to float32, and their results are upcast.
+- An untaped matmul (inference, world generation) evaluates in 64-bit, so
+  its result is the float64 product truncated to float32.
+- Gradients accumulate in 64-bit and are truncated to float32 on the way
+  out of :func:`backward`.
+
+Results are deterministic for a fixed BLAS and thread count, with enough
+precision headroom for finite-difference verification.
+
+Each op's backward computes only the gradients its parents need: a parent
+that does not require a gradient gets None, and the op holds no operand
+for it.
 
 Operations record onto the currently active :class:`Tape` (a context
 manager), so a fresh graph is built per training step and dropped afterwards.
@@ -197,22 +210,27 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors. A product recorded on the tape runs
+    its forward and backward GEMMs in float32 (see the module docstring); an
+    untaped one evaluates in 64-bit like every other op."""
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    av, bv = _f64(a), _f64(b)
+    if not _tracked((a, b)):
+        return _make(_f64(a) @ _f64(b), (a, b), None)
     # Each side's gradient needs the other side's values; hold only those.
-    a_t = av.T if b.requires_grad else None
-    b_t = bv.T if a.requires_grad else None
+    a_t = a.values.T if b.requires_grad else None
+    b_t = b.values.T if a.requires_grad else None
 
     def grad(g):
+        g = g.astype(np.float32)
         return (
-            None if b_t is None else g @ b_t,
-            None if a_t is None else a_t @ g,
+            None if b_t is None else (g @ b_t).astype(np.float64),
+            None if a_t is None else (a_t @ g).astype(np.float64),
         )
 
-    return _make(av @ bv, (a, b), grad)
+    return _make(a.values @ b.values, (a, b), grad)
 
 
 def transpose(a: Tensor) -> Tensor:
