@@ -55,17 +55,6 @@ class RunConfig:
     paths: PathsConfig
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a field's type: a bool is not an int, an int
-    is a float, and a list's elements must fit its element type."""
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
-
 def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = None):
     aliases = aliases or {}
     hints = typing.get_type_hints(cls)
@@ -76,7 +65,7 @@ def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = N
         if attr not in allowed:
             raise ConfigError(f"unknown key {name}.{key}")
         hint = hints[attr]
-        if not _fits(value, hint):
+        if not fileio.fits(value, hint):
             expected = str(hint) if typing.get_origin(hint) else hint.__name__
             raise ConfigError(f"{name}.{key} must be {expected}, got {type(value).__name__}")
         kwargs[attr] = value

@@ -20,6 +20,7 @@ import json.scanner
 import os
 import struct
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,32 @@ def read_json(path: Path):
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value has a declared type: a bool is not an int, an int
+    is a float, and a list's elements must fit its element type."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(fits(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def check_object(doc, keys: dict, where: str) -> None:
+    """Raise FormatError naming ``where`` and the key unless ``doc`` is a JSON
+    object holding every key of ``keys`` with a value that :func:`fits` its type."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key, hint in keys.items():
+        if key not in doc:
+            raise FormatError(f"{where}: missing key {key!r}")
+        if not fits(doc[key], hint):
+            expected = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise FormatError(
+                f"{where}: key {key!r} must be {expected}, got {type(doc[key]).__name__}"
+            )
 
 
 def write_jsonl(path: Path, rows) -> None:

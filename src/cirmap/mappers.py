@@ -158,21 +158,6 @@ _MANIFEST_KEYS = {
 _ENTRY_KEYS = {"name": str, "shape": list, "offset": int}
 
 
-def _checked(doc, keys: dict[str, type], where: str) -> None:
-    """Raise FormatError naming ``where`` and the key unless every key is present
-    with its type (a bool is not an int)."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    for key, kind in keys.items():
-        if key not in doc:
-            raise FormatError(f"{where}: missing key {key!r}")
-        value = doc[key]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise FormatError(
-                f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-            )
-
-
 def _check_layout(params: list, dim: int, hidden: int, where: str) -> None:
     """Require the manifest's entries to be the layout of ``dim``/``hidden``;
     otherwise name the first entry and key that differ."""
@@ -182,7 +167,7 @@ def _check_layout(params: list, dim: int, hidden: int, where: str) -> None:
         if i >= len(params) or i >= len(expected):
             raise FormatError(f"{at}: {len(params)} entries, the layout has {len(expected)}")
         entry, want = params[i], expected[i]
-        _checked(entry, _ENTRY_KEYS, at)
+        fileio.check_object(entry, _ENTRY_KEYS, at)
         for key in [*want, *entry]:
             if entry.get(key) != want.get(key):
                 raise FormatError(
@@ -195,7 +180,7 @@ def load_checkpoint(base: Path) -> tuple[Mappers, dict]:
     """Load both mappers and the manifest; malformed manifests raise FormatError."""
     emb_path, manifest_path = checkpoint_paths(base)
     manifest = fileio.read_json(manifest_path)
-    _checked(manifest, _MANIFEST_KEYS, str(manifest_path))
+    fileio.check_object(manifest, _MANIFEST_KEYS, str(manifest_path))
     if manifest["format"] != CHECKPOINT_FORMAT:
         raise FormatError(f"{manifest_path}: unsupported checkpoint format")
     matrix, ids = fileio.read_embeddings(emb_path)

@@ -143,7 +143,10 @@ def _one_hot(tuples: np.ndarray, n_values: int) -> np.ndarray:
 def _sample_separated_tuples(
     rng: np.random.Generator, n: int, n_attr: int, n_values: int, min_hamming: int
 ) -> np.ndarray:
+    """Draw ``n`` tuples whose pairwise Hamming distance is at least
+    ``min_hamming``, rejecting candidates that come too close."""
     accepted = np.empty((n, n_attr), dtype=np.int64)
+    seen: set[bytes] = set()  # min_hamming 1 rejects exact repeats only
     count = 0
     attempts = 0
     while count < n:
@@ -154,7 +157,12 @@ def _sample_separated_tuples(
                 f"{n_values}^{n_attr} space"
             )
         cand = rng.integers(0, n_values, size=n_attr)
-        if count:
+        if min_hamming == 1:
+            code = cand.tobytes()
+            if code in seen:
+                continue
+            seen.add(code)
+        elif count:
             dist = np.sum(accepted[:count] != cand, axis=1)
             if int(dist.min()) < min_hamming:
                 continue
@@ -405,17 +413,32 @@ def _row_index(ids: list[str], emb_path: Path) -> dict[str, int]:
     return row_of
 
 
+_TASK_KEYS = {
+    "dim": int,
+    "gallery": str,
+    "conditions": str,
+    "queries": str,
+    "metrics": list[str],
+    "k_values": list[int],
+    "gamma": float,
+}
+_QUERY_KEYS = {"query_id": str, "reference_id": str, "condition_id": str, "target_ids": list[str]}
+
+
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
+    """Load the evaluation task; a missing or mistyped key of ``task.json`` or
+    of a query record raises FormatError naming the file and the key."""
     data_dir = Path(data_dir)
     task_doc = fileio.read_json(data_dir / TASK)
+    fileio.check_object(task_doc, _TASK_KEYS, str(data_dir / TASK))
     gallery_path = data_dir / task_doc["gallery"]
     cond_path = data_dir / task_doc["conditions"]
     gallery_matrix, gallery_ids = fileio.read_embeddings(gallery_path)
     cond_matrix, cond_ids = fileio.read_embeddings(cond_path)
     dim = gallery_matrix.shape[1]
-    if task_doc.get("dim") != dim:
+    if task_doc["dim"] != dim:
         raise FormatError(
-            f"{gallery_path}: rows are {dim}-d, {data_dir / TASK} has dim {task_doc.get('dim')}"
+            f"{gallery_path}: rows are {dim}-d, {data_dir / TASK} has dim {task_doc['dim']}"
         )
     if cond_matrix.shape[1] != dim:
         raise FormatError(
@@ -424,11 +447,13 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     gal_row = _row_index(gallery_ids, gallery_path)
     cond_row = _row_index(cond_ids, cond_path)
     queries = []
-    for rec in fileio.read_jsonl(data_dir / task_doc["queries"]):
+    queries_path = data_dir / task_doc["queries"]
+    for n, rec in enumerate(fileio.read_jsonl(queries_path), start=1):
+        fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
         if rec["reference_id"] not in gal_row:
-            raise FormatError(f"query {rec['query_id']}: unknown reference id")
+            raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown reference id")
         if rec["condition_id"] not in cond_row:
-            raise FormatError(f"query {rec['query_id']}: unknown condition id")
+            raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown condition id")
         queries.append(
             Query(
                 query_id=rec["query_id"],

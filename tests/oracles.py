@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from cirmap.composer import MAX_SLOTS, PromptComposer
-from cirmap.errors import FormatError, ParameterError, ShapeError
+from cirmap.errors import FormatError, InconsistentSpecError, ParameterError, ShapeError
 from cirmap.retrieval import Gallery, RankedResult
 
 
@@ -160,6 +160,31 @@ def fd_gradient(fn, vec: np.ndarray, step: float = 1e-3) -> np.ndarray:
         down[i] -= step
         grad[i] = (fn(up) - fn(down)) / (2.0 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# world generation
+
+
+def ref_sample_separated_tuples(
+    rng: np.random.Generator, n: int, n_attr: int, n_values: int, min_hamming: int
+) -> np.ndarray:
+    """Rejection sampling that scans every accepted tuple per candidate."""
+    accepted = np.empty((n, n_attr), dtype=np.int64)
+    count = 0
+    attempts = 0
+    while count < n:
+        attempts += 1
+        if attempts > 500 * n:
+            raise InconsistentSpecError("cannot place the tuples")
+        cand = rng.integers(0, n_values, size=n_attr)
+        if count:
+            dist = np.sum(accepted[:count] != cand, axis=1)
+            if int(dist.min()) < min_hamming:
+                continue
+        accepted[count] = cand
+        count += 1
+    return accepted
 
 
 # ---------------------------------------------------------------------------

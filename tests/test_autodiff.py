@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cirmap.autodiff as ad
 from cirmap.autodiff import Tape, Tensor, backward
@@ -9,7 +11,7 @@ from cirmap.errors import (
     ParameterError,
     ShapeError,
 )
-from oracles import rel_err
+from oracles import fd_gradient, rel_err
 
 
 def grad_of(build, *leaves):
@@ -18,6 +20,28 @@ def grad_of(build, *leaves):
         loss = build()
     grads = backward(loss, tape)
     return [grads.get(leaf) for leaf in leaves]
+
+
+class TestTensor:
+    def test_frozen_float32_array_is_taken_over(self):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        arr.flags.writeable = False
+        assert Tensor(arr).values is arr
+        row = Tensor(arr[1]).values  # a row view stays a view
+        assert np.shares_memory(row, arr) and np.array_equal(row, [3.0, 4.0, 5.0])
+
+    def test_other_arrays_are_copied(self):
+        for arr in (
+            np.ones((2, 3), dtype=np.float32),  # writeable
+            np.ones((2, 3)),  # float64
+            np.asfortranarray(np.ones((2, 3), dtype=np.float32)),  # not C order
+        ):
+            before = arr.copy()
+            t = Tensor(arr)
+            assert not np.shares_memory(t.values, arr) and not t.values.flags.writeable
+            if arr.flags.writeable:
+                arr[...] = 7.0
+            assert np.array_equal(t.values, before)
 
 
 class TestMatmul:
@@ -40,6 +64,59 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+    def test_precision_follows_the_tape(self):
+        # taped: float32 GEMMs forward and backward; untaped: the float64
+        # product truncated to float32
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((37, 64)), requires_grad=True)
+        b = Tensor(rng.standard_normal((64, 29)))
+        with Tape() as tape:
+            taped = ad.matmul(a, b)
+            loss = ad.mean(taped)
+        grads = backward(loss, tape)
+        untaped = ad.matmul(a, b)
+        a64, b64 = a.values.astype(np.float64), b.values.astype(np.float64)
+        assert taped.values.tobytes() == (a.values @ b.values).tobytes()
+        assert untaped.values.tobytes() == (a64 @ b64).astype(np.float32).tobytes()
+        assert taped.values.tobytes() != untaped.values.tobytes()
+        upstream = np.full((37, 29), 1.0 / (37 * 29)).astype(np.float32)
+        assert grads[a].values.tobytes() == (upstream @ b.values.T).tobytes()
+
+
+
+class TestConstantParents:
+    """A parent that needs no gradient gets None from the op's backward."""
+
+    def _backward_of_last_op(self, build, upstream):
+        with Tape() as tape:
+            build()
+        return tape._nodes[-1].backward_fn(upstream)
+
+    def test_matmul(self):
+        rng = np.random.default_rng(6)
+        p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        left = Tensor(rng.standard_normal((2, 3)))
+        right = Tensor(rng.standard_normal((4, 5)))
+        ga, gb = self._backward_of_last_op(lambda: ad.matmul(p, right), np.ones((3, 5)))
+        assert ga.shape == (3, 4) and gb is None
+        ga, gb = self._backward_of_last_op(lambda: ad.matmul(left, p), np.ones((2, 4)))
+        assert ga is None and gb.shape == (3, 4)
+
+    def test_concat(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        c = Tensor(np.zeros((2, 1)))
+        g = np.arange(16.0).reshape(2, 8)
+        grads = self._backward_of_last_op(lambda: ad.concat([c, p, c, p], axis=1), g)
+        assert grads[0] is None and grads[2] is None
+        assert np.array_equal(grads[1], g[:, 1:4]) and np.array_equal(grads[3], g[:, 5:8])
+
+    def test_add_rowvec_and_mse(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        v = Tensor(np.ones(3))
+        g = np.ones((2, 3))
+        assert self._backward_of_last_op(lambda: ad.add_rowvec(p, v), g)[1] is None
+        assert self._backward_of_last_op(lambda: ad.mse(p, Tensor(np.zeros((2, 3)))), 1.0)[1] is None
 
 
 class TestL2NormalizeRows:
@@ -289,3 +366,115 @@ def test_leaf_created_after_dropped_output_keeps_its_gradient():
         grads = backward(loss, tape)
         assert set(grads) == {v}
         assert np.array_equal(grads[v].values, np.full(3, 2.0, dtype=np.float32))
+
+
+
+# ---------------------------------------------------------------------------
+# random graphs: tape gradients against finite differences of a float64
+# evaluation of the same graph
+
+_AD_OPS = {
+    "add": ad.add,
+    "tanh": ad.tanh,
+    "matmul": ad.matmul,
+    "add_rowvec": ad.add_rowvec,
+    "concat": lambda parts, axis: ad.concat(parts, axis=axis),
+    "mse": ad.mse,
+}
+_NP_OPS = {
+    "add": np.add,
+    "tanh": np.tanh,
+    "matmul": np.matmul,
+    "add_rowvec": np.add,
+    "concat": lambda parts, axis: np.concatenate(parts, axis=axis),
+    "mse": lambda a, b: float(np.mean((a - b) ** 2)),
+}
+
+
+def _run_graph(program, leaves, ops):
+    """Evaluate a graph program with one set of ops. Every node is [m x n];
+    the last instruction is the scalar loss ``("mse", i, j)``."""
+    nodes = []
+    for kind, *args in program:
+        if kind == "leaf":
+            nodes.append(leaves[args[0]])
+        elif kind in ("add", "tanh"):
+            nodes.append(ops[kind](*(nodes[i] for i in args)))
+        elif kind in ("matmul", "add_rowvec"):
+            nodes.append(ops[kind](nodes[args[0]], leaves[args[1]]))
+        elif kind == "concat1":  # [m x 2n], projected back to [m x n]
+            joined = ops["concat"]([nodes[args[0]], nodes[args[1]]], 1)
+            nodes.append(ops["matmul"](joined, leaves[args[2]]))
+        elif kind == "concat0":  # [2m x n], projected back to [m x n]
+            joined = ops["concat"]([nodes[args[0]], nodes[args[1]]], 0)
+            nodes.append(ops["matmul"](leaves[args[2]], joined))
+        else:
+            return ops["mse"](nodes[args[0]], nodes[args[1]])
+
+
+@st.composite
+def _graphs(draw):
+    """A random program over [m x n] nodes, the leaf shapes it reads, and which
+    leaves require a gradient."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes, program = [], []
+
+    def leaf(shape):
+        shapes.append(shape)
+        return len(shapes) - 1
+
+    for _ in range(draw(st.integers(1, 3))):
+        program.append(("leaf", leaf((m, n))))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["add", "tanh", "matmul", "add_rowvec", "concat1", "concat0"]))
+        i, j = (draw(st.integers(0, len(program) - 1)) for _ in range(2))
+        if kind == "add":
+            program.append((kind, i, j))
+        elif kind == "tanh":
+            program.append((kind, i))
+        elif kind == "matmul":
+            program.append((kind, i, leaf((n, n))))
+        elif kind == "add_rowvec":
+            program.append((kind, i, leaf((n,))))
+        elif kind == "concat1":
+            program.append((kind, i, j, leaf((2 * n, n))))
+        else:
+            program.append((kind, i, j, leaf((m, 2 * m))))
+    program.append(("mse", len(program) - 1, draw(st.integers(0, len(program) - 1))))
+    trainable = [draw(st.booleans()) for _ in shapes]
+    return program, shapes, trainable, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_tape_gradients_match_finite_differences_on_random_graphs(graph):
+    program, shapes, trainable, seed = graph
+    rng = np.random.default_rng(seed)
+    leaves = [
+        Tensor(rng.standard_normal(shape), requires_grad=t) for shape, t in zip(shapes, trainable)
+    ]
+    with Tape() as tape:
+        loss = _run_graph(program, leaves, _AD_OPS)
+    if not loss.requires_grad:
+        # no leaf that needs a gradient reaches the loss
+        with pytest.raises(ContractError):
+            backward(loss, tape)
+        return
+    grads = backward(loss, tape)
+    params = [t for t in leaves if t.requires_grad]
+    assert set(grads) <= set(params)  # no constant leaf in the result
+
+    values = [t.values.astype(np.float64) for t in leaves]
+    sizes = np.cumsum([0] + [t.size for t in params])
+
+    def loss_f64(vec):
+        subs = list(values)
+        for k, t in enumerate(params):
+            subs[leaves.index(t)] = vec[sizes[k] : sizes[k + 1]].reshape(t.shape)
+        return _run_graph(program, subs, _NP_OPS)
+
+    fd = fd_gradient(loss_f64, np.concatenate([values[leaves.index(t)].ravel() for t in params]))
+    taped = np.concatenate(
+        [grads[t].values.ravel() if t in grads else np.zeros(t.size) for t in params]
+    )
+    assert rel_err(taped, fd) < 1e-3

@@ -299,6 +299,62 @@ def test_manifest_missing_key_is_an_error_not_a_traceback(pipeline, capsys):
     assert "Traceback" not in err
 
 
+def _drop_gamma(doc):
+    del doc["gamma"]
+
+
+def _k_values_as_text(doc):
+    doc["k_values"] = "1,5"
+
+
+def _gallery_as_number(doc):
+    doc["gallery"] = 3
+
+
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        (_drop_gamma, "missing key 'gamma'"),
+        (_k_values_as_text, "key 'k_values' must be list[int], got str"),
+        (_gallery_as_number, "key 'gallery' must be str, got int"),
+    ],
+)
+def test_task_key_missing_or_mistyped_is_an_error(pipeline, capsys, edit, expected):
+    tmp_path, config = pipeline
+    task_path = tmp_path / "data" / "task.json"
+    doc = json.loads(task_path.read_text())
+    edit(doc)
+    task_path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{task_path}: {expected}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field,value,expected",
+    [
+        ("target_ids", None, "missing key 'target_ids'"),
+        ("reference_id", 7, "key 'reference_id' must be str, got int"),
+        ("target_ids", ["item-00001", 2], "key 'target_ids' must be list[str], got list"),
+    ],
+)
+def test_query_record_field_missing_or_mistyped_is_an_error(
+    pipeline, capsys, field, value, expected
+):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    records = fileio.read_jsonl(queries)
+    if value is None:
+        del records[1][field]
+    else:
+        records[1][field] = value
+    fileio.write_jsonl(queries, records)
+    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{queries}: record 2: {expected}" in err
+
+
 def test_config_that_is_not_json_is_an_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("not json")

@@ -112,6 +112,14 @@ def test_checkpoint_round_trip(tmp_path):
             assert back[key].requires_grad
 
 
+def test_leaves_are_views_of_flat():
+    mappers = Mappers.seeded(dim=4, hidden=6, seeds=(1, 2))
+    assert np.shares_memory(mappers.pseudo["w1"].values, mappers.flat)
+    for weights in (mappers.pseudo, mappers.supplement):
+        for leaf in weights.values():
+            assert np.shares_memory(leaf.values, mappers.flat)
+
+
 def test_checkpoint_manifest_follows_layout(tmp_path):
     mappers = Mappers.seeded(dim=4, hidden=6, seeds=(1, 2))
     save_checkpoint(tmp_path / "ckpt", mappers, step=1, composer_seed=0)

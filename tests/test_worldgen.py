@@ -3,8 +3,10 @@ import pytest
 
 from cirmap.errors import InconsistentSpecError
 from cirmap.mining import select_batch
+from oracles import ref_sample_separated_tuples
 from cirmap.worldgen import (
     WorldSpec,
+    _sample_separated_tuples,
     export_world,
     generate_world,
     load_task,
@@ -165,6 +167,31 @@ def test_train_tuples_respect_min_hamming():
         dist = np.sum(t[i] != t, axis=1)
         dist[i] = 99
         assert dist.min() >= 2
+
+
+@pytest.mark.parametrize("min_hamming", [1, 2, 3])
+def test_tuple_sampler_matches_scan_reference(min_hamming):
+    # Small spaces make repeats and rejections frequent. At min Hamming 1 up
+    # to the whole space is drawn; at 2 or more a few dozen tuples, as the
+    # scan is quadratic. Infeasible draws must fail in both samplers.
+    feasible = 0
+    for seed in range(30):
+        pick = np.random.default_rng(seed)
+        n_attr, n_values = int(pick.integers(2, 7)), int(pick.integers(2, 7))
+        limit = min(700, n_values**n_attr) if min_hamming == 1 else 40
+        n = int(pick.integers(1, limit + 1))
+        outcomes = []
+        for sampler in (_sample_separated_tuples, ref_sample_separated_tuples):
+            rng = np.random.default_rng([seed, 1])
+            try:
+                outcomes.append(sampler(rng, n, n_attr, n_values, min_hamming).tobytes())
+            except InconsistentSpecError:
+                outcomes.append("infeasible")
+        assert outcomes[0] == outcomes[1], (seed, n, n_attr, n_values)
+        feasible += outcomes[0] != "infeasible"
+    assert feasible >= 10
+    with pytest.raises(InconsistentSpecError):  # five tuples in a space of four
+        _sample_separated_tuples(np.random.default_rng(0), 5, 2, 2, min_hamming)
 
 
 def test_infeasible_separation_rejected():
