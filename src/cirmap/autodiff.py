@@ -136,7 +136,7 @@ def _tracked(parents: tuple[Tensor, ...]) -> bool:
     return _active_tape is not None and any(p.requires_grad for p in parents)
 
 
-def _make(values, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+def _make(values, parents: tuple[Tensor, ...], backward_fn: Callable | None) -> Tensor:
     """Create an op output, recording it when :func:`_tracked`.
 
     ``values`` must be the op's own fresh result: a float32 C-contiguous
@@ -288,7 +288,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mse")
     diff = _f64(a) - _f64(b)
     n = a.size
-
     need_b = b.requires_grad
 
     def grad(g):

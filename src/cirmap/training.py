@@ -262,8 +262,10 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
     for weights, part in zip(
         (mappers.pseudo, mappers.supplement), np.split(np.empty_like(mappers.flat), 2)
     ):
-        if weights["w1"] in grad_map:
-            np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()], out=part)
-        grads.append(part if weights["w1"] in grad_map else None)
+        if weights["w1"] not in grad_map:
+            grads.append(None)
+            continue
+        np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()], out=part)
+        grads.append(part)
     terms = {name: term.item() for name, term in parts.items()}
     return grads, {**terms, "N_S": 0 if selection is None else selection.count}
