@@ -84,7 +84,6 @@ class TestMatmul:
         assert grads[a].values.tobytes() == (upstream @ b.values.T).tobytes()
 
 
-
 class TestConstantParents:
     """A parent that needs no gradient gets None from the op's backward."""
 

@@ -3,7 +3,6 @@ import pytest
 
 from cirmap.errors import InconsistentSpecError
 from cirmap.mining import select_batch
-from oracles import ref_sample_separated_tuples
 from cirmap.worldgen import (
     WorldSpec,
     _sample_separated_tuples,
@@ -12,6 +11,7 @@ from cirmap.worldgen import (
     load_task,
     load_train_pairs,
 )
+from oracles import ref_sample_separated_tuples
 
 
 @pytest.fixture(scope="module")
