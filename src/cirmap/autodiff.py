@@ -7,6 +7,9 @@ Values are stored as 32-bit floats. The precision contract:
 - A matmul recorded on the tape multiplies its float32 operands in float32,
   the storage precision. Its backward GEMMs also run in float32, on the
   upstream gradient truncated to float32, and their results are upcast.
+- :func:`info_nce` follows the matmul rule for its logits GEMM and its
+  backward GEMMs (float32 when recorded, 64-bit when not); its row and
+  column softmaxes always run in 64-bit.
 - An untaped matmul (inference, world generation) evaluates in 64-bit, so
   its result is the float64 product truncated to float32.
 - Gradients accumulate in 64-bit and are truncated to float32 on the way
@@ -70,9 +73,6 @@ class Tensor:
         if self.values.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -233,36 +233,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), grad)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return _make(_f64(a).T, (a,), lambda g: (g.T,))
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(_f64(a))
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of an empty sequence")
-    ndim = parts[0].values.ndim
-    if any(p.values.ndim != ndim for p in parts):
-        raise ShapeError("concat operands must share rank")
-    if axis < 0 or axis >= ndim:
-        raise ShapeError(f"concat axis {axis} out of range for rank {ndim}")
-    # Constant blocks get no gradient.
-    blocks, lo = [], 0
-    for p in parts:
-        hi = lo + p.shape[axis]
-        blocks.append((slice(None),) * axis + (slice(lo, hi),) if p.requires_grad else None)
-        lo = hi
-
-    def grad(g):
-        return tuple(None if block is None else g[block] for block in blocks)
-
-    return _make(np.concatenate([_f64(p) for p in parts], axis=axis), tuple(parts), grad)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -314,41 +287,52 @@ def l2_normalize_rows(a: Tensor, eps: float = DEFAULT_ROW_NORM_EPS) -> Tensor:
     return _make(y, (a,), grad)
 
 
-def _check_temperature(temperature: float) -> float:
+def _row_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of a square matrix, stabilized by the row max, and its log
+    at the diagonal, taken in log space so that it stays finite where the
+    probability underflows."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, np.diagonal(shifted) - np.log(total[:, 0])
+
+
+def info_nce(a: Tensor, b: Tensor, temperature: float) -> Tensor:
+    """Symmetric InfoNCE of two aligned [n x d] blocks: the mean over rows of
+    -log softmax(a b^T / t) at the diagonal, plus the same over columns.
+
+    Its GEMMs follow the matmul precision rule, its softmaxes run in 64-bit
+    (module docstring). The backward is analytic: with row and column
+    softmaxes P_r and P_c, the logits gradient is (P_r + P_c - 2I) g / (n t).
+    """
     t = float(temperature)
     if not np.isfinite(t) or t <= 0.0:
         raise ParameterError(f"temperature must be positive, got {temperature!r}")
-    return t
-
-
-def scaled_row_log_softmax(logits: Tensor, temperature: float) -> Tensor:
-    """Row-wise log-softmax of logits/temperature, stabilized by per-row max subtraction."""
-    t = _check_temperature(temperature)
-    if logits.values.ndim != 2:
-        raise ShapeError(f"scaled_row_log_softmax expects a 2-D tensor, got {logits.shape}")
-    z = _f64(logits) / t
-    z -= z.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    y = z - lse
-    p = np.exp(y)
-
-    def grad(g):
-        return ((g - p * np.sum(g, axis=1, keepdims=True)) / t,)
-
-    return _make(y, (logits,), grad)
-
-
-def diagonal(a: Tensor) -> Tensor:
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"diagonal expects a square matrix, got {a.shape}")
+    if a.values.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"info_nce expects two [n x d] blocks, got {a.shape} and {b.shape}")
+    track = _tracked((a, b))
+    z = (a.values @ b.values.T).astype(np.float64) if track else _f64(a) @ _f64(b).T
+    z /= t
+    p_row, log_p_row = _row_softmax(z)
+    p_col, log_p_col = _row_softmax(z.T)
+    loss = -(np.mean(log_p_row) + np.mean(log_p_col))
+    if not track:
+        return _make(loss, (a, b), None)
     n = a.shape[0]
+    coef = p_row + p_col.T
+    coef[np.diag_indices(n)] -= 2.0
+    # Each side's gradient needs the other side's values; hold only those.
+    a_v = a.values if b.requires_grad else None
+    b_v = b.values if a.requires_grad else None
 
     def grad(g):
-        out = np.zeros((n, n), dtype=np.float64)
-        np.fill_diagonal(out, g)
-        return (out,)
+        gz = (coef * (float(g) / (n * t))).astype(np.float32)
+        return (
+            None if b_v is None else (gz @ b_v).astype(np.float64),
+            None if a_v is None else (gz.T @ a_v).astype(np.float64),
+        )
 
-    return _make(np.diagonal(_f64(a)).copy(), (a,), grad)
+    return _make(loss, (a, b), grad)
 
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:

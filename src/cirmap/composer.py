@@ -82,9 +82,15 @@ class PromptComposer:
         self._w1 = _uniform(rng, (in_dim, h), fan_in=in_dim)
         self._b1 = _uniform(rng, (h,), fan_in=in_dim)
         self._w2 = _uniform(rng, (h, d), fan_in=h)
-        # Frozen weights enter the graph as non-trainable tensors.
-        self._w1_t = Tensor(self._w1)
-        self._b1_t = Tensor(self._b1)
+        # Frozen weights enter the graph as non-trainable tensors. The constant
+        # template block's share of the first layer is folded, in 64-bit, into
+        # one bias per template; only the slot blocks meet their rows of W1.
+        w1_template = self._w1[:d].astype(np.float64)
+        self._bias_t = {
+            name: Tensor(vec.astype(np.float64) @ w1_template + self._b1)
+            for name, vec in self._template_vectors.items()
+        }
+        self._w1_slots_t = [Tensor(self._w1[(1 + k) * d : (2 + k) * d]) for k in range(MAX_SLOTS)]
         self._w2_t = Tensor(self._w2)
 
     @property
@@ -125,10 +131,8 @@ class PromptComposer:
         if any(s.shape[0] != n for s in slot_rows):
             raise ShapeError("slot blocks disagree on batch size")
 
-        tmpl = Tensor(np.tile(self._template_vectors[template], (n, 1)))
-        blocks = [tmpl] + list(slot_rows)
-        for _ in range(MAX_SLOTS - arity):
-            blocks.append(Tensor(np.zeros((n, d), dtype=np.float32)))
-        x = ad.concat(blocks, axis=1)
-        hidden = ad.tanh(ad.add_rowvec(ad.matmul(x, self._w1_t), self._b1_t))
+        pre = ad.matmul(slot_rows[0], self._w1_slots_t[0])
+        for k in range(1, arity):
+            pre = ad.add(pre, ad.matmul(slot_rows[k], self._w1_slots_t[k]))
+        hidden = ad.tanh(ad.add_rowvec(pre, self._bias_t[template]))
         return ad.l2_normalize_rows(ad.matmul(hidden, self._w2_t))

@@ -82,12 +82,7 @@ def info_nce_bidirectional(a: Tensor, b: Tensor, tau: float) -> Tensor:
         raise ShapeError(f"blocks disagree: {a.shape} vs {b.shape}")
     if a.shape[0] < 1:
         raise ShapeError("empty batch")
-    logits = ad.matmul(a, ad.transpose(b))
-    l_a2b = ad.scale(ad.mean(ad.diagonal(ad.scaled_row_log_softmax(logits, tau))), -1.0)
-    l_b2a = ad.scale(
-        ad.mean(ad.diagonal(ad.scaled_row_log_softmax(ad.transpose(logits), tau))), -1.0
-    )
-    return ad.add(l_a2b, l_b2a)
+    return ad.info_nce(a, b, tau)
 
 
 def loss_ori(batch: BatchEmbeddings, tau: float) -> Tensor:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cirmap import training
 from cirmap.autodiff import Tensor
+from cirmap.config import parse_config
 from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import ParameterError, ShapeError, TrainingDivergedError
 from cirmap.mappers import Mappers, layout, map_rows
@@ -283,3 +285,30 @@ def test_train_config_validation():
         TrainConfig(tau=0.0)
     with pytest.raises(ParameterError):
         TrainConfig(beta=-1.0)
+
+
+def test_one_step_tape_size(monkeypatch):
+    # One step of the README's minimal config (d32, b64) records 36 tape
+    # nodes: 8 per mapper, 5 per composition (slot matmul, template bias,
+    # tanh, matmul, normalize), 1 per InfoNCE term, the gather of the
+    # selected composed rows, the MSE, and 5 scales and adds that combine
+    # the terms.
+    run = parse_config(
+        {
+            "seed": 2024,
+            "world": {"n_train_pairs": 2048, "gallery_size": 256, "n_eval_queries": 64, "dim": 32},
+            "train": {"batch_size": 64, "steps": 1, "warmup_steps": 50},
+        }
+    )
+    world = generate_world(run.world)
+    sizes = []
+    backward = training.ad.backward
+
+    def counting_backward(loss, tape):
+        sizes.append(len(tape))
+        return backward(loss, tape)
+
+    monkeypatch.setattr(training.ad, "backward", counting_backward)
+    result = train(run.train, world.train_images, world.train_texts)
+    assert result.metrics[0]["N_S"] > 0  # the S-Set term is on the tape
+    assert sizes == [36]
