@@ -16,6 +16,7 @@ from pathlib import Path
 from . import fileio
 from .composer import PRNG_NAME
 from .errors import ConfigError
+from .retrieval import eval_settings_problem
 from .training import TrainConfig
 from .worldgen import WorldSpec
 
@@ -31,13 +32,9 @@ class EvalConfig:
     slerp_t: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"eval.gamma must lie in [0, 1], got {self.gamma}")
-        unknown = set(self.metrics) - {"recall", "map"}
-        if unknown:
-            raise ConfigError(f"unknown metrics: {sorted(unknown)}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ConfigError("eval.k_values must be positive integers")
+        problem = eval_settings_problem(self.metrics, self.k_values, self.gamma)
+        if problem:
+            raise ConfigError(f"eval.{problem[0]} {problem[1]}")
 
 
 @dataclass

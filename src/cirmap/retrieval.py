@@ -58,6 +58,19 @@ class RankedResult:
         return [i for i, _ in self.items]
 
 
+def eval_settings_problem(metrics: list[str], k_values: list[int], gamma: float):
+    """The first evaluation setting that breaks its rule, as (key, what is
+    wrong), or None. The config's eval section and ``task.json`` share it."""
+    if not 0.0 <= gamma <= 1.0:
+        return "gamma", f"must lie in [0, 1], got {gamma}"
+    unknown = sorted(set(metrics) - {"recall", "map"})
+    if unknown:
+        return "metrics", f"names unknown metrics {unknown}"
+    if not k_values or min(k_values) < 1:
+        return "k_values", f"must be a non-empty list of integers >= 1, got {k_values}"
+    return None
+
+
 @dataclass
 class EvalTask:
     gallery: Gallery

@@ -32,7 +32,7 @@ from . import fileio
 from .autodiff import Tensor
 from .composer import ComposerSpec, PromptComposer
 from .errors import FormatError, InconsistentSpecError
-from .retrieval import EvalTask, Gallery, Query
+from .retrieval import EvalTask, Gallery, Query, eval_settings_problem
 
 
 @dataclass(frozen=True)
@@ -426,11 +426,14 @@ _QUERY_KEYS = {"query_id": str, "reference_id": str, "condition_id": str, "targe
 
 
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
-    """Load the evaluation task; a missing or mistyped key of ``task.json`` or
-    of a query record raises FormatError naming the file and the key."""
+    """Load the evaluation task; a missing, mistyped or out-of-range key of
+    ``task.json`` or of a query record raises FormatError naming file and key."""
     data_dir = Path(data_dir)
     task_doc = fileio.read_json(data_dir / TASK)
     fileio.check_object(task_doc, _TASK_KEYS, str(data_dir / TASK))
+    problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"], task_doc["gamma"])
+    if problem:
+        raise FormatError(f"{data_dir / TASK}: key {problem[0]!r} {problem[1]}")
     gallery_path = data_dir / task_doc["gallery"]
     cond_path = data_dir / task_doc["conditions"]
     gallery_matrix, gallery_ids = fileio.read_embeddings(gallery_path)

@@ -332,6 +332,29 @@ def test_task_key_missing_or_mistyped_is_an_error(pipeline, capsys, edit, expect
 
 
 @pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("k_values", [], "key 'k_values' must be a non-empty list of integers >= 1, got []"),
+        ("k_values", [0], "key 'k_values' must be a non-empty list of integers >= 1, got [0]"),
+        ("metrics", ["foo"], "key 'metrics' names unknown metrics ['foo']"),
+        ("gamma", 1.5, "key 'gamma' must lie in [0, 1], got 1.5"),
+    ],
+    ids=["k_values-empty", "k_values-zero", "metrics-unknown", "gamma-above-one"],
+)
+def test_task_value_out_of_range_is_an_error(pipeline, capsys, key, value, expected):
+    # the rules of the config's eval section hold for task.json too
+    tmp_path, config = pipeline
+    task_path = tmp_path / "data" / "task.json"
+    doc = json.loads(task_path.read_text())
+    doc[key] = value
+    task_path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{task_path}: {expected}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field,value,expected",
     [
         ("target_ids", None, "missing key 'target_ids'"),
