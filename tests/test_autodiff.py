@@ -193,7 +193,6 @@ class TestScaledRowSoftmax:
                 ad.info_nce(rows, rows, bad)
 
 
-
 class TestInfoNCE:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
