@@ -308,8 +308,10 @@ def info_nce(a: Tensor, b: Tensor, temperature: float) -> Tensor:
     t = float(temperature)
     if not np.isfinite(t) or t <= 0.0:
         raise ParameterError(f"temperature must be positive, got {temperature!r}")
-    if a.values.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"info_nce expects two [n x d] blocks, got {a.shape} and {b.shape}")
+    if a.values.ndim != 2 or a.shape != b.shape or a.shape[0] < 1:
+        raise ShapeError(
+            f"info_nce expects two [n x d] blocks with n >= 1, got {a.shape} and {b.shape}"
+        )
     track = _tracked((a, b))
     z = (a.values @ b.values.T).astype(np.float64) if track else _f64(a) @ _f64(b).T
     z /= t

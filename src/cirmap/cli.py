@@ -56,6 +56,12 @@ def cmd_train(args) -> int:
     run_dir = Path(args.out) if args.out else Path(run_cfg.paths.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    task_doc = worldgen.read_task_doc(data_dir)
+    if task_doc["composer_seed"] != run_cfg.train.composer_seed:
+        raise FormatError(
+            f"{args.config}: train.composer_seed {run_cfg.train.composer_seed} does not match "
+            f"composer_seed {task_doc['composer_seed']} of {data_dir / worldgen.TASK}"
+        )
     images, texts = worldgen.load_train_pairs(data_dir)
     composer = PromptComposer(
         ComposerSpec(dim=run_cfg.train.dim, seed=run_cfg.train.composer_seed)
@@ -122,12 +128,13 @@ def _load_mappers_and_composer(
     checkpoint: str, data_dir: Path, task_doc: dict
 ) -> tuple[Mappers, PromptComposer]:
     mappers, manifest = load_checkpoint(Path(checkpoint))
-    if manifest["dim"] != task_doc["dim"]:
-        manifest_path = checkpoint_paths(Path(checkpoint))[1]
-        raise FormatError(
-            f"{manifest_path}: checkpoint dim {manifest['dim']} does not match "
-            f"dim {task_doc['dim']} of {data_dir / worldgen.TASK}"
-        )
+    for key in ("dim", "composer_seed"):
+        if manifest[key] != task_doc[key]:
+            manifest_path = checkpoint_paths(Path(checkpoint))[1]
+            raise FormatError(
+                f"{manifest_path}: checkpoint {key} {manifest[key]} does not match "
+                f"{key} {task_doc[key]} of {data_dir / worldgen.TASK}"
+            )
     composer = PromptComposer(
         ComposerSpec(dim=manifest["dim"], seed=manifest["composer_seed"])
     )
@@ -253,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CirmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CirmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,13 +10,13 @@ combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
-from .mining import BatchSelection
 
 
 @dataclass(frozen=True)
@@ -34,65 +34,28 @@ class LossWeights:
             raise ParameterError("alpha and beta must be non-negative")
 
 
-def _check_unit_rows(t: Tensor, name: str, tol: float = 1e-5) -> None:
-    norms = np.linalg.norm(t.values.astype(np.float64), axis=1)
-    if not np.all(np.abs(norms - 1.0) <= tol):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise ShapeError(f"{name} rows must be unit-norm (worst deviation {worst:.2e})")
-
-
 @dataclass
 class BatchEmbeddings:
-    """One training batch: paired unit rows plus both composed blocks."""
+    """One training batch: the images and both composed blocks, row-aligned
+    [n x d] blocks. The ops that read them check their shapes."""
 
     images: Tensor
-    texts: Tensor
     composed_pseudo: Tensor
     composed_supplement: Tensor
-
-    def __post_init__(self):
-        blocks = {
-            "images": self.images,
-            "texts": self.texts,
-            "composed_pseudo": self.composed_pseudo,
-            "composed_supplement": self.composed_supplement,
-        }
-        shape = self.images.shape
-        if len(shape) != 2:
-            raise ShapeError(f"batch blocks must be 2-D, got {shape}")
-        for name, block in blocks.items():
-            if block.shape != shape:
-                raise ShapeError(f"{name} has shape {block.shape}, expected {shape}")
-            _check_unit_rows(block, name)
 
     @property
     def batch_size(self) -> int:
         return self.images.shape[0]
 
 
-def info_nce_bidirectional(a: Tensor, b: Tensor, tau: float) -> Tensor:
-    """Symmetric InfoNCE over in-batch negatives of two aligned unit-row blocks.
-
-    Returns L_{A2B} + L_{B2A} where L_{A2B} is the mean over rows of
-    -log softmax_i(a_i . b^T / tau). A single-row batch scores exactly zero.
-    """
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"expected 2-D blocks, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ShapeError(f"blocks disagree: {a.shape} vs {b.shape}")
-    if a.shape[0] < 1:
-        raise ShapeError("empty batch")
-    return ad.info_nce(a, b, tau)
-
-
 def loss_ori(batch: BatchEmbeddings, tau: float) -> Tensor:
     """Contrast images against their pseudo-token compositions, both directions."""
-    return info_nce_bidirectional(batch.images, batch.composed_pseudo, tau)
+    return ad.info_nce(batch.images, batch.composed_pseudo, tau)
 
 
 def loss_itcon(batch: BatchEmbeddings, tau: float) -> Tensor:
     """Contrast images against their supplement-token compositions, both directions."""
-    return info_nce_bidirectional(batch.images, batch.composed_supplement, tau)
+    return ad.info_nce(batch.images, batch.composed_supplement, tau)
 
 
 def loss_mse(batch: BatchEmbeddings) -> Tensor:
@@ -104,40 +67,45 @@ def _zero() -> Tensor:
     return Tensor(np.zeros(()))
 
 
-def loss_sset(batch: BatchEmbeddings, selection: BatchSelection, tau: float) -> Tensor:
-    """Bidirectional InfoNCE restricted to the selected batch rows.
+def loss_sset(batch: BatchEmbeddings, rows: Sequence[int], tau: float) -> Tensor:
+    """Bidirectional InfoNCE of images against supplement compositions,
+    restricted to the given batch rows.
 
-    Selections of size <= 1 contribute exactly zero (a singleton softmax is
-    certain; an empty set contributes nothing).
+    ``rows`` must be strictly ascending batch indices. Rows covering the whole
+    batch use the blocks as they are, with no gather. An empty row list
+    contributes exactly zero, and so does a single row (a singleton softmax
+    is certain).
     """
-    idx = selection.selected
-    if idx and (min(idx) < 0 or max(idx) >= batch.batch_size):
-        raise ShapeError(f"selection indices out of range for batch of {batch.batch_size}")
-    if len(idx) == 0:
+    n = batch.batch_size
+    idx = np.asarray(rows, dtype=np.int64)
+    ascending = idx.ndim == 1 and bool(np.all(idx[1:] > idx[:-1]))
+    if not ascending or (idx.size and (idx[0] < 0 or idx[-1] >= n)):
+        raise ShapeError(f"rows must be strictly ascending indices into a batch of {n}")
+    if idx.size == 0:
         return _zero()
-    return info_nce_bidirectional(
-        ad.gather_rows(batch.images, idx),
-        ad.gather_rows(batch.composed_supplement, idx),
-        tau,
-    )
+    images, supplement = batch.images, batch.composed_supplement
+    if idx.size < n:
+        images, supplement = ad.gather_rows(images, idx), ad.gather_rows(supplement, idx)
+    return ad.info_nce(images, supplement, tau)
 
 
 def objective(
-    batch: BatchEmbeddings, selection: BatchSelection | None, weights: LossWeights
+    batch: BatchEmbeddings, rows: Sequence[int] | None, weights: LossWeights
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """The combined objective and its named components.
 
-    Switched-off terms (``use_itcon``, ``use_mse``, and ``selection is None``
-    for the S-Set term) are constant zeros. Terms are built in the order ori,
-    itcon, mse, ts, ss, total; the tape order fixes the order of gradient
-    accumulation, so it is part of the result.
+    ``rows`` are the batch rows of the S-Set term (see :func:`loss_sset`);
+    None switches that term off. Switched-off terms (``use_itcon``,
+    ``use_mse`` and ``rows is None``) are constant zeros. Terms are built in
+    the order ori, itcon, mse, ts, ss, total; the tape order fixes the order
+    of gradient accumulation, so it is part of the result.
     """
     tau = weights.tau
     l_ori = loss_ori(batch, tau)
     l_itcon = loss_itcon(batch, tau) if weights.use_itcon else _zero()
     l_mse = loss_mse(batch) if weights.use_mse else _zero()
     l_ts = ad.add(l_itcon, ad.scale(l_mse, weights.alpha))
-    l_ss = _zero() if selection is None else loss_sset(batch, selection, tau)
+    l_ss = _zero() if rows is None else loss_sset(batch, rows, tau)
     total = ad.add(ad.add(l_ori, l_ts), ad.scale(l_ss, weights.beta))
     components = {
         "L_ori": l_ori,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
 
 
@@ -26,30 +25,13 @@ class BatchSelection:
     mask: np.ndarray  # mask_f AND mask_s
     selected: list[int]  # ascending indices where mask holds
 
-    def __post_init__(self):
-        if self.selected != sorted(self.selected):
-            raise ShapeError("selected indices must be ascending")
-
     @property
     def count(self) -> int:
         return len(self.selected)
 
 
-def full_batch_selection(n: int) -> BatchSelection:
-    """Selection covering every row; the 'no selection filter' ablation."""
-    return BatchSelection(
-        argmax_index=np.arange(n, dtype=np.int64),
-        caption_similarity=np.ones(n),
-        mask_f=np.ones(n, dtype=bool),
-        mask_s=np.ones(n, dtype=bool),
-        mask=np.ones(n, dtype=bool),
-        selected=list(range(n)),
-    )
-
-
 def _rows(x) -> np.ndarray:
-    arr = x.values if isinstance(x, Tensor) else np.asarray(x)
-    arr = arr.astype(np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D block of row vectors, got shape {arr.shape}")
     return arr

@@ -73,7 +73,7 @@ class TrainConfig:
 
     def loss_weights(self) -> L.LossWeights:
         """The objective's weights and term switches; the S-Set switches act
-        through the selection instead."""
+        through the rows passed to the objective instead."""
         return L.LossWeights(
             alpha=self.alpha,
             beta=self.beta,
@@ -150,12 +150,11 @@ def forward_batch(
 ) -> L.BatchEmbeddings:
     """Build one batch graph: map both modalities to tokens and compose prompts."""
     images_t = Tensor(images)
-    texts_t = Tensor(texts)
     composed_pseudo = composer.compose_rows("photo_of", [map_rows(mappers.pseudo, images_t)])
     composed_supplement = composer.compose_rows(
-        "photo_of", [map_rows(mappers.supplement, texts_t)]
+        "photo_of", [map_rows(mappers.supplement, Tensor(texts))]
     )
-    return L.BatchEmbeddings(images_t, texts_t, composed_pseudo, composed_supplement)
+    return L.BatchEmbeddings(images_t, composed_pseudo, composed_supplement)
 
 
 @dataclass
@@ -163,6 +162,23 @@ class TrainResult:
     mappers: Mappers
     metrics: list[dict]
     composer: PromptComposer
+
+
+def _check_unit_rows(name: str, block: np.ndarray, rows_per_pass: int) -> None:
+    """Reject a dataset row whose norm is off 1 by more than 1e-5, naming it.
+
+    Norms are taken in 64-bit over ``rows_per_pass`` rows at a time, so no
+    64-bit copy of the whole dataset is made. A non-finite row passes here and
+    fails the first step that draws it, as a numerical fault.
+    """
+    for lo in range(0, block.shape[0], rows_per_pass):
+        norms = np.linalg.norm(block[lo : lo + rows_per_pass].astype(np.float64), axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-5)
+        if bad.size:
+            raise ShapeError(
+                f"dataset {name} row {lo + bad[0]} has norm {norms[bad[0]]:.6g}; "
+                "rows must be unit-norm to within 1e-5"
+            )
 
 
 def train(
@@ -173,7 +189,8 @@ def train(
 ) -> TrainResult:
     """Run the configured number of steps over seeded epoch reshuffles.
 
-    The dataset is (image, text) unit rows, row-aligned. The last partial
+    The dataset is (image, text) unit rows, row-aligned; a row whose norm is
+    off 1 by more than 1e-5 is a ShapeError naming it. The last partial
     batch of each epoch is dropped, since subset selection treats the full
     batch as the negative pool.
     """
@@ -190,6 +207,8 @@ def train(
         raise ShapeError(
             f"dataset of {n} pairs cannot fill one batch of {config.batch_size}"
         )
+    for name, block in (("images", images), ("texts", texts)):
+        _check_unit_rows(name, block, config.batch_size)
 
     if composer is None:
         composer = PromptComposer(ComposerSpec(dim=config.dim, seed=config.composer_seed))
@@ -238,13 +257,14 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
         if not config.use_sset:
-            selection = None
+            sset_rows = None
         elif config.sset_select:
             selection = mining.select_batch(batch_images, batch_texts, config.sigma, config.lam)
+            sset_rows = selection.selected
         else:
-            selection = mining.full_batch_selection(config.batch_size)
+            sset_rows = range(config.batch_size)
 
-        l_total, parts = L.objective(batch, selection, config.loss_weights())
+        l_total, parts = L.objective(batch, sset_rows, config.loss_weights())
         if not np.isfinite(l_total.values):
             raise TrainingDivergedError(
                 f"non-finite loss at step {step}: "
@@ -268,4 +288,4 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
         np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()], out=part)
         grads.append(part)
     terms = {name: term.item() for name, term in parts.items()}
-    return grads, {**terms, "N_S": 0 if selection is None else selection.count}
+    return grads, {**terms, "N_S": 0 if sset_rows is None else len(sset_rows)}

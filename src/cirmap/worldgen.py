@@ -98,34 +98,6 @@ class World:
     query_records: list[dict]
     composer_hash: str
 
-    def eval_task(
-        self,
-        metrics: list[str] | None = None,
-        k_values: list[int] | None = None,
-        gamma: float = 0.6,
-    ) -> EvalTask:
-        gallery = Gallery(list(self.gallery_ids), self.gallery_vectors)
-        row_of = {i: r for r, i in enumerate(self.gallery_ids)}
-        cond_row = {i: r for r, i in enumerate(self.condition_ids)}
-        queries = [
-            Query(
-                query_id=rec["query_id"],
-                reference_id=rec["reference_id"],
-                reference_emb=self.gallery_vectors[row_of[rec["reference_id"]]],
-                condition_id=rec["condition_id"],
-                condition_emb=self.condition_vectors[cond_row[rec["condition_id"]]],
-                target_ids=frozenset(rec["target_ids"]),
-            )
-            for rec in self.query_records
-        ]
-        return EvalTask(
-            gallery=gallery,
-            queries=queries,
-            metrics=metrics or ["recall", "map"],
-            k_values=k_values or [1, 5, 10],
-            gamma=gamma,
-        )
-
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -415,6 +387,7 @@ def _row_index(ids: list[str], emb_path: Path) -> dict[str, int]:
 
 _TASK_KEYS = {
     "dim": int,
+    "composer_seed": int,
     "gallery": str,
     "conditions": str,
     "queries": str,
@@ -425,15 +398,23 @@ _TASK_KEYS = {
 _QUERY_KEYS = {"query_id": str, "reference_id": str, "condition_id": str, "target_ids": list[str]}
 
 
+def read_task_doc(data_dir: Path) -> dict:
+    """Read ``task.json``; a missing, mistyped or out-of-range key raises
+    FormatError naming the file and the key."""
+    path = Path(data_dir) / TASK
+    task_doc = fileio.read_json(path)
+    fileio.check_object(task_doc, _TASK_KEYS, str(path))
+    problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"], task_doc["gamma"])
+    if problem:
+        raise FormatError(f"{path}: key {problem[0]!r} {problem[1]}")
+    return task_doc
+
+
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     """Load the evaluation task; a missing, mistyped or out-of-range key of
     ``task.json`` or of a query record raises FormatError naming file and key."""
     data_dir = Path(data_dir)
-    task_doc = fileio.read_json(data_dir / TASK)
-    fileio.check_object(task_doc, _TASK_KEYS, str(data_dir / TASK))
-    problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"], task_doc["gamma"])
-    if problem:
-        raise FormatError(f"{data_dir / TASK}: key {problem[0]!r} {problem[1]}")
+    task_doc = read_task_doc(data_dir)
     gallery_path = data_dir / task_doc["gallery"]
     cond_path = data_dir / task_doc["conditions"]
     gallery_matrix, gallery_ids = fileio.read_embeddings(gallery_path)

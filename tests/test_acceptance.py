@@ -18,7 +18,7 @@ from cirmap.composer import ComposerSpec, PromptComposer
 from cirmap.errors import FormatError
 from cirmap.losses import BatchEmbeddings, LossWeights, loss_itcon, loss_sset, objective
 from cirmap.mappers import Mappers, map_rows
-from cirmap.mining import full_batch_selection, select_batch, selection_from_uncertainty
+from cirmap.mining import select_batch, selection_from_uncertainty
 from cirmap.retrieval import (
     Gallery,
     Query,
@@ -30,7 +30,7 @@ from cirmap.retrieval import (
     recall_at_k,
 )
 from cirmap.training import TrainConfig, init_mappers, train
-from cirmap.worldgen import WorldSpec, generate_world
+from cirmap.worldgen import WorldSpec, export_world, generate_world, load_task
 from oracles import (
     brute_force_map,
     brute_force_rank,
@@ -46,17 +46,6 @@ from oracles import (
 )
 
 LOSS_NAMES = ("ori", "itcon", "mse", "ts", "ss", "deg")
-
-
-def _selection_of(indices, n):
-    base = full_batch_selection(n)
-    mask = np.zeros(n, dtype=bool)
-    mask[list(indices)] = True
-    base.mask_f = mask
-    base.mask_s = mask
-    base.mask = mask
-    base.selected = sorted(int(i) for i in indices)
-    return base
 
 
 def test_criterion_1_gradient_fidelity():
@@ -80,13 +69,11 @@ def test_criterion_1_gradient_fidelity():
         texts = unit_rows(rng, n, d)
         sel_size = int(rng.integers(2, n + 1))
         selected = sorted(rng.choice(n, size=sel_size, replace=False).tolist())
-        selection = _selection_of(selected, n)
         weights = LossWeights(alpha=alpha, beta=beta, tau=tau)
 
         with Tape() as tape:
             batch = BatchEmbeddings(
                 images=Tensor(images),
-                texts=Tensor(texts),
                 composed_pseudo=composer.compose_rows(
                     "photo_of", [map_rows(pseudo, Tensor(images))]
                 ),
@@ -94,7 +81,7 @@ def test_criterion_1_gradient_fidelity():
                     "photo_of", [map_rows(supplement, Tensor(texts))]
                 ),
             )
-            _, parts = objective(batch, selection, weights)
+            _, parts = objective(batch, selected, weights)
             losses = {name: parts[f"L_{name}"] for name in LOSS_NAMES}
 
         tape_grads = {}
@@ -198,9 +185,8 @@ def test_criterion_3_ablation_identities(tmp_path):
             Tensor(unit_rows(rng, n, d)),
             Tensor(unit_rows(rng, n, d)),
             Tensor(unit_rows(rng, n, d)),
-            Tensor(unit_rows(rng, n, d)),
         )
-        full = full_batch_selection(n)
+        full = range(n)
         assert abs(loss_sset(batch, full, 0.01).item() - loss_itcon(batch, 0.01).item()) < 1e-6
 
     alpha_zero = train(cfg(alpha=0.0), world.train_images, world.train_texts)
@@ -270,8 +256,8 @@ def test_criterion_5_gamma_boundaries(tmp_path):
     spec = WorldSpec(
         n_train_pairs=128, gallery_size=48, n_eval_queries=12, dim=16, seed=29, composer_seed=29
     )
-    world = generate_world(spec)
-    task = world.eval_task()
+    export_world(generate_world(spec), tmp_path / "data")
+    task, _ = load_task(tmp_path / "data")
     composer = PromptComposer(ComposerSpec(dim=16, seed=29))
 
     def fresh(seed):
@@ -329,9 +315,10 @@ def test_criterion_6a_loss_halves(end_to_end_run):
     )
 
 
-def test_criterion_6b_beats_baselines(end_to_end_run):
+def test_criterion_6b_beats_baselines(end_to_end_run, tmp_path):
     world, result, _ = end_to_end_run
-    task = world.eval_task(gamma=0.6)
+    export_world(world, tmp_path, gamma=0.6)
+    task, _ = load_task(tmp_path)
     composed = evaluate_task(task, result.mappers, result.composer, mode="composed")
     image_only = evaluate_task(task, None, None, mode="image_only")
     text_only = evaluate_task(task, None, None, mode="text_only")

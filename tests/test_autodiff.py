@@ -199,6 +199,8 @@ class TestInfoNCE:
             ad.info_nce(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))), 1.0)
         with pytest.raises(ShapeError):
             ad.info_nce(Tensor(np.ones(3)), Tensor(np.ones(3)), 1.0)
+        with pytest.raises(ShapeError, match="n >= 1"):
+            ad.info_nce(Tensor(np.ones((0, 2))), Tensor(np.ones((0, 2))), 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(

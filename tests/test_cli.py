@@ -452,6 +452,27 @@ def test_checkpoint_dim_mismatch_names_both_files(pipeline, capsys, command):
     assert str(tmp_path / "data" / "task.json") in err
 
 
+def test_train_composer_seed_mismatch_names_both_files(tmp_path, capsys):
+    # --seed also sets the composer seed, so it no longer matches the data's
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{config}: train.composer_seed 7 " in err
+    assert f"composer_seed 17 of {tmp_path / 'data' / 'task.json'}" in err
+    assert not (tmp_path / "run" / "checkpoint.emb").exists()
+
+
+def test_evaluate_composer_seed_mismatch_names_both_files(pipeline, capsys):
+    tmp_path, config = pipeline
+    base = tmp_path / "run7" / "checkpoint"
+    save_checkpoint(base, Mappers.seeded(16, 32, (1, 2)), step=0, composer_seed=7)
+    assert main(["evaluate", "--config", str(config), "--checkpoint", str(base)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{checkpoint_paths(base)[1]}: " in err
+    assert f"composer_seed 7 does not match composer_seed 17 of {tmp_path / 'data'}" in err
+
+
 def test_full_pipeline_determinism(tmp_path):
     # two gen-data -> train -> evaluate runs: byte-identical checkpoint/report
     artifacts = []

@@ -67,3 +67,8 @@ def test_imports_only_lower_ranks(module):
 def test_parser_sees_relative_imports():
     assert package_imports("retrieval") >= {"autodiff", "composer", "mappers", "errors"}
     assert package_imports("cli") >= {"config", "fileio", "mining", "worldgen", "training"}
+
+
+def test_mining_reads_plain_arrays():
+    # selection is bookkeeping over detached values, so it needs no tape types
+    assert package_imports("mining") == {"errors"}

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from cirmap.autodiff import Tensor
 from cirmap.errors import ParameterError, ShapeError
 from cirmap.mining import (
     caption_uncertainty,
-    full_batch_selection,
     select_batch,
     selection_from_uncertainty,
 )
@@ -172,17 +170,12 @@ class TestSelect:
 
     def test_uncertainty_is_detached(self):
         rng = np.random.default_rng(8)
-        images = Tensor(unit_rows(rng, 4, 5))
-        texts = Tensor(unit_rows(rng, 4, 5))
+        images = unit_rows(rng, 4, 5)
+        texts = unit_rows(rng, 4, 5)
         u = caption_uncertainty(images, texts, 0.05)
-        assert isinstance(u, np.ndarray) and not isinstance(u, Tensor)
+        assert isinstance(u, np.ndarray) and u.dtype == np.float32
         sel = select_batch(images, texts, 0.05, 0.2)
         assert sel.argmax_index.tolist() == np.argmax(u, axis=1).tolist()
-
-    def test_full_batch_selection(self):
-        sel = full_batch_selection(5)
-        assert sel.selected == [0, 1, 2, 3, 4]
-        assert sel.mask.all()
 
 
 class TestOracleEquivalence:

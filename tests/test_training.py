@@ -269,6 +269,19 @@ class TestTrain:
         with pytest.raises(ShapeError):
             train(cfg, small_world.train_images, small_world.train_texts)
 
+    def test_non_unit_dataset_row_rejected(self, small_world):
+        # rows are checked once, where the dataset enters, and the error names the row
+        images = small_world.train_images.copy()
+        images[70] *= 2.0
+        with pytest.raises(ShapeError, match="dataset images row 70 has norm 2;"):
+            train(small_config(steps=1), images, small_world.train_texts)
+        texts = small_world.train_texts.copy()
+        texts[191] = texts[0] * 0.5
+        with pytest.raises(ShapeError, match="dataset texts row 191 has norm 0.5;"):
+            train(small_config(steps=1), small_world.train_images, texts)
+        with pytest.raises(ShapeError, match="dataset blocks disagree"):
+            train(small_config(steps=1), images, small_world.train_texts[:-1])
+
     def test_non_finite_input_aborts_with_diagnostic(self, small_world):
         images = small_world.train_images.copy()
         images[0, 0] = np.nan
@@ -292,15 +305,9 @@ def test_one_step_tape_size(monkeypatch):
     # nodes: 8 per mapper, 5 per composition (slot matmul, template bias,
     # tanh, matmul, normalize), 1 per InfoNCE term, the gather of the
     # selected composed rows, the MSE, and 5 scales and adds that combine
-    # the terms.
-    run = parse_config(
-        {
-            "seed": 2024,
-            "world": {"n_train_pairs": 2048, "gallery_size": 256, "n_eval_queries": 64, "dim": 32},
-            "train": {"batch_size": 64, "steps": 1, "warmup_steps": 50},
-        }
-    )
-    world = generate_world(run.world)
+    # the terms. Without selection the S-Set term reads the whole blocks and
+    # needs no gather (35); without the S-Set term its InfoNCE and its
+    # weighting scale go as well (33).
     sizes = []
     backward = training.ad.backward
 
@@ -309,6 +316,25 @@ def test_one_step_tape_size(monkeypatch):
         return backward(loss, tape)
 
     monkeypatch.setattr(training.ad, "backward", counting_backward)
-    result = train(run.train, world.train_images, world.train_texts)
-    assert result.metrics[0]["N_S"] > 0  # the S-Set term is on the tape
-    assert sizes == [36]
+    world_doc = {"n_train_pairs": 2048, "gallery_size": 256, "n_eval_queries": 64, "dim": 32}
+    world = None
+    for switches, nodes, n_s in (
+        ({}, 36, None),
+        ({"sset_select": False}, 35, 64),
+        ({"use_sset": False}, 33, 0),
+    ):
+        run = parse_config(
+            {
+                "seed": 2024,
+                "world": world_doc,
+                "train": {"batch_size": 64, "steps": 1, "warmup_steps": 50, **switches},
+            }
+        )
+        world = world or generate_world(run.world)
+        sizes.clear()
+        result = train(run.train, world.train_images, world.train_texts)
+        if n_s is None:
+            assert result.metrics[0]["N_S"] > 0  # the S-Set term is on the tape
+        else:
+            assert result.metrics[0]["N_S"] == n_s
+        assert sizes == [nodes], switches

@@ -225,9 +225,16 @@ def test_export_import_round_trip(tmp_path, world):
         assert q.target_ids == frozenset(rec["target_ids"])
 
 
-def test_eval_task_construction(world):
-    task = world.eval_task(gamma=0.7, k_values=[1, 5])
-    assert task.gamma == 0.7
+def test_eval_task_construction(tmp_path, world):
+    export_world(world, tmp_path, k_values=[1, 5], gamma=0.7)
+    task, _ = load_task(tmp_path)
+    assert task.gamma == 0.7 and task.k_values == [1, 5]
     assert len(task.queries) == 24
+    gallery_row = {i: r for r, i in enumerate(world.gallery_ids)}
+    condition_row = {i: r for r, i in enumerate(world.condition_ids)}
     for q in task.queries:
         assert abs(np.linalg.norm(q.reference_emb.astype(np.float64)) - 1.0) < 1e-5
+        reference = world.gallery_vectors[gallery_row[q.reference_id]]
+        assert q.reference_emb.tobytes() == reference.tobytes()
+        condition = world.condition_vectors[condition_row[q.condition_id]]
+        assert q.condition_emb.tobytes() == condition.tobytes()
