@@ -136,7 +136,10 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
         raise FormatError(f"{path}: {len(ids)} ids for {count} rows")
     header = _HEADER.pack(MAGIC, VERSION, count, dim)
     atomic_write_bytes(path, header + matrix.tobytes())
-    write_jsonl(ids_path_for(path), [{"row": r, "id": i} for r, i in enumerate(ids)])
+    # Each line is json.dumps({"row": r, "id": i}, sort_keys=True), spelled out.
+    quote = json.encoder.encode_basestring_ascii
+    text = "".join(f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids))
+    atomic_write_text(ids_path_for(path), text)
 
 
 def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:

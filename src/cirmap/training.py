@@ -165,15 +165,15 @@ class TrainResult:
 
 
 def _check_unit_rows(name: str, block: np.ndarray, rows_per_pass: int) -> None:
-    """Reject a dataset row whose norm is off 1 by more than 1e-5, naming it.
+    """Reject a dataset row whose norm is not within 1e-5 of 1, naming it; a
+    row holding a NaN or an infinity has a non-finite norm and is rejected too.
 
     Norms are taken in 64-bit over ``rows_per_pass`` rows at a time, so no
-    64-bit copy of the whole dataset is made. A non-finite row passes here and
-    fails the first step that draws it, as a numerical fault.
+    64-bit copy of the whole dataset is made.
     """
     for lo in range(0, block.shape[0], rows_per_pass):
         norms = np.linalg.norm(block[lo : lo + rows_per_pass].astype(np.float64), axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-5)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-5))
         if bad.size:
             raise ShapeError(
                 f"dataset {name} row {lo + bad[0]} has norm {norms[bad[0]]:.6g}; "
@@ -190,9 +190,9 @@ def train(
     """Run the configured number of steps over seeded epoch reshuffles.
 
     The dataset is (image, text) unit rows, row-aligned; a row whose norm is
-    off 1 by more than 1e-5 is a ShapeError naming it. The last partial
-    batch of each epoch is dropped, since subset selection treats the full
-    batch as the negative pool.
+    not within 1e-5 of 1, a non-finite row included, is a ShapeError naming
+    it. The last partial batch of each epoch is dropped, since subset
+    selection treats the full batch as the negative pool.
     """
     images = np.ascontiguousarray(images, dtype=np.float32)
     texts = np.ascontiguousarray(texts, dtype=np.float32)

@@ -23,6 +23,7 @@ the gallery, so a pure image query retrieves the reference itself first.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from .autodiff import Tensor
 from .composer import ComposerSpec, PromptComposer
 from .errors import FormatError, InconsistentSpecError
 from .retrieval import EvalTask, Gallery, Query, eval_settings_problem
+
+# Gallery rows generated and composed together; bounds set-up's peak memory.
+_GALLERY_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,14 @@ def _one_hot(tuples: np.ndarray, n_values: int) -> np.ndarray:
     cols = np.arange(n_attr) * n_values + tuples
     out[np.arange(n)[:, None], cols] = 1.0
     return out
+
+
+def _tuple_codes(tuples: np.ndarray, n_values: int) -> np.ndarray:
+    """Each row's base-``n_values`` code, wrapped to 64 bits."""
+    codes = np.zeros(len(tuples), dtype=np.uint64)
+    for column in tuples.T.astype(np.uint64):
+        codes = codes * np.uint64(n_values) + column
+    return codes
 
 
 def _sample_separated_tuples(
@@ -225,6 +237,13 @@ def generate_world(spec: WorldSpec) -> World:
         spec.n_values_per_attribute,
         size=(spec.gallery_size, spec.n_attributes),
     )
+    gallery_codes = _tuple_codes(gallery_tuples, spec.n_values_per_attribute)
+
+    def slots_holding(edited: np.ndarray) -> np.ndarray:
+        code = _tuple_codes(edited[None], spec.n_values_per_attribute)[0]
+        slots = np.flatnonzero(gallery_codes == code)
+        # Codes wrap past 64 bits, so equal codes are confirmed on the tuples.
+        return slots[np.all(gallery_tuples[slots] == edited, axis=1)]
 
     # Queries: flip one attribute of a gallery reference; make sure at least
     # one gallery entity carries the edited tuple, inserting one if needed.
@@ -239,7 +258,7 @@ def generate_world(spec: WorldSpec) -> World:
         new_value = (old_value + shift) % spec.n_values_per_attribute
         edited = gallery_tuples[ref_slot].copy()
         edited[attribute] = new_value
-        matches = np.nonzero(np.all(gallery_tuples == edited, axis=1))[0]
+        matches = slots_holding(edited)
         if matches.size:
             protected.add(int(matches[0]))
         else:
@@ -250,6 +269,7 @@ def generate_world(spec: WorldSpec) -> World:
                 )
             slot = free[int(rng_query.integers(len(free)))]
             gallery_tuples[slot] = edited
+            gallery_codes[slot] = _tuple_codes(edited[None], spec.n_values_per_attribute)[0]
             protected.add(slot)
         pending.append(
             {
@@ -262,13 +282,19 @@ def generate_world(spec: WorldSpec) -> World:
             }
         )
 
-    gallery_descriptors = embedder.descriptors(gallery_tuples)
-    gallery_vectors = embedder.images(gallery_tuples, gallery_descriptors, rng_noise)
+    # One block of rows at a time, so no whole-gallery 64-bit intermediate
+    # is alive; the noise stream is drawn in row order, as one draw would.
+    gallery_vectors = np.empty((spec.gallery_size, spec.dim), dtype=np.float32)
+    for lo in range(0, spec.gallery_size, _GALLERY_BLOCK_ROWS):
+        block = gallery_tuples[lo : lo + _GALLERY_BLOCK_ROWS]
+        gallery_vectors[lo : lo + len(block)] = embedder.images(
+            block, embedder.descriptors(block), rng_noise
+        )
     gallery_ids = [f"item-{i:05d}" for i in range(spec.gallery_size)]
 
     condition_ids, condition_rows, query_records = [], [], []
     for rec in pending:
-        targets = np.nonzero(np.all(gallery_tuples == rec["edited"], axis=1))[0]
+        targets = slots_holding(rec["edited"])
         cond_id = f"cond-{rec['query_id'].split('-')[1]}"
         condition_ids.append(cond_id)
         condition_rows.append(
@@ -294,7 +320,7 @@ def generate_world(spec: WorldSpec) -> World:
         train_texts=train_texts.astype(np.float32),
         train_tuples=train_tuples,
         gallery_ids=gallery_ids,
-        gallery_vectors=gallery_vectors.astype(np.float32),
+        gallery_vectors=gallery_vectors,
         gallery_tuples=gallery_tuples,
         condition_ids=condition_ids,
         condition_vectors=np.vstack(condition_rows).astype(np.float32),
@@ -355,14 +381,16 @@ def export_world(
             "gamma": gamma,
         },
     )
-    fileio.write_json(
-        data_dir / WORLD_META,
-        {
-            "spec": asdict(world.spec),
-            "composer_hash": world.composer_hash,
-            "gallery_tuples": world.gallery_tuples.tolist(),
-            "query_records": world.query_records,
-        },
+    # One compact line: the C encoder takes it, where indent=2 falls back
+    # to the pure-Python one.
+    meta = {
+        "spec": asdict(world.spec),
+        "composer_hash": world.composer_hash,
+        "gallery_tuples": world.gallery_tuples.tolist(),
+        "query_records": world.query_records,
+    }
+    fileio.atomic_write_text(
+        data_dir / WORLD_META, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cirmap import config as cfg
 from cirmap import fileio
@@ -25,6 +26,28 @@ class TestEmbeddingFile:
         loaded, loaded_ids = fileio.read_embeddings(path)
         assert loaded.tobytes() == matrix.tobytes()
         assert loaded_ids == ids
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(0, 6), st.integers(1, 5)),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        ),
+        st.data(),
+    )
+    def test_round_trip_property(self, tmp_path_factory, matrix, data):
+        # ids with quotes, backslashes, non-ASCII and control characters
+        ids = data.draw(st.lists(st.text(), min_size=len(matrix), max_size=len(matrix)))
+        path = tmp_path_factory.getbasetemp() / "property.emb"
+        fileio.write_embeddings(path, matrix, ids)
+        loaded, loaded_ids = fileio.read_embeddings(path)
+        assert loaded.tobytes() == matrix.tobytes()
+        assert loaded_ids == ids
+        expected = "".join(
+            json.dumps({"row": r, "id": i}, sort_keys=True) + "\n" for r, i in enumerate(ids)
+        )
+        assert fileio.ids_path_for(path).read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_with_path_and_row(self, tmp_path, bad):

@@ -283,10 +283,21 @@ class TestTrain:
             train(small_config(steps=1), images, small_world.train_texts[:-1])
 
     def test_non_finite_input_aborts_with_diagnostic(self, small_world):
+        # a NaN norm fails no ">" test, so the check asks for "within 1e-5"
         images = small_world.train_images.copy()
-        images[0, 0] = np.nan
-        with pytest.raises(TrainingDivergedError):
+        images[100, 0] = np.nan
+        with pytest.raises(ShapeError, match="dataset images row 100 has norm nan;"):
             train(small_config(steps=1000), images, small_world.train_texts)
+        texts = small_world.train_texts.copy()
+        texts[37, 3] = -np.inf
+        with pytest.raises(ShapeError, match="dataset texts row 37 has norm inf;"):
+            train(small_config(steps=1000), small_world.train_images, texts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_aborts_with_diagnostic(self, small_world):
+        cfg = small_config(learning_rate=1e30, warmup_steps=0)
+        with pytest.raises(TrainingDivergedError, match="at step"):
+            train(cfg, small_world.train_images, small_world.train_texts)
 
 
 def test_train_config_validation():

@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from cirmap import worldgen
 from cirmap.errors import InconsistentSpecError
 from cirmap.mining import select_batch
 from cirmap.worldgen import (
@@ -238,3 +242,52 @@ def test_eval_task_construction(tmp_path, world):
         assert q.reference_emb.tobytes() == reference.tobytes()
         condition = world.condition_vectors[condition_row[q.condition_id]]
         assert q.condition_emb.tobytes() == condition.tobytes()
+
+
+def _world_fields(world):
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(world).items()
+    }
+
+
+# Two attribute values over 65 attributes: tuple codes wrap past 64 bits, so
+# a flip of attribute 0 keeps the code, and no edit is in the drawn gallery,
+# so every query inserts its target.
+WRAPPED = dict(n_attributes=65, n_values_per_attribute=2, n_train_pairs=64, seed=3)
+
+
+@pytest.mark.parametrize("caption_style", ["encoded", "linear"])
+@pytest.mark.parametrize("extra", [{}, WRAPPED], ids=["default", "wrapped"])
+def test_gallery_blocks_match_one_block(monkeypatch, caption_style, extra):
+    spec = WorldSpec(
+        **{"n_train_pairs": 128, **extra},
+        gallery_size=100,
+        n_eval_queries=24,
+        dim=16,
+        caption_style=caption_style,
+    )
+    whole = generate_world(spec)
+    monkeypatch.setattr(worldgen, "_GALLERY_BLOCK_ROWS", 7)
+    assert _world_fields(generate_world(spec)) == _world_fields(whole)
+
+
+def test_wrapped_tuple_codes_are_confirmed():
+    world = generate_world(WorldSpec(**WRAPPED, gallery_size=100, n_eval_queries=24, dim=16))
+    assert any(rec["attribute"] == 0 for rec in world.query_records)
+    for rec in world.query_records:
+        matches = np.all(world.gallery_tuples == rec["edited_tuple"], axis=1)
+        assert rec["target_ids"] == [world.gallery_ids[r] for r in np.flatnonzero(matches)]
+        assert rec["reference_id"] not in rec["target_ids"]
+
+
+def test_world_meta_is_one_compact_line(tmp_path, world):
+    export_world(world, tmp_path)
+    text = (tmp_path / "world_meta.json").read_text()
+    meta = json.loads(text)
+    # one line, sorted keys, no spaces after separators
+    assert text == json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
+    assert meta["spec"] == asdict(world.spec)
+    assert meta["composer_hash"] == world.composer_hash
+    assert meta["gallery_tuples"] == world.gallery_tuples.tolist()
+    assert meta["query_records"] == world.query_records
