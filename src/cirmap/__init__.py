@@ -9,7 +9,7 @@ cosine.
 """
 
 from .autodiff import Tape, Tensor, backward
-from .composer import ComposerSpec, PromptComposer
+from .composer import PromptComposer
 from .errors import CirmapError
 from .losses import BatchEmbeddings, LossWeights
 from .mappers import Mappers, init_mapper, load_checkpoint, save_checkpoint
@@ -24,7 +24,6 @@ __all__ = [
     "BatchEmbeddings",
     "BatchSelection",
     "CirmapError",
-    "ComposerSpec",
     "EvalTask",
     "Gallery",
     "LossWeights",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import config as cfg
 from . import fileio, mining, worldgen
-from .composer import ComposerSpec, PromptComposer
+from .composer import PromptComposer
 from .errors import CirmapError, FormatError
 from .mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from .retrieval import compose_query, evaluate_task
@@ -56,23 +56,17 @@ def cmd_train(args) -> int:
     run_dir = Path(args.out) if args.out else Path(run_cfg.paths.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    # The frozen encoder is the one the data was generated with.
     task_doc = worldgen.read_task_doc(data_dir)
-    if task_doc["composer_seed"] != run_cfg.train.composer_seed:
-        raise FormatError(
-            f"{args.config}: train.composer_seed {run_cfg.train.composer_seed} does not match "
-            f"composer_seed {task_doc['composer_seed']} of {data_dir / worldgen.TASK}"
-        )
     images, texts = worldgen.load_train_pairs(data_dir)
-    composer = PromptComposer(
-        ComposerSpec(dim=run_cfg.train.dim, seed=run_cfg.train.composer_seed)
-    )
+    composer = PromptComposer(task_doc["dim"], task_doc["composer_seed"])
     result = train(run_cfg.train, images, texts, composer)
 
     save_checkpoint(
         run_dir / "checkpoint",
         result.mappers,
         step=run_cfg.train.steps,
-        composer_seed=run_cfg.train.composer_seed,
+        composer_seed=task_doc["composer_seed"],
     )
     fileio.write_jsonl(run_dir / "metrics.jsonl", result.metrics)
     cfg.echo_config(run_cfg, run_dir / "config.resolved.json")
@@ -87,6 +81,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_mine_sset(args) -> int:
+    if args.batch_size < 0:
+        raise CirmapError(f"--batch-size must be >= 0, got {args.batch_size}")
     images, image_ids = fileio.read_embeddings(Path(args.images))
     texts, text_ids = fileio.read_embeddings(Path(args.texts))
     if image_ids != text_ids:
@@ -135,10 +131,7 @@ def _load_mappers_and_composer(
                 f"{manifest_path}: checkpoint {key} {manifest[key]} does not match "
                 f"{key} {task_doc[key]} of {data_dir / worldgen.TASK}"
             )
-    composer = PromptComposer(
-        ComposerSpec(dim=manifest["dim"], seed=manifest["composer_seed"])
-    )
-    return mappers, composer
+    return mappers, PromptComposer(task_doc["dim"], task_doc["composer_seed"])
 
 
 def cmd_evaluate(args) -> int:

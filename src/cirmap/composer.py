@@ -13,7 +13,6 @@ which is the property downstream composition relies on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,23 +35,6 @@ PRNG_NAME = "numpy-pcg64"
 TEMPLATE_INCREMENT = 0.25
 
 
-@dataclass(frozen=True)
-class ComposerSpec:
-    dim: int
-    seed: int
-    templates: dict[str, int] = field(default_factory=lambda: dict(TEMPLATES))
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ShapeError(f"composer dim must be >= 2, got {self.dim}")
-        if self.templates != TEMPLATES:
-            raise TemplateError(f"unsupported template set: {self.templates}")
-
-    @property
-    def hidden(self) -> int:
-        return 2 * self.dim
-
-
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
@@ -61,11 +43,13 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class PromptComposer:
     """Seed-derived frozen two-layer tanh network over (template, slots)."""
 
-    def __init__(self, spec: ComposerSpec):
-        self.spec = spec
-        d, h = spec.dim, spec.hidden
+    def __init__(self, dim: int, seed: int):
+        if dim < 2:
+            raise ShapeError(f"composer dim must be >= 2, got {dim}")
+        self.dim = dim
+        d, h = dim, 2 * dim
         in_dim = (1 + MAX_SLOTS) * d
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        rng = np.random.Generator(np.random.PCG64(seed))
         # Draw order is part of the format: template vectors in sorted name
         # order, then W1, b1, W2. The templates are prompts sharing most of
         # their wording, so every template vector is the same base vector
@@ -74,7 +58,7 @@ class PromptComposer:
         base = rng.standard_normal(d)
         base /= np.linalg.norm(base)
         self._template_vectors: dict[str, np.ndarray] = {}
-        for name in sorted(spec.templates):
+        for name in sorted(TEMPLATES):
             extra = rng.standard_normal(d)
             extra /= np.linalg.norm(extra)
             v = base + TEMPLATE_INCREMENT * extra
@@ -93,10 +77,6 @@ class PromptComposer:
         self._w1_slots_t = [Tensor(self._w1[(1 + k) * d : (2 + k) * d]) for k in range(MAX_SLOTS)]
         self._w2_t = Tensor(self._w2)
 
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
     def weights_hash(self) -> str:
         """SHA-256 over all frozen arrays; stable across runs of one seed."""
         digest = hashlib.sha256()
@@ -109,7 +89,7 @@ class PromptComposer:
 
     def _template_arity(self, template: str) -> int:
         try:
-            return self.spec.templates[template]
+            return TEMPLATES[template]
         except KeyError:
             raise TemplateError(f"unknown template {template!r}") from None
 
@@ -123,7 +103,7 @@ class PromptComposer:
             raise TemplateError(
                 f"template {template!r} takes {arity} slot(s), got {len(slot_rows)}"
             )
-        d = self.spec.dim
+        d = self.dim
         for s in slot_rows:
             if s.values.ndim != 2 or s.shape[1] != d:
                 raise ShapeError(f"slot block must be [N x {d}], got {s.shape}")

@@ -2,15 +2,15 @@
 
 Unknown keys are rejected at every level so a typoed hyperparameter can never
 silently fall back to a default, and every value must have its field's type.
-Seeds left out resolve from the top-level seed; the composer seed must agree
-between the world and train sections since both sides must build the
-identical frozen encoder.
+Seeds left out resolve from the top-level seed. The frozen encoder's width
+and seed belong to the world section only: training reads them from the
+generated data.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
@@ -97,23 +97,12 @@ def parse_config(doc: dict) -> RunConfig:
     world_doc.setdefault("seed", seed)
     world_doc.setdefault("composer_seed", seed)
     train_doc.setdefault("seed", seed)
-    train_doc.setdefault("composer_seed", world_doc["composer_seed"])
 
     world = _build_section("world", WorldSpec, world_doc)
-    train_doc.setdefault("dim", world.dim)
+    train_doc.setdefault("hidden", 4 * world.dim)
     train = _build_section("train", TrainConfig, train_doc, aliases=_TRAIN_ALIASES)
-    if "hidden" not in train_doc:
-        train = replace(train, hidden=4 * train.dim)
     eval_cfg = _build_section("eval", EvalConfig, eval_doc)
     paths = _build_section("paths", PathsConfig, paths_doc)
-
-    if train.dim != world.dim:
-        raise ConfigError(f"train.dim {train.dim} != world.dim {world.dim}")
-    if train.composer_seed != world.composer_seed:
-        raise ConfigError(
-            f"train.composer_seed {train.composer_seed} != world.composer_seed "
-            f"{world.composer_seed}"
-        )
     return RunConfig(seed=seed, world=world, train=train, eval=eval_cfg, paths=paths)
 
 
@@ -124,12 +113,9 @@ def load_config(path: Path, seed_override: int | None = None) -> RunConfig:
             raise ConfigError("config document must be a JSON object")
         doc = dict(doc)
         doc["seed"] = seed_override
-        for section in ("world", "train"):
+        for section, keys in (("world", {"seed", "composer_seed"}), ("train", {"seed"})):
             if isinstance(doc.get(section), dict):
-                sub = dict(doc[section])
-                sub.pop("seed", None)
-                sub.pop("composer_seed", None)
-                doc[section] = sub
+                doc[section] = {k: v for k, v in doc[section].items() if k not in keys}
     return parse_config(doc)
 
 

@@ -124,7 +124,6 @@ def save_checkpoint(
     mappers: Mappers,
     step: int,
     composer_seed: int,
-    extra: dict | None = None,
 ) -> None:
     emb_path, manifest_path = checkpoint_paths(base)
     fileio.write_embeddings(emb_path, mappers.flat.reshape(1, -1), ["params"])
@@ -139,8 +138,6 @@ def save_checkpoint(
         "total_parameters": mappers.flat.size,
         "params": layout(mappers.dim, mappers.hidden),
     }
-    if extra:
-        manifest.update(extra)
     fileio.write_json(manifest_path, manifest)
 
 
@@ -183,6 +180,9 @@ def load_checkpoint(base: Path) -> tuple[Mappers, dict]:
     fileio.check_object(manifest, _MANIFEST_KEYS, str(manifest_path))
     if manifest["format"] != CHECKPOINT_FORMAT:
         raise FormatError(f"{manifest_path}: unsupported checkpoint format")
+    for key in ("dim", "hidden"):
+        if manifest[key] < 1:
+            raise FormatError(f"{manifest_path}: key {key!r} must be >= 1, got {manifest[key]}")
     matrix, ids = fileio.read_embeddings(emb_path)
     if matrix.shape[0] != 1 or ids != ["params"]:
         raise FormatError(f"{emb_path}: not a parameter checkpoint")

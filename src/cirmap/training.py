@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import losses as L
 from . import mining
 from .autodiff import Tape, Tensor
-from .composer import ComposerSpec, PromptComposer
+from .composer import PromptComposer
 from .errors import (
     DegenerateInputError,
     ParameterError,
@@ -53,9 +53,7 @@ class TrainConfig:
     use_mse: bool = True
     use_sset: bool = True
     sset_select: bool = True  # False: use the full batch instead of the filter
-    dim: int = 32
     hidden: int = 128
-    composer_seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -140,9 +138,9 @@ def adamw_step(
     return out
 
 
-def init_mappers(config: TrainConfig) -> Mappers:
+def init_mappers(config: TrainConfig, dim: int) -> Mappers:
     seeds = np.random.SeedSequence([config.seed, 0]).generate_state(2)
-    return Mappers.seeded(config.dim, config.hidden, (int(seeds[0]), int(seeds[1])))
+    return Mappers.seeded(dim, config.hidden, (int(seeds[0]), int(seeds[1])))
 
 
 def forward_batch(
@@ -161,7 +159,6 @@ def forward_batch(
 class TrainResult:
     mappers: Mappers
     metrics: list[dict]
-    composer: PromptComposer
 
 
 def _check_unit_rows(name: str, block: np.ndarray, rows_per_pass: int) -> None:
@@ -185,9 +182,10 @@ def train(
     config: TrainConfig,
     images: np.ndarray,
     texts: np.ndarray,
-    composer: PromptComposer | None = None,
+    composer: PromptComposer,
 ) -> TrainResult:
-    """Run the configured number of steps over seeded epoch reshuffles.
+    """Run the configured number of steps over seeded epoch reshuffles, mapping
+    into the space of the frozen ``composer``, whose width the data must have.
 
     The dataset is (image, text) unit rows, row-aligned; a row whose norm is
     not within 1e-5 of 1, a non-finite row included, is a ShapeError naming
@@ -201,8 +199,8 @@ def train(
     n = images.shape[0]
     if n == 0:
         raise ShapeError("empty dataset")
-    if images.shape[1] != config.dim:
-        raise ShapeError(f"dataset dim {images.shape[1]} != configured dim {config.dim}")
+    if images.shape[1] != composer.dim:
+        raise ShapeError(f"dataset dim {images.shape[1]} != composer dim {composer.dim}")
     if n < config.batch_size:
         raise ShapeError(
             f"dataset of {n} pairs cannot fill one batch of {config.batch_size}"
@@ -210,11 +208,9 @@ def train(
     for name, block in (("images", images), ("texts", texts)):
         _check_unit_rows(name, block, config.batch_size)
 
-    if composer is None:
-        composer = PromptComposer(ComposerSpec(dim=config.dim, seed=config.composer_seed))
     frozen_hash = composer.weights_hash()
 
-    mappers = init_mappers(config)
+    mappers = init_mappers(config, composer.dim)
     state = OptimizerState(mappers.flat.size)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, 1]))
@@ -245,7 +241,7 @@ def train(
 
     if composer.weights_hash() != frozen_hash:
         raise TrainingDivergedError("frozen composer weights changed during training")
-    return TrainResult(mappers=mappers, metrics=metrics, composer=composer)
+    return TrainResult(mappers=mappers, metrics=metrics)
 
 
 def _gradients(config, mappers, composer, batch_images, batch_texts, step):

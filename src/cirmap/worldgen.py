@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fileio
 from .autodiff import Tensor
-from .composer import ComposerSpec, PromptComposer
+from .composer import PromptComposer
 from .errors import FormatError, InconsistentSpecError
 from .retrieval import EvalTask, Gallery, Query, eval_settings_problem
 
@@ -197,7 +197,7 @@ class _Embedder:
 
 
 def generate_world(spec: WorldSpec) -> World:
-    composer = PromptComposer(ComposerSpec(dim=spec.dim, seed=spec.composer_seed))
+    composer = PromptComposer(spec.dim, spec.composer_seed)
     streams = [
         np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, k])))
         for k in range(6)

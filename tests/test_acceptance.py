@@ -14,7 +14,7 @@ import pytest
 from cirmap import fileio
 from cirmap.autodiff import Tape, Tensor, backward
 from cirmap.cli import main
-from cirmap.composer import ComposerSpec, PromptComposer
+from cirmap.composer import PromptComposer
 from cirmap.errors import FormatError
 from cirmap.losses import BatchEmbeddings, LossWeights, loss_itcon, loss_sset, objective
 from cirmap.mappers import Mappers, map_rows
@@ -62,7 +62,7 @@ def test_criterion_1_gradient_fidelity():
         tau = taus[case % 3]
         alpha, beta = 1.0, 2.0
 
-        composer = PromptComposer(ComposerSpec(dim=d, seed=2000 + case))
+        composer = PromptComposer(d, 2000 + case)
         mappers = Mappers.seeded(d, h, (3000 + case, 4000 + case))
         pseudo, supplement = mappers.pseudo, mappers.supplement
         images = unit_rows(rng, n, d)
@@ -161,16 +161,15 @@ def test_criterion_3_ablation_identities(tmp_path):
         n_train_pairs=192, gallery_size=48, n_eval_queries=12, dim=16, seed=23, composer_seed=23
     )
     world = generate_world(spec)
+    composer = PromptComposer(16, 23)
 
     def cfg(**kw):
-        base = dict(
-            batch_size=32, steps=10, dim=16, hidden=32, seed=23, composer_seed=23, warmup_steps=4
-        )
+        base = dict(batch_size=32, steps=10, hidden=32, seed=23, warmup_steps=4)
         base.update(kw)
         return TrainConfig(**base)
 
-    beta_zero = train(cfg(beta=0.0), world.train_images, world.train_texts)
-    no_sset = train(cfg(use_sset=False), world.train_images, world.train_texts)
+    beta_zero = train(cfg(beta=0.0), world.train_images, world.train_texts, composer)
+    no_sset = train(cfg(use_sset=False), world.train_images, world.train_texts, composer)
     for weights_a, weights_b in (
         (beta_zero.mappers.pseudo, no_sset.mappers.pseudo),
         (beta_zero.mappers.supplement, no_sset.mappers.supplement),
@@ -189,7 +188,7 @@ def test_criterion_3_ablation_identities(tmp_path):
         full = range(n)
         assert abs(loss_sset(batch, full, 0.01).item() - loss_itcon(batch, 0.01).item()) < 1e-6
 
-    alpha_zero = train(cfg(alpha=0.0), world.train_images, world.train_texts)
+    alpha_zero = train(cfg(alpha=0.0), world.train_images, world.train_texts, composer)
     for row in alpha_zero.metrics:
         assert row["L_ts"] == row["L_itcon"]
         recomputed = row["L_ori"] + row["L_ts"] + 2.0 * row["L_ss"]
@@ -258,11 +257,11 @@ def test_criterion_5_gamma_boundaries(tmp_path):
     )
     export_world(generate_world(spec), tmp_path / "data")
     task, _ = load_task(tmp_path / "data")
-    composer = PromptComposer(ComposerSpec(dim=16, seed=29))
+    composer = PromptComposer(16, 29)
 
     def fresh(seed):
-        cfg = TrainConfig(dim=16, hidden=32, seed=seed, composer_seed=29, batch_size=8, steps=1)
-        return init_mappers(cfg)
+        cfg = TrainConfig(hidden=32, seed=seed, batch_size=8, steps=1)
+        return init_mappers(cfg, 16)
 
     base = fresh(1)
     swapped_supplement = Mappers.seeded(16, 32, (base.seeds[0], fresh(2).seeds[1]))
@@ -295,11 +294,12 @@ def test_criterion_5_gamma_boundaries(tmp_path):
 def end_to_end_run():
     spec = WorldSpec(seed=2024, composer_seed=2024)
     world = generate_world(spec)
-    config = TrainConfig(seed=2024, composer_seed=2024)
-    assert config.batch_size == 64 and config.steps == 500 and config.dim == 32
+    config = TrainConfig(seed=2024)
+    assert config.batch_size == 64 and config.steps == 500 and spec.dim == 32
     assert (config.alpha, config.beta, config.lam, config.sigma) == (1.0, 2.0, 0.5, 0.01)
     started = time.monotonic()
-    result = train(config, world.train_images, world.train_texts)
+    composer = PromptComposer(spec.dim, spec.composer_seed)
+    result = train(config, world.train_images, world.train_texts, composer)
     elapsed = time.monotonic() - started
     return world, result, elapsed
 
@@ -319,7 +319,8 @@ def test_criterion_6b_beats_baselines(end_to_end_run, tmp_path):
     world, result, _ = end_to_end_run
     export_world(world, tmp_path, gamma=0.6)
     task, _ = load_task(tmp_path)
-    composed = evaluate_task(task, result.mappers, result.composer, mode="composed")
+    composer = PromptComposer(world.spec.dim, world.spec.composer_seed)
+    composed = evaluate_task(task, result.mappers, composer, mode="composed")
     image_only = evaluate_task(task, None, None, mode="image_only")
     text_only = evaluate_task(task, None, None, mode="text_only")
     r_c = composed["metrics"]["recall@1"]

@@ -7,6 +7,7 @@ import pytest
 from cirmap import fileio
 from cirmap.cli import main
 from cirmap.mappers import Mappers, checkpoint_paths, save_checkpoint
+from cirmap.training import TrainConfig, init_mappers
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -198,6 +199,24 @@ def test_mine_sset_cli(pipeline):
     for row in rows[:5]:
         assert set(row) == {"index", "argmax", "s", "selected"}
     assert (tmp_path / "run" / "selection.config.json").exists()
+
+
+@pytest.mark.parametrize("batch_size, code", [("-5", 1), ("0", 0)])
+def test_mine_sset_batch_size(tmp_path, capsys, batch_size, code):
+    # a negative size is an error; 0 means one batch over all rows
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    data, out = tmp_path / "data", tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(data / "train_images.emb")]
+    argv += ["--texts", str(data / "train_texts.emb"), "--batch-size", batch_size]
+    assert main(argv + ["--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == "error: --batch-size must be >= 0, got -5\n"
+        assert not out.exists() and not (tmp_path / "selection.config.json").exists()
+    else:
+        assert len(fileio.read_jsonl(out)) == 192
+        echo = json.loads((tmp_path / "selection.config.json").read_text())
+        assert echo["batch_size"] == 192
 
 
 def test_compose_cli(pipeline):
@@ -452,15 +471,19 @@ def test_checkpoint_dim_mismatch_names_both_files(pipeline, capsys, command):
     assert str(tmp_path / "data" / "task.json") in err
 
 
-def test_train_composer_seed_mismatch_names_both_files(tmp_path, capsys):
-    # --seed also sets the composer seed, so it no longer matches the data's
+def test_train_seed_override_keeps_the_data_encoder(tmp_path):
+    # --seed 7 on data generated at seed 17 trains seed-7 mappers against the
+    # data's frozen encoder, and the checkpoint evaluates on that data
     config = write_config(tmp_path)
     assert main(["gen-data", "--config", str(config)]) == 0
-    assert main(["train", "--config", str(config), "--seed", "7"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{config}: train.composer_seed 7 " in err
-    assert f"composer_seed 17 of {tmp_path / 'data' / 'task.json'}" in err
-    assert not (tmp_path / "run" / "checkpoint.emb").exists()
+    assert main(["train", "--config", str(config), "--seed", "7"]) == 0
+    manifest = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    assert manifest["composer_seed"] == 17
+    seeds = init_mappers(TrainConfig(seed=7), 16).seeds
+    assert (manifest["pseudo_seed"], manifest["supplement_seed"]) == seeds
+    checkpoint = str(tmp_path / "run" / "checkpoint")
+    argv = ["evaluate", "--config", str(config), "--checkpoint", checkpoint, "--seed", "7"]
+    assert main(argv) == 0
 
 
 def test_evaluate_composer_seed_mismatch_names_both_files(pipeline, capsys):

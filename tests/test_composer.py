@@ -3,7 +3,7 @@ import pytest
 
 import cirmap.autodiff as ad
 from cirmap.autodiff import Tape, Tensor, backward
-from cirmap.composer import ComposerSpec, PromptComposer
+from cirmap.composer import PromptComposer
 from cirmap.errors import ShapeError, TemplateError
 from oracles import composer_weights, ref_compose_rows, rel_err, unit_rows
 
@@ -15,7 +15,7 @@ def row(values) -> Tensor:
 
 @pytest.fixture(scope="module")
 def composer():
-    return PromptComposer(ComposerSpec(dim=16, seed=77))
+    return PromptComposer(16, 77)
 
 
 def test_output_unit_norm(composer):
@@ -27,8 +27,8 @@ def test_output_unit_norm(composer):
 
 
 def test_same_seed_bit_identical():
-    a = PromptComposer(ComposerSpec(dim=16, seed=5))
-    b = PromptComposer(ComposerSpec(dim=16, seed=5))
+    a = PromptComposer(16, 5)
+    b = PromptComposer(16, 5)
     assert a.weights_hash() == b.weights_hash()
     slot = row(np.linspace(-1, 1, 16))
     out_a = a.compose_rows("photo_of", [slot])
@@ -37,8 +37,8 @@ def test_same_seed_bit_identical():
 
 
 def test_different_seed_differs():
-    a = PromptComposer(ComposerSpec(dim=16, seed=5))
-    b = PromptComposer(ComposerSpec(dim=16, seed=6))
+    a = PromptComposer(16, 5)
+    b = PromptComposer(16, 6)
     assert a.weights_hash() != b.weights_hash()
 
 
@@ -50,6 +50,11 @@ def test_arity_mismatch(composer):
         composer.compose_rows("photo_of_that", [slot])
     with pytest.raises(TemplateError):
         composer.compose_rows("photo_of_this", [slot])
+
+
+def test_dim_below_two_rejected():
+    with pytest.raises(ShapeError, match="composer dim must be >= 2, got 1"):
+        PromptComposer(1, 5)
 
 
 def test_slot_dimension_checked(composer):
@@ -110,7 +115,7 @@ def test_frozen_weights_unchanged_by_use(composer):
 
 def test_injectivity_at_desk_scale():
     # 1000 distinct random slots map to outputs without near-collisions
-    composer = PromptComposer(ComposerSpec(dim=16, seed=99))
+    composer = PromptComposer(16, 99)
     rng = np.random.default_rng(3)
     slots = unit_rows(rng, 1000, 16)
     out = composer.compose_rows("photo_of", [Tensor(slots)]).values.astype(np.float64)
@@ -130,7 +135,7 @@ def test_batch_of_one_matches_batch_row(composer):
 
 
 def test_photo_of_moves_generic_inputs():
-    composer = PromptComposer(ComposerSpec(dim=16, seed=13))
+    composer = PromptComposer(16, 13)
     rng = np.random.default_rng(4)
     conds = unit_rows(rng, 100, 16)
     outs = composer.compose_rows("photo_of", [Tensor(conds)]).values.astype(np.float64)

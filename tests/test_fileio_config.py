@@ -147,7 +147,8 @@ class TestRunConfig:
         assert run.train.sigma == 0.01
         assert run.eval.gamma == 0.6
         assert run.world.seed == 11
-        assert run.train.composer_seed == 11
+        assert run.world.composer_seed == 11
+        assert run.train.hidden == 4 * run.world.dim
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
@@ -165,15 +166,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed"):
             cfg.parse_config({})
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="dim"):
-            cfg.parse_config({"seed": 1, "world": {"dim": 16}, "train": {"dim": 32}})
+    # The frozen encoder's width and seed are world keys only; training reads
+    # them from the generated data.
+    def test_train_dim_is_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown key train.dim"):
+            cfg.parse_config({"seed": 1, "world": {"dim": 16}, "train": {"dim": 16}})
 
-    def test_composer_seed_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="composer_seed"):
-            cfg.parse_config(
-                {"seed": 1, "world": {"composer_seed": 2}, "train": {"composer_seed": 3}}
-            )
+    def test_train_composer_seed_is_unknown_key(self, tmp_path):
+        doc = {"seed": 1, "world": {"composer_seed": 2}, "train": {"composer_seed": 2}}
+        with pytest.raises(ConfigError, match="unknown key train.composer_seed"):
+            cfg.parse_config(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="unknown key train.composer_seed"):
+            cfg.load_config(path, seed_override=5)
 
     def test_gamma_range(self):
         with pytest.raises(ConfigError, match="gamma"):

@@ -147,6 +147,12 @@ def test_checkpoint_manifest_follows_layout(tmp_path):
         (lambda m: m["params"][0].pop("offset"), "params[0]: missing key 'offset'"),
         (lambda m: m["params"][1].update(shape=[7]), "params[1]: key 'shape' is [7]"),
         (lambda m: m.update(hidden=5), "params[0]: key 'shape' is [8, 12]"),
+        (lambda m: m.update(dim=0), "key 'dim' must be >= 1, got 0"),
+        (lambda m: m.update(hidden=-3), "key 'hidden' must be >= 1, got -3"),
+        (
+            lambda m: m.update(dim=-1, hidden=-1, params=layout(-1, -1)),
+            "key 'dim' must be >= 1, got -1",
+        ),
         (lambda m: m["params"][2].update(offset=-1), "params[2]: key 'offset' is -1"),
         (lambda m: m["params"][0].update(name="pseudo"), "params[0]: key 'name' is 'pseudo'"),
         (lambda m: m["params"].insert(4, m["params"].pop(5)), "params[4]: key 'name' is 'pseudo.b3'"),

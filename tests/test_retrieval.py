@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cirmap.retrieval as retrieval
-from cirmap.composer import ComposerSpec, PromptComposer
+from cirmap.composer import PromptComposer
 from cirmap.errors import ParameterError, ShapeError
 from cirmap.mappers import Mappers
 from cirmap.retrieval import (
@@ -48,8 +48,8 @@ def ranked(ids):
 
 @pytest.fixture(scope="module")
 def setup16():
-    cfg = TrainConfig(dim=16, hidden=32, seed=3, composer_seed=3, batch_size=4, steps=1)
-    return init_mappers(cfg), PromptComposer(ComposerSpec(dim=16, seed=3))
+    cfg = TrainConfig(hidden=32, seed=3, batch_size=4, steps=1)
+    return init_mappers(cfg, 16), PromptComposer(16, 3)
 
 
 class TestComposeQuery:
@@ -71,10 +71,8 @@ class TestComposeQuery:
         mappers, composer = setup16
         query = make_query(np.random.default_rng(2), d=16)
         base = compose_query(*rows(query), mappers, composer, 1.0)
-        reinit = TrainConfig(
-            dim=16, hidden=32, seed=999, composer_seed=3, batch_size=4, steps=1
-        )
-        other = init_mappers(reinit)
+        reinit = TrainConfig(hidden=32, seed=999, batch_size=4, steps=1)
+        other = init_mappers(reinit, 16)
         swapped = Mappers.seeded(16, 32, (mappers.seeds[0], other.seeds[1]))
         again = compose_query(*rows(query), swapped, composer, 1.0)
         assert np.array_equal(base, again)
@@ -83,10 +81,8 @@ class TestComposeQuery:
         mappers, composer = setup16
         query = make_query(np.random.default_rng(3), d=16)
         base = compose_query(*rows(query), mappers, composer, 0.0)
-        reinit = TrainConfig(
-            dim=16, hidden=32, seed=777, composer_seed=3, batch_size=4, steps=1
-        )
-        other = init_mappers(reinit)
+        reinit = TrainConfig(hidden=32, seed=777, batch_size=4, steps=1)
+        other = init_mappers(reinit, 16)
         swapped = Mappers.seeded(16, 32, (other.seeds[0], mappers.seeds[1]))
         again = compose_query(*rows(query), swapped, composer, 0.0)
         assert np.array_equal(base, again)
@@ -273,8 +269,8 @@ def test_rank_equals_reference_property(data):
 class TestBatchedComposition:
     @pytest.mark.parametrize("dim", [16, 32, 256])
     def test_rows_equal_batches_of_one(self, dim):
-        cfg = TrainConfig(dim=dim, hidden=4 * dim, seed=5, composer_seed=5, batch_size=4, steps=1)
-        mappers, composer = init_mappers(cfg), PromptComposer(ComposerSpec(dim=dim, seed=5))
+        cfg = TrainConfig(hidden=4 * dim, seed=5, batch_size=4, steps=1)
+        mappers, composer = init_mappers(cfg, dim), PromptComposer(dim, 5)
         rng = np.random.default_rng(dim)
         refs = unit_rows(rng, 33, dim).astype(np.float32)
         conds = unit_rows(rng, 33, dim).astype(np.float32)

@@ -6,7 +6,7 @@ import pytest
 from cirmap import training
 from cirmap.autodiff import Tensor
 from cirmap.config import parse_config
-from cirmap.composer import ComposerSpec, PromptComposer
+from cirmap.composer import PromptComposer
 from cirmap.errors import ParameterError, ShapeError, TrainingDivergedError
 from cirmap.mappers import Mappers, layout, map_rows
 from cirmap.training import (
@@ -36,14 +36,16 @@ def small_world():
     return generate_world(spec)
 
 
+# the frozen encoder small_world was generated with
+COMPOSER = PromptComposer(16, 21)
+
+
 def small_config(**overrides):
     base = dict(
         batch_size=32,
         steps=20,
-        dim=16,
         hidden=32,
         seed=21,
-        composer_seed=21,
         warmup_steps=5,
     )
     base.update(overrides)
@@ -152,8 +154,8 @@ class TestForwardBatch:
     def test_blocks_unit_norm(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
-        mappers = init_mappers(cfg)
-        composer = PromptComposer(ComposerSpec(dim=16, seed=21))
+        mappers = init_mappers(cfg, 16)
+        composer = PromptComposer(16, 21)
         batch = forward_batch(unit_rows(rng, 8, 16), unit_rows(rng, 8, 16), mappers, composer)
         for block in (batch.composed_pseudo, batch.composed_supplement):
             norms = np.linalg.norm(block.values.astype(np.float64), axis=1)
@@ -162,18 +164,18 @@ class TestForwardBatch:
     def test_identical_mappers_identical_blocks(self):
         rng = np.random.default_rng(1)
         cfg = small_config()
-        mappers = init_mappers(cfg)
-        twin = Mappers.seeded(cfg.dim, cfg.hidden, (mappers.seeds[0], mappers.seeds[0]))
+        mappers = init_mappers(cfg, 16)
+        twin = Mappers.seeded(16, cfg.hidden, (mappers.seeds[0], mappers.seeds[0]))
         rows = unit_rows(rng, 4, 16)
-        composer = PromptComposer(ComposerSpec(dim=16, seed=21))
+        composer = PromptComposer(16, 21)
         batch = forward_batch(rows, rows, twin, composer)
         assert np.array_equal(batch.composed_pseudo.values, batch.composed_supplement.values)
 
     def test_matches_hand_chained_calls(self):
         rng = np.random.default_rng(2)
         cfg = small_config()
-        mappers = init_mappers(cfg)
-        composer = PromptComposer(ComposerSpec(dim=16, seed=21))
+        mappers = init_mappers(cfg, 16)
+        composer = PromptComposer(16, 21)
         images, texts = unit_rows(rng, 2, 16), unit_rows(rng, 2, 16)
         batch = forward_batch(images, texts, mappers, composer)
 
@@ -185,14 +187,14 @@ class TestForwardBatch:
 class TestTrain:
     def test_deterministic_across_runs(self, small_world):
         cfg = small_config()
-        a = train(cfg, small_world.train_images, small_world.train_texts)
-        b = train(cfg, small_world.train_images, small_world.train_texts)
+        a = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+        b = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         assert a.mappers.flat.tobytes() == b.mappers.flat.tobytes()
         assert a.metrics == b.metrics
 
     def test_loss_component_accounting(self, small_world):
         cfg = small_config(steps=15)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         for row in result.metrics:
             recomputed = row["L_ori"] + row["L_ts"] + cfg.beta * row["L_ss"]
             assert abs(row["L_deg"] - recomputed) < 1e-5 * max(1.0, abs(recomputed))
@@ -201,7 +203,7 @@ class TestTrain:
 
     def test_metrics_schema(self, small_world):
         cfg = small_config(steps=3)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         assert len(result.metrics) == 3
         keys = {"step", "lr", "L_ori", "L_itcon", "L_mse", "L_ts", "L_ss", "L_deg", "N_S"}
         for row in result.metrics:
@@ -209,7 +211,7 @@ class TestTrain:
 
     def test_composer_frozen_through_training(self, small_world):
         cfg = small_config(steps=5)
-        composer = PromptComposer(ComposerSpec(dim=16, seed=21))
+        composer = PromptComposer(16, 21)
         before = composer.weights_hash()
         train(cfg, small_world.train_images, small_world.train_texts, composer)
         assert composer.weights_hash() == before
@@ -220,17 +222,19 @@ class TestTrain:
             small_config(steps=12, beta=0.0),
             small_world.train_images,
             small_world.train_texts,
+            COMPOSER,
         )
         no_sset = train(
             small_config(steps=12, use_sset=False),
             small_world.train_images,
             small_world.train_texts,
+            COMPOSER,
         )
         assert beta_zero.mappers.flat.tobytes() == no_sset.mappers.flat.tobytes()
 
     def test_all_flags_off_is_pseudo_only_loss(self, small_world):
         cfg = small_config(steps=8, use_itcon=False, use_mse=False, use_sset=False)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         for row in result.metrics:
             assert row["L_itcon"] == 0.0
             assert row["L_mse"] == 0.0
@@ -242,62 +246,67 @@ class TestTrain:
         # with every supplement term off the loss never reaches that mapper:
         # its half of the vector is neither decayed nor moved
         cfg = small_config(steps=8, use_itcon=False, use_mse=False, use_sset=False)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
-        init = init_mappers(cfg).flat
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+        init = init_mappers(cfg, 16).flat
         half = init.size // 2
         assert result.mappers.flat[half:].tobytes() == init[half:].tobytes()
         assert result.mappers.flat[:half].tobytes() != init[:half].tobytes()
 
     def test_no_select_uses_full_batch(self, small_world):
         cfg = small_config(steps=4, sset_select=False)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         for row in result.metrics:
             assert row["N_S"] == cfg.batch_size
 
     def test_loss_decreases_on_synthetic_world(self, small_world):
         cfg = small_config(steps=200, warmup_steps=20)
-        result = train(cfg, small_world.train_images, small_world.train_texts)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
         assert result.metrics[-1]["L_deg"] < 0.5 * result.metrics[0]["L_deg"]
 
     def test_empty_dataset_rejected(self):
         cfg = small_config()
         with pytest.raises(ShapeError):
-            train(cfg, np.zeros((0, 16), np.float32), np.zeros((0, 16), np.float32))
+            train(cfg, np.zeros((0, 16), np.float32), np.zeros((0, 16), np.float32), COMPOSER)
 
     def test_dataset_smaller_than_batch_rejected(self, small_world):
         cfg = small_config(batch_size=1000)
         with pytest.raises(ShapeError):
-            train(cfg, small_world.train_images, small_world.train_texts)
+            train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+
+    def test_dataset_width_must_be_the_composer_width(self, small_world):
+        with pytest.raises(ShapeError, match="dataset dim 16 != composer dim 8"):
+            images, texts = small_world.train_images, small_world.train_texts
+            train(small_config(), images, texts, PromptComposer(8, 21))
 
     def test_non_unit_dataset_row_rejected(self, small_world):
         # rows are checked once, where the dataset enters, and the error names the row
         images = small_world.train_images.copy()
         images[70] *= 2.0
         with pytest.raises(ShapeError, match="dataset images row 70 has norm 2;"):
-            train(small_config(steps=1), images, small_world.train_texts)
+            train(small_config(steps=1), images, small_world.train_texts, COMPOSER)
         texts = small_world.train_texts.copy()
         texts[191] = texts[0] * 0.5
         with pytest.raises(ShapeError, match="dataset texts row 191 has norm 0.5;"):
-            train(small_config(steps=1), small_world.train_images, texts)
+            train(small_config(steps=1), small_world.train_images, texts, COMPOSER)
         with pytest.raises(ShapeError, match="dataset blocks disagree"):
-            train(small_config(steps=1), images, small_world.train_texts[:-1])
+            train(small_config(steps=1), images, small_world.train_texts[:-1], COMPOSER)
 
     def test_non_finite_input_aborts_with_diagnostic(self, small_world):
         # a NaN norm fails no ">" test, so the check asks for "within 1e-5"
         images = small_world.train_images.copy()
         images[100, 0] = np.nan
         with pytest.raises(ShapeError, match="dataset images row 100 has norm nan;"):
-            train(small_config(steps=1000), images, small_world.train_texts)
+            train(small_config(steps=1000), images, small_world.train_texts, COMPOSER)
         texts = small_world.train_texts.copy()
         texts[37, 3] = -np.inf
         with pytest.raises(ShapeError, match="dataset texts row 37 has norm inf;"):
-            train(small_config(steps=1000), small_world.train_images, texts)
+            train(small_config(steps=1000), small_world.train_images, texts, COMPOSER)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self, small_world):
         cfg = small_config(learning_rate=1e30, warmup_steps=0)
         with pytest.raises(TrainingDivergedError, match="at step"):
-            train(cfg, small_world.train_images, small_world.train_texts)
+            train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
 
 
 def test_train_config_validation():
@@ -343,7 +352,8 @@ def test_one_step_tape_size(monkeypatch):
         )
         world = world or generate_world(run.world)
         sizes.clear()
-        result = train(run.train, world.train_images, world.train_texts)
+        composer = PromptComposer(run.world.dim, run.world.composer_seed)
+        result = train(run.train, world.train_images, world.train_texts, composer)
         if n_s is None:
             assert result.metrics[0]["N_S"] > 0  # the S-Set term is on the tape
         else:
