@@ -69,7 +69,7 @@ def cmd_train(args) -> int:
         composer_seed=task_doc["composer_seed"],
     )
     fileio.write_jsonl(run_dir / "metrics.jsonl", result.metrics)
-    cfg.echo_config(run_cfg, run_dir / "config.resolved.json")
+    cfg.echo_config(run_cfg, run_dir / "config.resolved.json", task_doc)
     final = result.metrics[-1]
     log.info(
         "finished %d steps: L_deg %.4f -> %.4f",
@@ -159,7 +159,7 @@ def cmd_evaluate(args) -> int:
     out_path = Path(args.out) if args.out else Path(run_cfg.paths.run_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_json(out_path, report)
-    cfg.echo_config(run_cfg, _sibling_echo_path(out_path))
+    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc)
     log.info("metrics: %s", report["metrics"])
     return 0
 
@@ -188,7 +188,7 @@ def cmd_compose(args) -> int:
     }
     out_path = Path(args.out)
     fileio.write_json(out_path, out)
-    cfg.echo_config(run_cfg, _sibling_echo_path(out_path))
+    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc)
     return 0
 
 

@@ -141,5 +141,11 @@ def resolved_dict(config: RunConfig) -> dict:
     }
 
 
-def echo_config(config: RunConfig, out_path: Path) -> None:
-    fileio.write_json(Path(out_path), resolved_dict(config))
+def echo_config(config: RunConfig, out_path: Path, task_doc: dict | None = None) -> None:
+    """Write the resolved config. A command that reads generated data passes
+    its ``task.json``, so the echo names the frozen encoder the data was made
+    with (``world.dim`` and ``world.composer_seed``): the one the run used."""
+    doc = resolved_dict(config)
+    if task_doc is not None:
+        doc["world"].update(dim=task_doc["dim"], composer_seed=task_doc["composer_seed"])
+    fileio.write_json(Path(out_path), doc)

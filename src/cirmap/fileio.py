@@ -9,7 +9,7 @@ Embedding file layout (little-endian):
     payload count*dim float32 values, row-major
 
 Each embedding file has a companion JSONL id file (same path with the
-suffix ``.ids.jsonl``), one ``{"row": r, "id": ...}`` object per line, rows
+suffix ``.ids.jsonl``), one ``{"id": ..., "row": r}`` object per line, rows
 in order. Every value must be finite.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import os
+import re
 import struct
 import tempfile
 import typing
@@ -136,10 +137,45 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
         raise FormatError(f"{path}: {len(ids)} ids for {count} rows")
     header = _HEADER.pack(MAGIC, VERSION, count, dim)
     atomic_write_bytes(path, header + matrix.tobytes())
-    # Each line is json.dumps({"row": r, "id": i}, sort_keys=True), spelled out.
+    atomic_write_text(ids_path_for(path), _id_lines(ids))
+
+
+def _id_lines(ids: list[str]) -> str:
+    """The text of an id file: each line is
+    ``json.dumps({"row": r, "id": i}, sort_keys=True)``, spelled out."""
     quote = json.encoder.encode_basestring_ascii
-    text = "".join(f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids))
-    atomic_write_text(ids_path_for(path), text)
+    return "".join([f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids)])
+
+
+# The ids of an id file written by write_embeddings whose ids need no escape.
+_PLAIN_ID = re.compile(r'\{"id": "([^"\\\x00-\x1f]*)", "row": ')
+
+
+def _read_ids(path: Path, count: int) -> list[str]:
+    """The ``count`` ids of an id file, in row order.
+
+    One regex pass takes the ids of a file in write_embeddings' own form; it
+    is accepted only if writing those ids gives back the file's exact text.
+    Any other file goes through read_jsonl and the per-record checks, so
+    every error keeps its text and line number.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+        plain = _PLAIN_ID.findall(text)
+        plain_form = _id_lines(plain) == text
+    except UnicodeDecodeError:
+        plain_form = False
+    rows = plain if plain_form else read_jsonl(path)
+    if len(rows) != count:
+        raise FormatError(f"{path}: {len(rows)} ids for {count} rows")
+    if plain_form:
+        return plain
+    ids = []
+    for r, row in enumerate(rows):
+        if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
+            raise FormatError(f"{path}: malformed id record at line {r}")
+        ids.append(str(row["id"]))
+    return ids
 
 
 def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:
@@ -166,12 +202,4 @@ def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:
     idp = ids_path_for(path)
     if not idp.exists():
         raise FormatError(f"{idp}: companion id file is missing")
-    rows = read_jsonl(idp)
-    if len(rows) != count:
-        raise FormatError(f"{idp}: {len(rows)} ids for {count} rows")
-    ids = []
-    for r, row in enumerate(rows):
-        if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
-            raise FormatError(f"{idp}: malformed id record at line {r}")
-        ids.append(str(row["id"]))
-    return matrix, ids
+    return matrix, _read_ids(idp, count)

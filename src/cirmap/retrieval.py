@@ -32,17 +32,27 @@ class Query:
         self.target_ids = frozenset(self.target_ids)
 
 
+def row_index(ids: list[str]) -> dict[str, int]:
+    """Map each id to its row; a repeated id raises ShapeError naming it."""
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):
+        seen: set[str] = set()
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise ShapeError(f"id {repeated!r} appears twice")
+    return row_of
+
+
 @dataclass
 class Gallery:
     ids: list[str]
     vectors: np.ndarray  # [G x d] unit rows
+    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or len(self.ids) != self.vectors.shape[0]:
             raise ShapeError("gallery ids and vectors disagree")
-        if len(set(self.ids)) != len(self.ids):
-            raise ShapeError("gallery ids must be unique")
+        self.row_of = row_index(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -146,38 +156,111 @@ def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return _unit(mixed)
 
 
+# Gallery rows per float32 GEMM. The first block also sets each query's
+# candidate floor, so a larger block leaves fewer candidates to re-score.
+_SCORE_BLOCK_ROWS = 8192
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+# Above this, float32 scores may overflow; such queries keep every row.
+_SCORE_LIMIT = 2.0**100
+
+
+def _gamma(d: int, u: float) -> float:
+    """Higham's gamma_d = d u / (1 - d u): the relative error bound of a
+    d-term dot product in working precision u, in any summation order."""
+    return d * u / (1.0 - d * u)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _score_error_bounds(vectors: np.ndarray, q64: np.ndarray) -> np.ndarray:
+    """Per query row, a bound E on |float32 GEMM score - float64 row score|
+    that holds for every gallery row, or inf where no bound holds.
+
+    Three relative terms, each times max ||g|| ||q||: the float32 dot
+    product, the float32 cast of the query and the float64 row sum. An
+    absolute term covers underflow, with subnormals flushed or not.
+    """
+    d = q64.shape[1]
+    g32 = _gamma(d, _U32)
+    # A float32 sum of squares is low by at most gamma_d relative, plus
+    # d * 2**-126 for squares lost to underflow.
+    sq_max = float(np.einsum("ij,ij->i", vectors, vectors).max(initial=0.0))
+    g_norm = np.sqrt((sq_max + d * 2.0**-126) / (1.0 - 2.0 * g32))
+    q_norm = np.sqrt(np.einsum("ij,ij->i", q64, q64))
+    # The factor 1.001 covers the rounding of this bound's own arithmetic.
+    rel = (g32 * (1.0 + _U32) + _U32 + _gamma(d, _U64)) * 1.001
+    bound = rel * g_norm * q_norm + d * 2.0**-120 * (1.0 + g_norm + q_norm)
+    trusted = (q_norm < _SCORE_LIMIT) & (g_norm * q_norm < _SCORE_LIMIT)
+    return np.where(trusted, bound, np.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _candidates(vectors: np.ndarray, q64: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per query row, ascending gallery rows that hold its exact top k.
+
+    One float32 GEMM per block of gallery rows. The k-th float32 score of
+    the first block is at most the k-th of the whole gallery, so every row
+    the float64 top k can hold scores at least that minus 2E in float32:
+    those rows, NaN included, are the candidates. A query without a finite
+    bound keeps every row.
+    """
+    n = vectors.shape[0]
+    rows = max(_SCORE_BLOCK_ROWS, k)  # the first block holds at least k rows
+    bound = _score_error_bounds(vectors, q64)
+    q32 = q64.astype(np.float32)
+    hit_rows, hit_queries = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    floor = None
+    for start in range(0, n, rows):
+        scores = vectors[start : start + rows] @ q32.T  # [block x Q]
+        if floor is None:
+            kth = np.partition(scores, scores.shape[0] - k, axis=0)[-k]
+            floor64 = kth.astype(np.float64) - 2.0 * bound
+            floor = floor64.astype(np.float32)
+            above = floor > floor64  # round the floor toward -inf
+            floor[above] = np.nextafter(floor[above], -np.inf)
+            floor[np.isinf(bound)] = -np.inf
+        r, j = np.divmod(np.flatnonzero(~(scores < floor)), len(floor))
+        hit_rows.append(r + start)
+        hit_queries.append(j)
+    hit_rows = np.concatenate(hit_rows)
+    hit_queries = np.concatenate(hit_queries)
+    # Block by block the rows ascend, and a stable sort keeps them so.
+    order = np.argsort(hit_queries, kind="stable")
+    splits = np.searchsorted(hit_queries[order], np.arange(1, q64.shape[0]))
+    return np.split(hit_rows[order], splits)
+
+
 def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> list[RankedResult]:
     """Exact top-k inner-product search of each query row against every gallery row.
 
-    Scores are float64 (the gallery is cast once per call); each query's
-    scores are one matrix-vector product, so they do not depend on the other
-    rows of the batch. Order is descending score, ties broken by ascending
-    id: a partition finds the k-th score, and only the rows scoring at least
-    that much are sorted.
+    A float32 GEMM in row blocks narrows the gallery to candidates with a
+    rigorous error bound (see :func:`_candidates`); only those are scored in
+    float64. A score is the float64 sum of one gallery row times the query
+    row, so it depends on those two rows alone: not on the rest of the
+    batch, the candidate set, the block size or the BLAS. Order is
+    descending score, ties broken by ascending id, NaN last.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     q64 = np.asarray(query_rows, dtype=np.float64)
     if q64.ndim != 2 or q64.shape[1] != gallery.vectors.shape[1]:
         raise ShapeError(f"query block shape {q64.shape} does not match gallery")
-    g64 = gallery.vectors.astype(np.float64)
-    n = len(gallery)
-    k = min(k, n)
+    k = min(k, len(gallery))
     results = []
-    for q in q64:
-        scores = g64 @ q
+    for q, cand in zip(q64, _candidates(gallery.vectors, q64, k)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = (gallery.vectors[cand].astype(np.float64) * q).sum(axis=1)
         neg = -scores
-        if k < n:
+        if k < len(cand):
             kth = neg[np.argpartition(neg, k - 1)[k - 1]]
             # NaN scores compare false either way, so they stay candidates
             # and the sort places them last, as a full sort would.
-            cand = np.flatnonzero(~(neg > kth))
-        else:
-            cand = np.arange(n)
+            keep = np.flatnonzero(~(neg > kth))
+            cand, scores, neg = cand[keep], scores[keep], neg[keep]
         cand_ids = np.array([gallery.ids[i] for i in cand])
-        order = np.lexsort((cand_ids, neg[cand]))[:k]
+        order = np.lexsort((cand_ids, neg))[:k]
         results.append(
-            RankedResult([(str(cand_ids[i]), float(scores[cand[i]])) for i in order])
+            RankedResult([(str(cand_ids[i]), float(scores[i])) for i in order])
         )
     return results
 

@@ -32,8 +32,8 @@ import numpy as np
 from . import fileio
 from .autodiff import Tensor
 from .composer import PromptComposer
-from .errors import FormatError, InconsistentSpecError
-from .retrieval import EvalTask, Gallery, Query, eval_settings_problem
+from .errors import FormatError, InconsistentSpecError, ShapeError
+from .retrieval import EvalTask, Gallery, Query, eval_settings_problem, row_index
 
 # Gallery rows generated and composed together; bounds set-up's peak memory.
 _GALLERY_BLOCK_ROWS = 8192
@@ -403,14 +403,13 @@ def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray]:
     return images, texts
 
 
-def _row_index(ids: list[str], emb_path: Path) -> dict[str, int]:
-    """Map each id of an embedding file to its row; a repeated id is a FormatError."""
-    row_of = dict(zip(ids, range(len(ids))))
-    if len(row_of) != len(ids):
-        seen: set[str] = set()
-        repeated = next(i for i in ids if i in seen or seen.add(i))
-        raise FormatError(f"{fileio.ids_path_for(emb_path)}: id {repeated!r} appears twice")
-    return row_of
+def _indexed(emb_path: Path, build, *args):
+    """``build(*args)``, with a repeated id of an embedding file reported as
+    a FormatError naming its id file."""
+    try:
+        return build(*args)
+    except ShapeError as exc:
+        raise FormatError(f"{fileio.ids_path_for(emb_path)}: {exc}") from exc
 
 
 _TASK_KEYS = {
@@ -456,13 +455,13 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         raise FormatError(
             f"{cond_path}: rows are {cond_matrix.shape[1]}-d, {gallery_path} rows are {dim}-d"
         )
-    gal_row = _row_index(gallery_ids, gallery_path)
-    cond_row = _row_index(cond_ids, cond_path)
+    gallery = _indexed(gallery_path, Gallery, gallery_ids, gallery_matrix)
+    cond_row = _indexed(cond_path, row_index, cond_ids)
     queries = []
     queries_path = data_dir / task_doc["queries"]
     for n, rec in enumerate(fileio.read_jsonl(queries_path), start=1):
         fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
-        if rec["reference_id"] not in gal_row:
+        if rec["reference_id"] not in gallery.row_of:
             raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown reference id")
         if rec["condition_id"] not in cond_row:
             raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown condition id")
@@ -470,14 +469,14 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
             Query(
                 query_id=rec["query_id"],
                 reference_id=rec["reference_id"],
-                reference_emb=gallery_matrix[gal_row[rec["reference_id"]]],
+                reference_emb=gallery_matrix[gallery.row_of[rec["reference_id"]]],
                 condition_id=rec["condition_id"],
                 condition_emb=cond_matrix[cond_row[rec["condition_id"]]],
                 target_ids=frozenset(rec["target_ids"]),
             )
         )
     task = EvalTask(
-        gallery=Gallery(gallery_ids, gallery_matrix),
+        gallery=gallery,
         queries=queries,
         metrics=list(task_doc["metrics"]),
         k_values=list(task_doc["k_values"]),

@@ -273,13 +273,14 @@ def brute_force_select(images: np.ndarray, texts: np.ndarray, sigma: float, lam:
 
 
 def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
-    """The per-query ranker: full float64 scores, full lexsort (score desc, id asc)."""
+    """The per-query ranker: every row scored on its own in float64 (the sum
+    of its products with the query), full lexsort (score desc, id asc)."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != gallery.vectors.shape[1]:
         raise ShapeError(f"query vector shape {q.shape} does not match gallery")
-    scores = gallery.vectors.astype(np.float64) @ q
+    scores = np.array([np.sum(row.astype(np.float64) * q) for row in gallery.vectors])
     ids = np.array(gallery.ids)
     order = np.lexsort((ids, -scores))[: min(k, len(gallery))]
     return RankedResult([(str(ids[i]), float(scores[i])) for i in order])
@@ -329,3 +330,17 @@ def ref_read_jsonl(path: Path) -> list:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
     return out
+
+
+def ref_read_ids(path: Path, count: int) -> list[str]:
+    """The id-file reader that decodes every line with ``json.loads`` and
+    then checks the count and each ``{"id": ..., "row": r}`` record."""
+    rows = ref_read_jsonl(path)
+    if len(rows) != count:
+        raise FormatError(f"{path}: {len(rows)} ids for {count} rows")
+    ids = []
+    for r, row in enumerate(rows):
+        if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
+            raise FormatError(f"{path}: malformed id record at line {r}")
+        ids.append(str(row["id"]))
+    return ids

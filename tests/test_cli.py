@@ -486,6 +486,27 @@ def test_train_seed_override_keeps_the_data_encoder(tmp_path):
     assert main(argv) == 0
 
 
+def test_config_echoes_name_the_data_encoder(tmp_path):
+    # After --seed 7 on seed-17 data, every echo of a command that read the
+    # data names the encoder the run used: the data's dim and composer_seed.
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--seed", "7"]) == 0
+    run = tmp_path / "run"
+    query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
+    common = ["--config", str(config), "--checkpoint", str(run / "checkpoint"), "--seed", "7"]
+    argv = ["evaluate", *common, "--out", str(run / "report.json")]
+    assert main(argv) == 0
+    ids = ["--reference-id", query["reference_id"], "--condition-id", query["condition_id"]]
+    assert main(["compose", *common, *ids, "--out", str(run / "vec.json")]) == 0
+    manifest = json.loads((run / "checkpoint.json").read_text())
+    for echo in ("config.resolved.json", "report.config.json", "vec.config.json"):
+        resolved = json.loads((run / echo).read_text())
+        assert resolved["seed"] == 7 and resolved["train"]["seed"] == 7, echo
+        assert resolved["world"]["composer_seed"] == manifest["composer_seed"] == 17, echo
+        assert resolved["world"]["dim"] == manifest["dim"] == 16, echo
+
+
 def test_evaluate_composer_seed_mismatch_names_both_files(pipeline, capsys):
     tmp_path, config = pipeline
     base = tmp_path / "run7" / "checkpoint"

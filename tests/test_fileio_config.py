@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from cirmap import config as cfg
 from cirmap import fileio
 from cirmap.errors import ConfigError, FormatError
-from oracles import ref_read_jsonl
+from oracles import ref_read_ids, ref_read_jsonl
 
 
 def random_matrix(rng, n, d):
@@ -320,3 +320,81 @@ def test_read_jsonl_property_matches_reference_reader(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "property.jsonl"
     path.write_bytes(b"\n".join(lines))
     assert _jsonl_outcome(fileio.read_jsonl, path) == _jsonl_outcome(ref_read_jsonl, path)
+
+
+CANONICAL_IDS = b'{"id": "a", "row": 0}\n{"id": "b-1", "row": 1}\n{"id": "", "row": 2}\n'
+ID_FILE_CASES = {
+    "canonical": CANONICAL_IDS,
+    "quote_backslash_non_ascii": (
+        b'{"id": "\\"q", "row": 0}\n{"id": "b\\\\", "row": 1}\n{"id": "\\u00e9", "row": 2}\n'
+    ),
+    "raw_non_ascii": '{"id": "a", "row": 0}\n{"id": "\u00e9", "row": 1}\n{"id": "c", "row": 2}\n'.encode(),
+    "swapped_keys": CANONICAL_IDS.replace(b'{"id": "a", "row": 0}', b'{"row": 0, "id": "a"}'),
+    "extra_spaces": CANONICAL_IDS.replace(b'"b-1", "row"', b'"b-1",  "row"'),
+    "blank_line": CANONICAL_IDS.replace(b"}\n", b"}\n\n", 1),
+    "crlf": CANONICAL_IDS.replace(b"\n", b"\r\n"),
+    "no_final_newline": CANONICAL_IDS[:-1],
+    "wrong_row": CANONICAL_IDS.replace(b'"row": 1', b'"row": 7'),
+    "repeated_id": CANONICAL_IDS.replace(b'"b-1"', b'"a"'),
+    "truncated_last_line": CANONICAL_IDS[:-4],
+    "invalid_utf8": CANONICAL_IDS.replace(b'"b-1"', b'"b\xff"'),
+    "one_line_too_many": CANONICAL_IDS + b'{"id": "d", "row": 3}\n',
+    "non_string_id": CANONICAL_IDS.replace(b'"b-1"', b"5"),
+}
+
+
+def _ids_outcome(read):
+    try:
+        return "ok", read()
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def _write_id_file(tmp_path, text: bytes, count: int = 3):
+    path = tmp_path / "vecs.emb"
+    fileio.write_embeddings(path, np.zeros((count, 2), np.float32), [str(i) for i in range(count)])
+    fileio.ids_path_for(path).write_bytes(text)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(ID_FILE_CASES))
+def test_id_file_reads_as_the_reference_reader(tmp_path, name):
+    path = _write_id_file(tmp_path, ID_FILE_CASES[name])
+    idp = fileio.ids_path_for(path)
+    expected = _ids_outcome(lambda: ref_read_ids(idp, 3))
+    assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
+
+
+def test_written_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
+    # the canonical form never reaches the line-by-line reader
+    def no_line_reader(path):
+        raise AssertionError("read_jsonl called")
+
+    path = tmp_path / "vecs.emb"
+    ids = [f"item-{i:05d}" for i in range(1000)] + ["", "a b", "-~"]
+    fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
+    monkeypatch.setattr(fileio, "read_jsonl", no_line_reader)
+    assert fileio.read_embeddings(path)[1] == ids
+
+
+_id_file_edits = st.sampled_from(
+    ['"', "\\", "\n", "\r\n", " ", "{", "}", ",", ":", "0", "1", "a", "\u00e9", "\x00", "", "\\u0041"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.text(max_size=4), min_size=1, max_size=4),
+    at=st.integers(0, 10_000),
+    cut=st.integers(0, 2),
+    insert=_id_file_edits,
+)
+def test_edited_id_file_reads_as_the_reference_reader(tmp_path_factory, ids, at, cut, insert):
+    path = tmp_path_factory.getbasetemp() / "edited.emb"
+    fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
+    idp = fileio.ids_path_for(path)
+    text = idp.read_text()
+    at %= len(text) + 1
+    idp.write_bytes((text[:at] + insert + text[at + cut :]).encode("utf-8"))
+    expected = _ids_outcome(lambda: ref_read_ids(idp, len(ids)))
+    assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected

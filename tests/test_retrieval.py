@@ -1,3 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +274,131 @@ def test_rank_equals_reference_property(data):
         assert res.items == ref_rank(g, q, k).items
 
 
+def blocked_rank(gallery, queries, k, block_rows):
+    """rank with the GEMM run over blocks of ``block_rows`` gallery rows."""
+    with mock.patch.object(retrieval, "_SCORE_BLOCK_ROWS", block_rows):
+        return rank(gallery, queries, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_equals_per_row_brute_force_property(data):
+    # Every row scored on its own in float64, over sizes, widths, scales and
+    # block sizes; copied rows and queries taken from the gallery make ties.
+    n = data.draw(st.integers(1, 300), label="n")
+    d = data.draw(st.integers(1, 300), label="d")
+    q_count = data.draw(st.integers(1, 5), label="queries")
+    k = data.draw(st.integers(1, n + 2), label="k")
+    block = data.draw(st.sampled_from([1, 7, 64, 8192]), label="block rows")
+    g_scale = data.draw(st.sampled_from([1e-20, 1.0, 1e20]), label="gallery scale")
+    q_scale = data.draw(st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 1e40]), label="query scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vecs = (unit_rows(rng, n, d) * g_scale).astype(np.float32)
+    vecs[rng.integers(0, n, size=n // 4)] = vecs[rng.integers(0, n)]
+    g = Gallery([f"i{j:03d}" for j in rng.permutation(n)], vecs)
+    picks = unit_rows(rng, q_count, d)
+    picks[: q_count // 2] = vecs[rng.integers(0, n, size=q_count // 2)] / g_scale
+    queries = picks * q_scale
+    if data.draw(st.booleans(), label="float32 queries"):
+        with np.errstate(over="ignore"):
+            queries = queries.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = blocked_rank(g, queries, k, block)
+        for q, res in zip(queries, results):
+            assert str(res.items) == str(ref_rank(g, q, k).items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_result_does_not_depend_on_batch_or_block_size(seed):
+    rng = np.random.default_rng(300 + seed)
+    g = tied_gallery(rng, 3000, 16)
+    queries = np.concatenate([g.vectors[:3], unit_rows(rng, 6, 16)]).astype(np.float32)
+    whole = [r.items for r in rank(g, queries, 10)]
+    for block in (1, 5, 999, 4096):
+        assert [r.items for r in blocked_rank(g, queries, 10, block)] == whole
+    assert [r.items for r in rank(g, queries[::-1], 10)] == whole[::-1]
+    for j in range(len(queries)):
+        assert rank(g, queries[j : j + 1], 10)[0].items == whole[j]
+
+
+def test_identical_rows_score_equally_and_rank_by_id():
+    # Copies of one row, one of them in the last rows of the gallery, get
+    # bitwise-equal scores and sit together in ascending id order.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 64))
+        vecs = unit_rows(rng, n, 32).astype(np.float32)
+        copies = np.append(rng.choice(n - 1, size=3, replace=False), n - 1)
+        vecs[copies] = vecs[copies[0]]
+        g = Gallery([f"i{j:03d}" for j in rng.permutation(n)], vecs)
+        items = rank(g, unit_rows(rng, 1, 32).astype(np.float32), n)[0].items
+        copy_ids = {g.ids[i] for i in copies}
+        at = [p for p, (i, _) in enumerate(items) if i in copy_ids]
+        assert len({items[p][1] for p in at}) == 1, seed
+        assert at == list(range(at[0], at[0] + len(at))), seed
+        assert [items[p][0] for p in at] == sorted(copy_ids), seed
+
+
+def test_nan_rows_rank_last_by_id_and_leave_the_batch_alone():
+    rng = np.random.default_rng(31)
+    vecs = unit_rows(rng, 2000, 8).astype(np.float32)
+    vecs[[5, 1500]] = np.nan
+    g = Gallery([f"i{j:04d}" for j in rng.permutation(2000)], vecs)
+    queries = unit_rows(rng, 3, 8).astype(np.float32)
+    queries[1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        results = blocked_rank(g, queries, 2000, 256)
+        for q, res in zip(queries, results):
+            assert str(res.items) == str(ref_rank(g, q, 2000).items)
+    assert results[1].ids() == sorted(g.ids)
+    assert all(np.isnan(s) for _, s in results[1].items)
+    assert [i for i, _ in results[0].items[-2:]] == sorted([g.ids[5], g.ids[1500]])
+
+
+_THREADS_SCRIPT = """
+import json
+import numpy as np
+from cirmap.retrieval import Gallery, rank
+rng = np.random.default_rng(44)
+vecs = rng.standard_normal((40000, 32)).astype(np.float32)
+queries = rng.standard_normal((16, 32)).astype(np.float32)
+g = Gallery([f"i{j:05d}" for j in range(40000)], vecs)
+print(json.dumps([[[i, repr(s)] for i, s in r.items] for r in rank(g, queries, 10)]))
+"""
+
+
+def test_rankings_do_not_depend_on_blas_threads():
+    src = str(Path(retrieval.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )  # fmt: skip
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    rng = np.random.default_rng(44)
+    vecs = rng.standard_normal((40000, 32)).astype(np.float32)
+    queries = rng.standard_normal((16, 32)).astype(np.float32)
+    here = rank(Gallery([f"i{j:05d}" for j in range(40000)], vecs), queries, 10)
+    assert outputs[0] == [[[i, repr(s)] for i, s in r.items] for r in here]
+
+
+def test_ranking_allocates_less_than_a_float64_gallery_copy():
+    rng = np.random.default_rng(8)
+    n, d = 50_000, 32
+    g = Gallery([f"i{j}" for j in range(n)], unit_rows(rng, n, d).astype(np.float32))
+    queries = unit_rows(rng, 32, d).astype(np.float32)
+    tracemalloc.start()
+    try:
+        rank(g, queries, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
+
+
 class TestBatchedComposition:
     @pytest.mark.parametrize("dim", [16, 32, 256])
     def test_rows_equal_batches_of_one(self, dim):
@@ -478,5 +611,6 @@ def test_query_requires_targets():
 
 def test_gallery_unique_ids():
     rng = np.random.default_rng(23)
-    with pytest.raises(ShapeError):
-        Gallery(["a", "a"], unit_rows(rng, 2, 4).astype(np.float32))
+    with pytest.raises(ShapeError, match="id 'a' appears twice"):
+        Gallery(["b", "a", "a"], unit_rows(rng, 3, 4).astype(np.float32))
+    assert Gallery(["b", "a"], unit_rows(rng, 2, 4)).row_of == {"b": 0, "a": 1}
