@@ -11,17 +11,27 @@ Embedding file layout (little-endian):
 Each embedding file has a companion JSONL id file (same path with the
 suffix ``.ids.jsonl``), one ``{"id": ..., "row": r}`` object per line, rows
 in order. Every value must be finite.
+
+write_embeddings spells each id line out canonically as
+``{"id": "<id>", "row": <r>}`` and a newline, the id escaped as
+``json.dumps`` escapes it (ASCII only) and ``r`` in plain decimal. A file
+whose ids are all printable ASCII other than ``"`` and ``\\`` is read in
+one pass: a few numpy passes over its bytes check every line's template,
+row number and id bytes, and the ids stay in the file's bytes as an
+:class:`IdList`. Any other file is parsed line by line.
 """
 
 from __future__ import annotations
 
 import json
 import json.scanner
+import mmap
+import operator
 import os
-import re
 import struct
 import tempfile
 import typing
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +146,8 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
     if len(ids) != count:
         raise FormatError(f"{path}: {len(ids)} ids for {count} rows")
     header = _HEADER.pack(MAGIC, VERSION, count, dim)
-    atomic_write_bytes(path, header + matrix.tobytes())
+    # One copy of the payload, not two (tobytes, then the concatenation).
+    atomic_write_bytes(path, b"".join([header, matrix.reshape(-1).view(np.uint8)]))
     atomic_write_text(ids_path_for(path), _id_lines(ids))
 
 
@@ -147,55 +158,216 @@ def _id_lines(ids: list[str]) -> str:
     return "".join([f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids)])
 
 
-# The ids of an id file written by write_embeddings whose ids need no escape.
-_PLAIN_ID = re.compile(r'\{"id": "([^"\\\x00-\x1f]*)", "row": ')
+# Ids in the index are keyed by at most this many leading UTF-8 bytes, so the
+# index holds at most this many bytes per row; ids whose keys are equal are
+# told apart by their exact text.
+_ID_KEY_BYTES = 64
 
 
-def _read_ids(path: Path, count: int) -> list[str]:
+class IdList(Sequence):
+    """Ids in row order, held as one UTF-8 buffer and each id's byte span;
+    an id becomes a ``str`` only when it is read.
+
+    A sorted index of the ids' keys answers :meth:`find` and
+    :meth:`first_repeat` with a binary search and a comparison of neighbours,
+    and gives ``ranks``, each row's place in the order of the exact ids. The
+    exact ids are compared only where two keys are equal. Lone surrogates,
+    which JSON escapes can produce, are kept with ``surrogatepass``.
+    """
+
+    def __init__(self, buf: bytes, starts: np.ndarray, ends: np.ndarray):
+        self._buf, self._starts, self._ends = buf, starts, ends
+        lens = ends - starts
+        width = int(min(lens.max(initial=1), _ID_KEY_BYTES))
+        if len(starts) and int(starts.max()) + width > len(buf):
+            buf = buf + bytes(width)
+        # Every id's first ``width`` bytes, as overlapping fixed-width windows
+        # of the buffer; bytes past an id's end are zeroed.
+        windows = np.ndarray((len(buf) - width + 1,), f"S{width}", buf, strides=(1,))
+        keys = windows[starts]
+        keys.view(np.uint8).reshape(-1, width)[np.arange(width) >= lens[:, None]] = 0
+        order = np.argsort(keys, kind="stable")
+        self._order, self._sorted = order, keys[order]
+        # Places in the sorted keys whose key equals the next one's.
+        self._same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        self.ranks = np.empty(len(order), np.intp)
+        self.ranks[order] = np.arange(len(order))
+        for run in np.split(self._same, np.flatnonzero(np.diff(self._same) > 1) + 1):
+            if len(run):
+                at = np.arange(run[0], run[-1] + 2)
+                self.ranks[sorted(order[at].tolist(), key=self.__getitem__)] = at
+
+    @classmethod
+    def of(cls, ids) -> "IdList":
+        """``ids``, any sequence of ``str``, as an IdList."""
+        if isinstance(ids, IdList):
+            return ids
+        encoded = [i.encode("utf-8", "surrogatepass") for i in ids]
+        lens = np.fromiter(map(len, encoded), np.intp, len(encoded))
+        ends = lens.cumsum()
+        return cls(b"".join(encoded), ends - lens, ends)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i):
+        """The id at row ``i``; for a slice or an array of rows, a list of ids."""
+        starts, ends = self._starts[i], self._ends[i]
+        if isinstance(i, (int, np.integer)):
+            return self._buf[starts:ends].decode("utf-8", "surrogatepass")
+        return [
+            self._buf[start:end].decode("utf-8", "surrogatepass")
+            for start, end in zip(starts.tolist(), ends.tolist())
+        ]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (IdList, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"IdList({list(self)!r})"
+
+    def find(self, ids: list[str]) -> list[int | None]:
+        """The row holding each of ``ids``, or None where no row holds it;
+        for an id held twice, its first row."""
+        width = self._sorted.itemsize
+        keys = np.array([i.encode("utf-8", "surrogatepass")[:width] for i in ids], f"S{width}")
+        los = np.searchsorted(self._sorted, keys, side="left").tolist()
+        his = np.searchsorted(self._sorted, keys, side="right").tolist()
+        # A stable sort keeps the rows of equal keys in row order.
+        return [
+            next((r for r in self._order[lo:hi].tolist() if self[r] == i), None)
+            for i, lo, hi in zip(ids, los, his)
+        ]
+
+    def first_repeat(self) -> str | None:
+        """The first id, in row order, that an earlier row also holds, or None."""
+        seen: set[str] = set()
+        for r in np.union1d(self._order[self._same], self._order[self._same + 1]).tolist():
+            id = self[r]
+            if id in seen:
+                return id
+            seen.add(id)
+        return None
+
+
+# The fixed bytes of a line of an id file: {"id": "<id>", "row": <row>}\n.
+_ID_HEAD = np.frombuffer(b'{"id": "', "<u8")[0]
+_ID_MID = np.frombuffer(b'", "row": ', np.uint8)
+_ID_MID_LO, _ID_MID_HI = _ID_MID[:8].view("<u8")[0], _ID_MID[2:].view("<u8")[0]
+# Bytes of an id file per pass of the byte scan. It bounds the scan's
+# temporaries, which would otherwise grow the heap by a file's size.
+_SCAN_BYTES = 1 << 18
+
+
+def _canonical_id_spans(raw: bytes, count: int):
+    """The byte spans (starts, ends) of the ids in ``raw`` if it is exactly
+    ``_id_lines(ids)`` of ``count`` ids in printable ASCII other than ``"``
+    and ``\\``, else None. A few numpy passes over the bytes decide it.
+    """
+    if not count:
+        return (np.empty(0, np.intp),) * 2 if not raw else None
+    if not raw.isascii() or b"\\" in raw or b"\x7f" in raw:
+        return None
+    data = np.frombuffer(raw, np.uint8)
+    controls = quotes = 0
+    ends_nl = []
+    for at in range(0, len(raw), _SCAN_BYTES):
+        block = data[at : at + _SCAN_BYTES]
+        controls += np.count_nonzero(block < 0x20)
+        quotes += np.count_nonzero(block == 0x22)
+        ends_nl.append(np.flatnonzero(block == 0x0A) + at)
+    # Line ends are the only control bytes, and each line has six quotes.
+    if controls != count or quotes != 6 * count:
+        return None
+    ends_nl = np.concatenate(ends_nl)
+    if len(ends_nl) != count or ends_nl[-1] != len(raw) - 1:
+        return None
+    starts = np.concatenate(([0], ends_nl[:-1] + 1))
+    digits = np.searchsorted(10 ** np.arange(1, 19), np.arange(count), side="right") + 1
+    id_ends = ends_nl - 11 - digits  # where the id's closing quote must be
+    if not (id_ends >= starts + 8).all():
+        return None
+    # The head, the middle and the row number sit at offsets that the line's
+    # start and end and its row number fix. The head and the middle hold six
+    # quotes, so no id holds one.
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    if not (
+        (words[starts] == _ID_HEAD).all()
+        and (words[id_ends] == _ID_MID_LO).all()
+        and (words[id_ends + 2] == _ID_MID_HI).all()
+        and (data[ends_nl - 1] == ord("}")).all()
+    ):
+        return None
+    # The digit at place p of rows 0, 1, 2, ... runs through 0-9, each
+    # repeated 10**p times; rows below 10**p have no digit there.
+    for place in range(int(digits[-1])):
+        cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), 10**place)
+        expected = np.resize(cycle, count)
+        low = 10**place if place else 0
+        if not (data[ends_nl[low:] - (2 + place)] == expected[low:]).all():
+            return None
+    return starts + 8, id_ends
+
+
+def _read_ids(path: Path, count: int) -> IdList:
     """The ``count`` ids of an id file, in row order.
 
-    One regex pass takes the ids of a file in write_embeddings' own form; it
-    is accepted only if writing those ids gives back the file's exact text.
-    Any other file goes through read_jsonl and the per-record checks, so
-    every error keeps its text and line number.
+    A file in write_embeddings' own form with printable-ASCII ids (see
+    :func:`_canonical_id_spans`) is taken as it is. Any other file goes
+    through read_jsonl and the per-record checks, so every error keeps its
+    text and line number.
     """
-    try:
-        text = path.read_bytes().decode("utf-8")
-        plain = _PLAIN_ID.findall(text)
-        plain_form = _id_lines(plain) == text
-    except UnicodeDecodeError:
-        plain_form = False
-    rows = plain if plain_form else read_jsonl(path)
+    raw = path.read_bytes()
+    spans = _canonical_id_spans(raw, count)
+    if spans is not None:
+        return IdList(raw, *spans)
+    rows = read_jsonl(path)
     if len(rows) != count:
         raise FormatError(f"{path}: {len(rows)} ids for {count} rows")
-    if plain_form:
-        return plain
     ids = []
     for r, row in enumerate(rows):
         if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
             raise FormatError(f"{path}: malformed id record at line {r}")
         ids.append(str(row["id"]))
-    return ids
+    return IdList.of(ids)
 
 
-def read_embeddings(path: Path) -> tuple[np.ndarray, list[str]]:
+def read_embeddings(path: Path) -> tuple[np.ndarray, IdList]:
+    """The matrix of an embedding file and the ids of its companion id file.
+
+    The matrix maps the file's payload copy-on-write: no byte of it is
+    copied or read ahead, writes to it stay private, and its pages leave the
+    process with the array rather than staying in the heap. The program
+    replaces files whole (``os.replace``), so a file never changes under a
+    matrix that maps it. Finiteness is checked by the minimum and maximum,
+    which NaN and inf both reach, with no full-size mask.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+            magic, version, count, dim = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise FormatError(f"{path}: unsupported format version {version}")
+            if size != _HEADER.size + count * dim * 4:
+                raise FormatError(
+                    f"{path}: payload is {size - _HEADER.size} bytes, expected {count * dim * 4}"
+                )
+            payload = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read embedding file: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, count, dim = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + count * dim * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {count * dim * 4}")
-    matrix = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim).copy()
-    if not np.isfinite(matrix).all():
+    matrix = np.frombuffer(payload, "<f4", count * dim, _HEADER.size).reshape(count, dim)
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
         row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
         raise FormatError(f"{path}: row {row} holds a non-finite value")
 

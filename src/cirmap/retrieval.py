@@ -10,6 +10,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import PromptComposer
 from .errors import ParameterError, ShapeError
+from .fileio import IdList
 from .mappers import Mappers, map_rows
 
 BASELINE_MODES = ("image_only", "text_only", "average", "slerp")
@@ -32,27 +33,26 @@ class Query:
         self.target_ids = frozenset(self.target_ids)
 
 
-def row_index(ids: list[str]) -> dict[str, int]:
-    """Map each id to its row; a repeated id raises ShapeError naming it."""
-    row_of = dict(zip(ids, range(len(ids))))
-    if len(row_of) != len(ids):
-        seen: set[str] = set()
-        repeated = next(i for i in ids if i in seen or seen.add(i))
+def unique_ids(ids) -> IdList:
+    """``ids`` as an IdList; a repeated id raises ShapeError naming the
+    first repeat in row order."""
+    ids = IdList.of(ids)
+    repeated = ids.first_repeat()
+    if repeated is not None:
         raise ShapeError(f"id {repeated!r} appears twice")
-    return row_of
+    return ids
 
 
 @dataclass
 class Gallery:
-    ids: list[str]
+    ids: IdList  # any sequence of str, held as an IdList
     vectors: np.ndarray  # [G x d] unit rows
-    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or len(self.ids) != self.vectors.shape[0]:
             raise ShapeError("gallery ids and vectors disagree")
-        self.row_of = row_index(self.ids)
+        self.ids = unique_ids(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -257,11 +257,8 @@ def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> list[RankedResult]
             # and the sort places them last, as a full sort would.
             keep = np.flatnonzero(~(neg > kth))
             cand, scores, neg = cand[keep], scores[keep], neg[keep]
-        cand_ids = np.array([gallery.ids[i] for i in cand])
-        order = np.lexsort((cand_ids, neg))[:k]
-        results.append(
-            RankedResult([(str(cand_ids[i]), float(scores[i])) for i in order])
-        )
+        order = np.lexsort((gallery.ids.ranks[cand], neg))[:k]
+        results.append(RankedResult(list(zip(gallery.ids[cand[order]], scores[order].tolist()))))
     return results
 
 

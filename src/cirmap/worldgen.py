@@ -33,7 +33,7 @@ from . import fileio
 from .autodiff import Tensor
 from .composer import PromptComposer
 from .errors import FormatError, InconsistentSpecError, ShapeError
-from .retrieval import EvalTask, Gallery, Query, eval_settings_problem, row_index
+from .retrieval import EvalTask, Gallery, Query, eval_settings_problem, unique_ids
 
 # Gallery rows generated and composed together; bounds set-up's peak memory.
 _GALLERY_BLOCK_ROWS = 8192
@@ -456,22 +456,26 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
             f"{cond_path}: rows are {cond_matrix.shape[1]}-d, {gallery_path} rows are {dim}-d"
         )
     gallery = _indexed(gallery_path, Gallery, gallery_ids, gallery_matrix)
-    cond_row = _indexed(cond_path, row_index, cond_ids)
-    queries = []
+    cond_ids = _indexed(cond_path, unique_ids, cond_ids)
     queries_path = data_dir / task_doc["queries"]
-    for n, rec in enumerate(fileio.read_jsonl(queries_path), start=1):
+    records = fileio.read_jsonl(queries_path)
+    for n, rec in enumerate(records, start=1):
         fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
-        if rec["reference_id"] not in gallery.row_of:
+    ref_rows = gallery.ids.find([rec["reference_id"] for rec in records])
+    cond_rows = cond_ids.find([rec["condition_id"] for rec in records])
+    queries = []
+    for rec, ref_row, cond_row in zip(records, ref_rows, cond_rows):
+        if ref_row is None:
             raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown reference id")
-        if rec["condition_id"] not in cond_row:
+        if cond_row is None:
             raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown condition id")
         queries.append(
             Query(
                 query_id=rec["query_id"],
                 reference_id=rec["reference_id"],
-                reference_emb=gallery_matrix[gallery.row_of[rec["reference_id"]]],
+                reference_emb=gallery_matrix[ref_row],
                 condition_id=rec["condition_id"],
-                condition_emb=cond_matrix[cond_row[rec["condition_id"]]],
+                condition_emb=cond_matrix[cond_row],
                 target_ids=frozenset(rec["target_ids"]),
             )
         )

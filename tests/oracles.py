@@ -274,16 +274,20 @@ def brute_force_select(images: np.ndarray, texts: np.ndarray, sigma: float, lam:
 
 def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
     """The per-query ranker: every row scored on its own in float64 (the sum
-    of its products with the query), full lexsort (score desc, id asc)."""
+    of its products with the query), one Python sort by descending score,
+    NaN last, then by the exact id string."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     q = np.asarray(query_vec, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != gallery.vectors.shape[1]:
         raise ShapeError(f"query vector shape {q.shape} does not match gallery")
-    scores = np.array([np.sum(row.astype(np.float64) * q) for row in gallery.vectors])
-    ids = np.array(gallery.ids)
-    order = np.lexsort((ids, -scores))[: min(k, len(gallery))]
-    return RankedResult([(str(ids[i]), float(scores[i])) for i in order])
+    scores = [float(np.sum(row.astype(np.float64) * q)) for row in gallery.vectors]
+    ids = list(gallery.ids)
+    order = sorted(
+        range(len(ids)),
+        key=lambda i: (math.isnan(scores[i]), 0.0 if math.isnan(scores[i]) else -scores[i], ids[i]),
+    )
+    return RankedResult([(ids[i], scores[i]) for i in order[:k]])
 
 
 def brute_force_rank(ids: list[str], vectors: np.ndarray, query: np.ndarray, k: int):

@@ -421,6 +421,7 @@ def test_duplicate_id_names_file_and_id(pipeline, capsys, name):
     tmp_path, config = pipeline
     path = tmp_path / "data" / f"{name}.emb"
     matrix, ids = fileio.read_embeddings(path)
+    ids = list(ids)
     ids[1] = ids[0]
     fileio.write_embeddings(path, matrix, ids)
     out = tmp_path / "run" / "image_only.json"

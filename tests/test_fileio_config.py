@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,31 @@ class TestEmbeddingFile:
         assert int.from_bytes(raw[8:16], "little") == 3
         assert int.from_bytes(raw[16:20], "little") == 4
         assert len(raw) == 20 + 3 * 4 * 4
+
+    def test_writes_to_a_read_matrix_stay_private(self, tmp_path):
+        path = tmp_path / "vecs.emb"
+        fileio.write_embeddings(path, np.ones((2, 3), np.float32), ["a", "b"])
+        before = path.read_bytes()
+        loaded, _ = fileio.read_embeddings(path)
+        loaded[1, 2] = 7.0
+        assert path.read_bytes() == before
+        assert fileio.read_embeddings(path)[0][1, 2] == 1.0
+
+    def test_reading_allocates_little_beyond_the_matrix(self, tmp_path):
+        # No copy of the file's bytes and no full-size finiteness mask. The
+        # matrix maps the file, which is not traced, so what is traced is overhead.
+        rng = np.random.default_rng(4)
+        matrix = random_matrix(rng, 1000, 1600)
+        path = tmp_path / "vecs.emb"
+        fileio.write_embeddings(path, matrix, [f"row-{i}" for i in range(1000)])
+        tracemalloc.start()
+        try:
+            loaded, _ = fileio.read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == matrix.tobytes()
+        assert peak < 0.1 * matrix.nbytes
 
 
 MINIMAL = {"seed": 11}
@@ -340,7 +366,43 @@ ID_FILE_CASES = {
     "invalid_utf8": CANONICAL_IDS.replace(b'"b-1"', b'"b\xff"'),
     "one_line_too_many": CANONICAL_IDS + b'{"id": "d", "row": 3}\n',
     "non_string_id": CANONICAL_IDS.replace(b'"b-1"', b"5"),
+    "escaped_template_in_id": CANONICAL_IDS.replace(b'"b-1"', b'"x\\", \\"row\\": 0"'),
+    "id_ending_in_nul": CANONICAL_IDS.replace(b'"b-1"', b'"b\\u0000"'),
+    "lone_surrogate": CANONICAL_IDS.replace(b'"b-1"', b'"\\ud800"'),
+    # one byte of the line template or of an id out of place
+    "raw_quote_in_id": CANONICAL_IDS.replace(b'"b-1"', b'"b"1"'),
+    "raw_control_byte_in_id": CANONICAL_IDS.replace(b'"b-1"', b'"b\x011"'),
+    "raw_delete_in_id": CANONICAL_IDS.replace(b'"b-1"', b'"b\x7f1"'),
+    "key_in_capitals": CANONICAL_IDS.replace(b'{"id": "b-1"', b'{"ID": "b-1"'),
+    "semicolon_for_colon": CANONICAL_IDS.replace(b'"row": 1', b'"row"; 1'),
+    "bracket_for_brace": CANONICAL_IDS.replace(b'"row": 1}', b'"row": 1]'),
+    "text_after_last_line": CANONICAL_IDS + b"x",
+    # head and middle share a quote on line 0; line 1 holds the quote it lacks
+    "overlapping_template": CANONICAL_IDS.replace(b'"a", "row": 0', b'", "row": 0').replace(
+        b'"b-1"', b'"b"1"'
+    ),
 }
+
+
+def _id_file_text(ids, rows) -> bytes:
+    return "".join(json.dumps({"id": i, "row": r}) + "\n" for i, r in zip(ids, rows)).encode()
+
+
+# Files of 25 rows, whose row numbers run to two digits.
+_ROWS_25 = list(range(25))
+_IDS_25 = [f"id-{r}" for r in _ROWS_25]
+ID_FILES_25_ROWS = {
+    "rows_12_and_21_swapped": _id_file_text(
+        _IDS_25, _ROWS_25[:12] + [21] + _ROWS_25[13:21] + [12] + _ROWS_25[22:]
+    ),
+    "rows_10_and_20_swapped": _id_file_text(
+        _IDS_25, _ROWS_25[:10] + [20] + _ROWS_25[11:20] + [10] + _ROWS_25[21:]
+    ),
+    "row_07": _id_file_text(_IDS_25, _ROWS_25).replace(b'"row": 7}', b'"row": 07}'),
+    "row_1.0": _id_file_text(_IDS_25, _ROWS_25).replace(b'"row": 1}', b'"row": 1.0}'),
+    "canonical_25_rows": _id_file_text(_IDS_25, _ROWS_25),
+}
+ID_FILE_CASES.update(ID_FILES_25_ROWS)
 
 
 def _ids_outcome(read):
@@ -359,9 +421,10 @@ def _write_id_file(tmp_path, text: bytes, count: int = 3):
 
 @pytest.mark.parametrize("name", sorted(ID_FILE_CASES))
 def test_id_file_reads_as_the_reference_reader(tmp_path, name):
-    path = _write_id_file(tmp_path, ID_FILE_CASES[name])
+    count = 25 if name in ID_FILES_25_ROWS else 3
+    path = _write_id_file(tmp_path, ID_FILE_CASES[name], count)
     idp = fileio.ids_path_for(path)
-    expected = _ids_outcome(lambda: ref_read_ids(idp, 3))
+    expected = _ids_outcome(lambda: ref_read_ids(idp, count))
     assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
 
 
@@ -371,10 +434,13 @@ def test_written_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
         raise AssertionError("read_jsonl called")
 
     path = tmp_path / "vecs.emb"
-    ids = [f"item-{i:05d}" for i in range(1000)] + ["", "a b", "-~"]
+    # an id longer than the index keys, and short ids after it
+    ids = [f"item-{i:05d}" for i in range(1000)] + ["x" * 70, "", "a b", "-~"]
     fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
     monkeypatch.setattr(fileio, "read_jsonl", no_line_reader)
-    assert fileio.read_embeddings(path)[1] == ids
+    read = fileio.read_embeddings(path)[1]
+    assert read == ids
+    assert read.find(ids) == list(range(len(ids))) and read.first_repeat() is None
 
 
 _id_file_edits = st.sampled_from(
@@ -382,9 +448,19 @@ _id_file_edits = st.sampled_from(
 )
 
 
+# Ids that need no escape, so that the unedited file is in the one-pass form,
+# or any text; files of up to 120 rows, so that edits reach multi-digit rows.
+_plain_ids = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=4
+)
+_id_lists = st.tuples(
+    st.sampled_from([_plain_ids, st.text(max_size=4)]), st.integers(1, 120)
+).flatmap(lambda drawn: st.lists(drawn[0], min_size=drawn[1], max_size=drawn[1]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    ids=st.lists(st.text(max_size=4), min_size=1, max_size=4),
+    ids=_id_lists,
     at=st.integers(0, 10_000),
     cut=st.integers(0, 2),
     insert=_id_file_edits,
@@ -398,3 +474,25 @@ def test_edited_id_file_reads_as_the_reference_reader(tmp_path_factory, ids, at,
     idp.write_bytes((text[:at] + insert + text[at + cut :]).encode("utf-8"))
     expected = _ids_outcome(lambda: ref_read_ids(idp, len(ids)))
     assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
+
+
+def _first_repeat(ids):
+    seen = set()
+    return next((i for i in ids if i in seen or seen.add(i)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # a shared prefix longer than the index keys, or none
+    prefix=st.sampled_from(["", "p" * 70]),
+    tails=st.lists(st.text(st.sampled_from("ab\x00\ud800\u00e9"), max_size=3), max_size=30),
+    absent=st.lists(st.text(st.sampled_from("ab\x00\ud800\u00e9"), max_size=4), max_size=5),
+)
+def test_id_list_lookups_match_a_list(prefix, tails, absent):
+    ids = [prefix + t for t in tails]
+    listed = fileio.IdList.of(ids)
+    assert listed == ids and list(listed) == ids and listed[::-1] == ids[::-1]
+    looked_up = ids + [prefix + t for t in absent]
+    assert listed.find(looked_up) == [ids.index(i) if i in ids else None for i in looked_up]
+    assert listed.first_repeat() == _first_repeat(ids)
+    assert np.argsort(listed.ranks).tolist() == sorted(range(len(ids)), key=ids.__getitem__)

@@ -174,6 +174,14 @@ class TestRank:
         res = rank(g, np.array([[1.0, 0.0]], dtype=np.float32), 3)[0]
         assert res.ids() == ["a", "b", "c"]
 
+    def test_ties_use_exact_ids_with_trailing_nul(self):
+        vecs = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 0.0]], dtype=np.float32)
+        g = Gallery(["a\x00", "b", "a"], vecs)
+        q = np.array([1.0, 0.0], dtype=np.float32)
+        res = rank(g, q[None], 3)[0]
+        assert res.ids() == ["a", "a\x00", "b"]
+        assert res.items == ref_rank(g, q, 3).items
+
     def test_oracle_equivalence_seeded_suite(self):
         # 1000 random galleries, full ordering equality with the loop oracle
         for seed in range(1000):
@@ -613,4 +621,10 @@ def test_gallery_unique_ids():
     rng = np.random.default_rng(23)
     with pytest.raises(ShapeError, match="id 'a' appears twice"):
         Gallery(["b", "a", "a"], unit_rows(rng, 3, 4).astype(np.float32))
-    assert Gallery(["b", "a"], unit_rows(rng, 2, 4)).row_of == {"b": 0, "a": 1}
+    # the first repeat in row order, not the first id that repeats
+    with pytest.raises(ShapeError, match="id 'c' appears twice"):
+        Gallery(["a", "c", "c", "a"], unit_rows(rng, 4, 4))
+    ids = ["b", "a", "a\x00", "", "\x00"]
+    g = Gallery(ids, unit_rows(rng, 5, 4))
+    looked_up = ["b", "a", "a\x00", "", "\x00", "c", "a\x00\x00", "\x00\x00"]
+    assert g.ids.find(looked_up) == [0, 1, 2, 3, 4, None, None, None]
