@@ -14,7 +14,7 @@ from .errors import CirmapError
 from .losses import BatchEmbeddings, LossWeights
 from .mappers import Mappers, init_mapper, load_checkpoint, save_checkpoint
 from .mining import BatchSelection, select_batch
-from .retrieval import EvalTask, Gallery, Query, RankedResult
+from .retrieval import EvalTask, Gallery
 from .training import TrainConfig, TrainResult, train
 from .worldgen import World, WorldSpec, generate_world
 
@@ -29,8 +29,6 @@ __all__ = [
     "LossWeights",
     "Mappers",
     "PromptComposer",
-    "Query",
-    "RankedResult",
     "Tape",
     "Tensor",
     "TrainConfig",

@@ -171,14 +171,12 @@ def cmd_compose(args) -> int:
     mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
     gamma = args.gamma if args.gamma is not None else run_cfg.eval.gamma
 
-    by_ref = {q.reference_id: q for q in task.queries}
-    by_cond = {q.condition_id: q for q in task.queries}
-    if args.reference_id not in by_ref:
+    if args.reference_id not in task.reference_ids:
         raise CirmapError(f"reference id {args.reference_id!r} not used by any query")
-    if args.condition_id not in by_cond:
+    if args.condition_id not in task.condition_ids:
         raise CirmapError(f"condition id {args.condition_id!r} not used by any query")
-    reference = by_ref[args.reference_id].reference_emb
-    condition = by_cond[args.condition_id].condition_emb
+    reference = task.reference_rows[task.reference_ids.index(args.reference_id)]
+    condition = task.condition_rows[task.condition_ids.index(args.condition_id)]
     vec = compose_query(reference[None], condition[None], mappers, composer, gamma)[0]
     out = {
         "reference_id": args.reference_id,

@@ -63,7 +63,9 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """One compact line with sorted keys: ``json.dumps`` takes its C encoder
+    for it, where ``indent`` falls back to the pure-Python one."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path: Path):

@@ -16,23 +16,6 @@ from .mappers import Mappers, map_rows
 BASELINE_MODES = ("image_only", "text_only", "average", "slerp")
 
 
-@dataclass
-class Query:
-    query_id: str
-    reference_id: str
-    reference_emb: np.ndarray  # unit vector
-    condition_id: str
-    condition_emb: np.ndarray  # unit vector
-    target_ids: frozenset[str]
-
-    def __post_init__(self):
-        if not self.target_ids:
-            raise ShapeError(f"query {self.query_id}: empty target set")
-        self.reference_emb = np.asarray(self.reference_emb, dtype=np.float32)
-        self.condition_emb = np.asarray(self.condition_emb, dtype=np.float32)
-        self.target_ids = frozenset(self.target_ids)
-
-
 def unique_ids(ids) -> IdList:
     """``ids`` as an IdList; a repeated id raises ShapeError naming the
     first repeat in row order."""
@@ -58,16 +41,6 @@ class Gallery:
         return len(self.ids)
 
 
-@dataclass
-class RankedResult:
-    """Descending cosine order; ties broken by ascending id."""
-
-    items: list[tuple[str, float]]
-
-    def ids(self) -> list[str]:
-        return [i for i, _ in self.items]
-
-
 def eval_settings_problem(metrics: list[str], k_values: list[int], gamma: float):
     """The first evaluation setting that breaks its rule, as (key, what is
     wrong), or None. The config's eval section and ``task.json`` share it."""
@@ -83,8 +56,16 @@ def eval_settings_problem(metrics: list[str], k_values: list[int], gamma: float)
 
 @dataclass
 class EvalTask:
+    """The queries as columns: one id list or [Q x d] block per field, and
+    each query's target gallery rows, ascending and unique."""
+
     gallery: Gallery
-    queries: list[Query]
+    query_ids: list[str]
+    reference_ids: list[str]
+    condition_ids: list[str]
+    reference_rows: np.ndarray  # [Q x d]
+    condition_rows: np.ndarray  # [Q x d]
+    targets: list[np.ndarray]
     metrics: list[str] = field(default_factory=lambda: ["recall", "map"])
     k_values: list[int] = field(default_factory=lambda: [1, 5, 10])
     gamma: float = 0.6
@@ -230,9 +211,11 @@ def _candidates(vectors: np.ndarray, q64: np.ndarray, k: int) -> list[np.ndarray
     return np.split(hit_rows[order], splits)
 
 
-def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> list[RankedResult]:
+def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k inner-product search of each query row against every gallery row.
 
+    Returns ``(rows, scores)``: a [Q x k] block of gallery rows and the
+    matching [Q x k] float64 scores, with k capped at the gallery's size.
     A float32 GEMM in row blocks narrows the gallery to candidates with a
     rigorous error bound (see :func:`_candidates`); only those are scored in
     float64. A score is the float64 sum of one gallery row times the query
@@ -246,59 +229,57 @@ def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> list[RankedResult]
     if q64.ndim != 2 or q64.shape[1] != gallery.vectors.shape[1]:
         raise ShapeError(f"query block shape {q64.shape} does not match gallery")
     k = min(k, len(gallery))
-    results = []
-    for q, cand in zip(q64, _candidates(gallery.vectors, q64, k)):
+    rows = np.empty((q64.shape[0], k), np.intp)
+    scores = np.empty((q64.shape[0], k), np.float64)
+    for j, (q, cand) in enumerate(zip(q64, _candidates(gallery.vectors, q64, k))):
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = (gallery.vectors[cand].astype(np.float64) * q).sum(axis=1)
-        neg = -scores
+            cand_scores = (gallery.vectors[cand].astype(np.float64) * q).sum(axis=1)
+        neg = -cand_scores
         if k < len(cand):
             kth = neg[np.argpartition(neg, k - 1)[k - 1]]
             # NaN scores compare false either way, so they stay candidates
             # and the sort places them last, as a full sort would.
             keep = np.flatnonzero(~(neg > kth))
-            cand, scores, neg = cand[keep], scores[keep], neg[keep]
+            cand, cand_scores, neg = cand[keep], cand_scores[keep], neg[keep]
         order = np.lexsort((gallery.ids.ranks[cand], neg))[:k]
-        results.append(RankedResult(list(zip(gallery.ids[cand[order]], scores[order].tolist()))))
-    return results
+        rows[j], scores[j] = cand[order], cand_scores[order]
+    return rows, scores
 
 
-def _check_metric_inputs(results: list[RankedResult], queries: list[Query], k: int) -> None:
-    if len(results) != len(queries):
-        raise ShapeError(f"{len(results)} results for {len(queries)} queries")
-    if not queries:
+def ranking_metrics(
+    rows: np.ndarray, targets: list[np.ndarray], metrics: list[str], k_values: list[int]
+) -> dict[str, float]:
+    """``recall@K`` and ``map@K`` of ranked gallery rows against each query's
+    targets (ascending, unique rows), all from one [Q x k] hit matrix.
+
+    recall@K is the share of queries with a target in the top K. AP@K sums
+    the precision at each hit in the top K over min(K, number of targets).
+    The terms are added rank by rank, then query by query, so each value is
+    the sum a loop over the ranked lists would make.
+    """
+    if len(rows) != len(targets):
+        raise ShapeError(f"{len(rows)} rankings for {len(targets)} queries")
+    if not len(targets):
         raise ShapeError("no queries to score")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-
-
-def recall_at_k(results: list[RankedResult], queries: list[Query], k: int) -> float:
-    """Fraction of queries with at least one target in the top k."""
-    _check_metric_inputs(results, queries, k)
-    hits = 0
-    for res, query in zip(results, queries):
-        top = res.ids()[:k]
-        if any(i in query.target_ids for i in top):
-            hits += 1
-    return hits / len(queries)
-
-
-def average_precision_at_k(result: RankedResult, query: Query, k: int) -> float:
-    """Truncated AP with multi-target normalizer min(k, number of targets)."""
-    top = result.ids()[:k]
-    hits = 0
-    precision_sum = 0.0
-    for r, item in enumerate(top, start=1):
-        if item in query.target_ids:
-            hits += 1
-            precision_sum += hits / r
-    return precision_sum / min(k, len(query.target_ids))
-
-
-def map_at_k(results: list[RankedResult], queries: list[Query], k: int) -> float:
-    _check_metric_inputs(results, queries, k)
-    return sum(
-        average_precision_at_k(res, q, k) for res, q in zip(results, queries)
-    ) / len(queries)
+    if min(k_values) < 1:
+        raise ParameterError(f"k must be >= 1, got {min(k_values)}")
+    # A (query, row) pair as one code, so one sorted search finds every hit.
+    n_targets = np.array([len(t) for t in targets])
+    flat = np.concatenate(targets)
+    stride = 1 + max(int(rows.max(initial=0)), int(flat.max(initial=0)))
+    query = np.arange(len(targets))
+    hits = np.isin(rows + stride * query[:, None], flat + stride * np.repeat(query, n_targets))
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    ap_sums = np.cumsum(np.where(hits, precision, 0.0), axis=1)
+    out = {}
+    for k in k_values:
+        top = min(k, hits.shape[1])
+        if "recall" in metrics:
+            out[f"recall@{k}"] = int(hits[:, :top].any(axis=1).sum()) / len(targets)
+        if "map" in metrics:
+            ap = ap_sums[:, top - 1] / np.minimum(k, n_targets)
+            out[f"map@{k}"] = float(np.cumsum(ap)[-1]) / len(targets)
+    return out
 
 
 def evaluate_task(
@@ -315,37 +296,35 @@ def evaluate_task(
         raise ParameterError(f"unknown evaluation mode {mode!r}")
     if mode == "composed" and (mappers is None or composer is None):
         raise ParameterError("composed evaluation needs mappers and a composer")
-    if not task.queries:
+    if not task.query_ids:
         raise ShapeError("no queries to score")
     gamma = task.gamma if gamma is None else gamma
     max_k = max(task.k_values)
 
-    refs = np.stack([q.reference_emb for q in task.queries])
-    conds = np.stack([q.condition_emb for q in task.queries])
+    refs, conds = task.reference_rows, task.condition_rows
     if mode == "composed":
-        rows = compose_query(refs, conds, mappers, composer, gamma)
+        block = compose_query(refs, conds, mappers, composer, gamma)
     else:
-        rows = baseline_compose(refs, conds, mode, slerp_t)
-    results = rank(task.gallery, rows, max_k)
+        block = baseline_compose(refs, conds, mode, slerp_t)
+    rows, scores = rank(task.gallery, block, max_k)
 
     report: dict = {
         "mode": mode,
         "gamma": gamma,
-        "n_queries": len(task.queries),
-        "metrics": {},
+        "n_queries": len(task.query_ids),
+        "metrics": ranking_metrics(rows, task.targets, task.metrics, task.k_values),
     }
-    for k in task.k_values:
-        if "recall" in task.metrics:
-            report["metrics"][f"recall@{k}"] = recall_at_k(results, task.queries, k)
-        if "map" in task.metrics:
-            report["metrics"][f"map@{k}"] = map_at_k(results, task.queries, k)
     if per_query:
+        top = min(10, max_k)
+        ids = task.gallery.ids
         report["per_query"] = [
             {
-                "query_id": q.query_id,
-                "top": [[i, s] for i, s in res.items[: min(10, max_k)]],
-                "targets": sorted(q.target_ids),
+                "query_id": query_id,
+                "top": [list(pair) for pair in zip(ids[top_rows], top_scores.tolist())],
+                "targets": sorted(ids[target_rows]),
             }
-            for q, res in zip(task.queries, results)
+            for query_id, top_rows, top_scores, target_rows in zip(
+                task.query_ids, rows[:, :top], scores[:, :top], task.targets
+            )
         ]
     return report

@@ -23,7 +23,6 @@ the gallery, so a pure image query retrieves the reference itself first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from . import fileio
 from .autodiff import Tensor
 from .composer import PromptComposer
 from .errors import FormatError, InconsistentSpecError, ShapeError
-from .retrieval import EvalTask, Gallery, Query, eval_settings_problem, unique_ids
+from .retrieval import EvalTask, Gallery, eval_settings_problem, unique_ids
 
 # Gallery rows generated and composed together; bounds set-up's peak memory.
 _GALLERY_BLOCK_ROWS = 8192
@@ -381,17 +380,13 @@ def export_world(
             "gamma": gamma,
         },
     )
-    # One compact line: the C encoder takes it, where indent=2 falls back
-    # to the pure-Python one.
     meta = {
         "spec": asdict(world.spec),
         "composer_hash": world.composer_hash,
         "gallery_tuples": world.gallery_tuples.tolist(),
         "query_records": world.query_records,
     }
-    fileio.atomic_write_text(
-        data_dir / WORLD_META, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    fileio.write_json(data_dir / WORLD_META, meta)
 
 
 def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +434,8 @@ def read_task_doc(data_dir: Path) -> dict:
 
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     """Load the evaluation task; a missing, mistyped or out-of-range key of
-    ``task.json`` or of a query record raises FormatError naming file and key."""
+    ``task.json`` or of a query record raises FormatError naming file and key,
+    and an unknown id or an empty target list one naming the query."""
     data_dir = Path(data_dir)
     task_doc = read_task_doc(data_dir)
     gallery_path = data_dir / task_doc["gallery"]
@@ -463,25 +459,30 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
     ref_rows = gallery.ids.find([rec["reference_id"] for rec in records])
     cond_rows = cond_ids.find([rec["condition_id"] for rec in records])
-    queries = []
+    target_rows = gallery.ids.find([t for rec in records for t in rec["target_ids"]])
+    stop, targets = 0, []
     for rec, ref_row, cond_row in zip(records, ref_rows, cond_rows):
+        where = f"{queries_path}: query {rec['query_id']}"
         if ref_row is None:
-            raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown reference id")
+            raise FormatError(f"{where}: unknown reference id")
         if cond_row is None:
-            raise FormatError(f"{queries_path}: query {rec['query_id']}: unknown condition id")
-        queries.append(
-            Query(
-                query_id=rec["query_id"],
-                reference_id=rec["reference_id"],
-                reference_emb=gallery_matrix[ref_row],
-                condition_id=rec["condition_id"],
-                condition_emb=cond_matrix[cond_row],
-                target_ids=frozenset(rec["target_ids"]),
-            )
-        )
+            raise FormatError(f"{where}: unknown condition id")
+        if not rec["target_ids"]:
+            raise FormatError(f"{where}: empty target set")
+        start, stop = stop, stop + len(rec["target_ids"])
+        found = target_rows[start:stop]
+        if None in found:
+            unknown = rec["target_ids"][found.index(None)]
+            raise FormatError(f"{where}: unknown target id {unknown!r}")
+        targets.append(np.unique(np.array(found, dtype=np.intp)))
     task = EvalTask(
         gallery=gallery,
-        queries=queries,
+        query_ids=[rec["query_id"] for rec in records],
+        reference_ids=[rec["reference_id"] for rec in records],
+        condition_ids=[rec["condition_id"] for rec in records],
+        reference_rows=gallery_matrix[np.array(ref_rows, dtype=np.intp)],
+        condition_rows=cond_matrix[np.array(cond_rows, dtype=np.intp)],
+        targets=targets,
         metrics=list(task_doc["metrics"]),
         k_values=list(task_doc["k_values"]),
         gamma=float(task_doc["gamma"]),

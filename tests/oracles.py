@@ -15,7 +15,7 @@ import numpy as np
 
 from cirmap.composer import MAX_SLOTS, PromptComposer
 from cirmap.errors import FormatError, InconsistentSpecError, ParameterError, ShapeError
-from cirmap.retrieval import Gallery, RankedResult
+from cirmap.retrieval import Gallery
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
@@ -272,7 +272,7 @@ def brute_force_select(images: np.ndarray, texts: np.ndarray, sigma: float, lam:
 # brute-force retrieval and metrics
 
 
-def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
+def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
     """The per-query ranker: every row scored on its own in float64 (the sum
     of its products with the query), one Python sort by descending score,
     NaN last, then by the exact id string."""
@@ -287,7 +287,13 @@ def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> RankedResult:
         range(len(ids)),
         key=lambda i: (math.isnan(scores[i]), 0.0 if math.isnan(scores[i]) else -scores[i], ids[i]),
     )
-    return RankedResult([(ids[i], scores[i]) for i in order[:k]])
+    return [(ids[i], scores[i]) for i in order[:k]]
+
+
+def ranked_items(gallery: Gallery, rows: np.ndarray, scores: np.ndarray) -> list[list]:
+    """``rank``'s [Q x k] row and score blocks as one list of (id, score)
+    pairs per query, the form :func:`ref_rank` returns."""
+    return [list(zip(gallery.ids[r], s.tolist())) for r, s in zip(rows, scores)]
 
 
 def brute_force_rank(ids: list[str], vectors: np.ndarray, query: np.ndarray, k: int):

@@ -19,16 +19,7 @@ from cirmap.errors import FormatError
 from cirmap.losses import BatchEmbeddings, LossWeights, loss_itcon, loss_sset, objective
 from cirmap.mappers import Mappers, map_rows
 from cirmap.mining import select_batch, selection_from_uncertainty
-from cirmap.retrieval import (
-    Gallery,
-    Query,
-    RankedResult,
-    compose_query,
-    evaluate_task,
-    map_at_k,
-    rank,
-    recall_at_k,
-)
+from cirmap.retrieval import Gallery, compose_query, evaluate_task, rank, ranking_metrics
 from cirmap.training import TrainConfig, init_mappers, train
 from cirmap.worldgen import WorldSpec, export_world, generate_world, load_task
 from oracles import (
@@ -198,34 +189,22 @@ def test_criterion_3_ablation_identities(tmp_path):
 
 def test_criterion_4_metric_oracles():
     """Hand-computed metric fixtures plus 1000-case brute-force agreement."""
-    fillers = [f"f{i}" for i in range(12)]
+    # Row 0 (and row 1 where two targets) are the targets; rows 2.. are fillers.
+    fillers = list(range(2, 14))
 
-    def query(targets, qid, d=4, seed=1):
-        rng = np.random.default_rng(seed)
-        ref = unit_rows(rng, 2, d)
-        return Query(
-            query_id=qid,
-            reference_id="r",
-            reference_emb=ref[0].astype(np.float32),
-            condition_id="c",
-            condition_emb=ref[1].astype(np.float32),
-            target_ids=frozenset(targets),
-        )
+    def metrics(ranked, targets, k_values):
+        targets = [np.array(t, np.intp) for t in targets]
+        return ranking_metrics(np.array(ranked, np.intp), targets, ["recall", "map"], k_values)
 
-    def ranked(ids):
-        return RankedResult([(i, 1.0 - 0.01 * r) for r, i in enumerate(ids)])
-
-    queries = [query(("t",), f"q{i}") for i in range(3)]
-    results = [
-        ranked(["t"] + fillers[:9]),
-        ranked(fillers[:2] + ["t"] + fillers[2:9]),
-        ranked(fillers[:6] + ["t"] + fillers[6:9]),
+    three = [
+        [0] + fillers[:9],
+        fillers[:2] + [0] + fillers[2:9],
+        fillers[:6] + [0] + fillers[6:9],
     ]
-    assert recall_at_k(results, queries, 5) == pytest.approx(2.0 / 3.0)
+    assert metrics(three, [[0]] * 3, [5])["recall@5"] == pytest.approx(2.0 / 3.0)
 
-    two = [query(("t1", "t2"), "q0")]
-    res = [ranked(["t1", "x", "t2", "y", "z"])]
-    assert map_at_k(res, two, 5) == pytest.approx(5.0 / 6.0)
+    two = [[0, 2, 1, 3, 4]]
+    assert metrics(two, [[0, 1]], [5])["map@5"] == pytest.approx(5.0 / 6.0)
 
     for seed in range(1000):
         rng = np.random.default_rng(50_000 + seed)
@@ -233,20 +212,23 @@ def test_criterion_4_metric_oracles():
         d = int(rng.integers(2, 7))
         ids = [f"i{j:03d}" for j in range(n)]
         gallery = Gallery(ids, unit_rows(rng, n, d))
-        ranked_ids, target_sets, queries, results = [], [], [], []
-        for qi in range(int(rng.integers(1, 4))):
-            targets = set(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False).tolist())
-            q = query(tuple(targets), f"q{qi}", d=d, seed=seed * 10 + qi)
-            r = rank(gallery, q.reference_emb[None], n)[0]
-            queries.append(q)
-            results.append(r)
-            ranked_ids.append(r.ids())
-            target_sets.append(targets)
-        bf = brute_force_rank(gallery.ids, gallery.vectors, queries[0].reference_emb, n)
+        n_queries = int(rng.integers(1, 4))
+        targets = [
+            np.sort(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
+            for _ in range(n_queries)
+        ]
+        queries = np.stack(
+            [unit_rows(np.random.default_rng(seed * 10 + qi), 2, d)[0] for qi in range(n_queries)]
+        ).astype(np.float32)
+        rows, _ = rank(gallery, queries, n)
+        ranked_ids = [gallery.ids[r] for r in rows]
+        target_sets = [set(gallery.ids[t]) for t in targets]
+        bf = brute_force_rank(gallery.ids, gallery.vectors, queries[0], n)
         assert ranked_ids[0] == [i for i, _ in bf]
+        ours = ranking_metrics(rows, targets, ["recall", "map"], [1, 5, n])
         for k in (1, 5, n):
-            assert abs(recall_at_k(results, queries, k) - brute_force_recall(ranked_ids, target_sets, k)) < 1e-9
-            assert abs(map_at_k(results, queries, k) - brute_force_map(ranked_ids, target_sets, k)) < 1e-9
+            assert abs(ours[f"recall@{k}"] - brute_force_recall(ranked_ids, target_sets, k)) < 1e-9
+            assert abs(ours[f"map@{k}"] - brute_force_map(ranked_ids, target_sets, k)) < 1e-9
     print("[PASS] criterion 4: metric hand fixtures (2/3, 5/6) and 1000-case oracle agreement")
 
 
@@ -267,14 +249,14 @@ def test_criterion_5_gamma_boundaries(tmp_path):
     swapped_supplement = Mappers.seeded(16, 32, (base.seeds[0], fresh(2).seeds[1]))
     swapped_pseudo = Mappers.seeded(16, 32, (fresh(3).seeds[0], base.seeds[1]))
 
-    for query in task.queries:
-        ref, cond = query.reference_emb[None], query.condition_emb[None]
-        a = rank(task.gallery, compose_query(ref, cond, base, composer, 1.0), 10)[0]
-        b = rank(task.gallery, compose_query(ref, cond, swapped_supplement, composer, 1.0), 10)[0]
-        assert a.items == b.items
-        c = rank(task.gallery, compose_query(ref, cond, base, composer, 0.0), 10)[0]
-        d = rank(task.gallery, compose_query(ref, cond, swapped_pseudo, composer, 0.0), 10)[0]
-        assert c.items == d.items
+    def ranked(mappers, gamma):
+        rows = compose_query(task.reference_rows, task.condition_rows, mappers, composer, gamma)
+        return rank(task.gallery, rows, 10)
+
+    for gamma, swapped in ((1.0, swapped_supplement), (0.0, swapped_pseudo)):
+        (rows_a, scores_a), (rows_b, scores_b) = ranked(base, gamma), ranked(swapped, gamma)
+        assert rows_a.tobytes() == rows_b.tobytes()
+        assert scores_a.tobytes() == scores_b.tobytes()
 
     # the shipped mixing defaults load from config files and echo back
     from cirmap import config as cfg_mod

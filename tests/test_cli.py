@@ -8,6 +8,7 @@ from cirmap import fileio
 from cirmap.cli import main
 from cirmap.mappers import Mappers, checkpoint_paths, save_checkpoint
 from cirmap.training import TrainConfig, init_mappers
+from oracles import brute_force_map, brute_force_recall
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -246,6 +247,20 @@ def test_compose_cli(pipeline):
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-5
 
 
+@pytest.mark.parametrize("flag", ["--reference-id", "--condition-id"])
+def test_compose_id_not_used_by_any_query_is_an_error(pipeline, capsys, flag):
+    tmp_path, config = pipeline
+    query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
+    ids = {"--reference-id": query["reference_id"], "--condition-id": query["condition_id"]}
+    ids[flag] = "no-such-id"
+    argv = ["compose", "--config", str(config)]
+    argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint")]
+    argv += [part for pair in ids.items() for part in pair]
+    assert main(argv + ["--out", str(tmp_path / "run" / "composed.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'no-such-id' not used by any query" in err
+
+
 def test_seed_override_changes_world(tmp_path):
     config = write_config(tmp_path)
     assert main(["gen-data", "--config", str(config)]) == 0
@@ -395,6 +410,43 @@ def test_query_record_field_missing_or_mistyped_is_an_error(
     assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{queries}: record 2: {expected}" in err
+
+
+@pytest.mark.parametrize(
+    "target_ids,expected",
+    [
+        (["item-99999"], "unknown target id 'item-99999'"),
+        (["item-00001", "no-such-item"], "unknown target id 'no-such-item'"),
+        ([], "empty target set"),
+    ],
+)
+def test_query_target_ids_unknown_or_empty_is_an_error(pipeline, capsys, target_ids, expected):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    records = fileio.read_jsonl(queries)
+    records[1]["target_ids"] = target_ids
+    fileio.write_jsonl(queries, records)
+    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{queries}: query {records[1]['query_id']}: {expected}" in err
+    assert "Traceback" not in err
+
+
+def test_target_listed_twice_counts_once(pipeline):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    reports = []
+    for name in ("once.json", "twice.json"):
+        out = tmp_path / "run" / name
+        argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--per-query"]
+        assert main(argv + ["--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+        records = fileio.read_jsonl(queries)
+        for rec in records:
+            rec["target_ids"] = rec["target_ids"][::-1] + rec["target_ids"]
+        fileio.write_jsonl(queries, records)
+    assert reports[0] == reports[1]
 
 
 def test_config_that_is_not_json_is_an_error(tmp_path, capsys):
@@ -555,24 +607,26 @@ def test_full_pipeline_determinism(tmp_path):
 
 
 def test_evaluate_per_query_flag(pipeline):
+    # Every metric of each report is recomputed from the report's own
+    # per-query tops and the queries' targets, and must be equal to it.
     tmp_path, config = pipeline
-    out = tmp_path / "run" / "perq.json"
-    assert (
-        main(
-            [
-                "evaluate",
-                "--config",
-                str(config),
-                "--checkpoint",
-                str(tmp_path / "run" / "checkpoint"),
-                "--per-query",
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    report = json.loads(out.read_text())
-    assert len(report["per_query"]) == 12
-    first = report["per_query"][0]
-    assert set(first) == {"query_id", "top", "targets"}
+    records = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")
+    targets = [set(r["target_ids"]) for r in records]
+    for mode in ("composed", "image_only", "text_only", "average", "slerp"):
+        out = tmp_path / "run" / f"perq-{mode}.json"
+        argv = ["evaluate", "--config", str(config), "--mode", mode, "--per-query"]
+        argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint"), "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        per_query = report["per_query"]
+        assert len(per_query) == len(records) == 12
+        assert [row["query_id"] for row in per_query] == [r["query_id"] for r in records]
+        assert all(set(row) == {"query_id", "top", "targets"} for row in per_query)
+        assert [row["targets"] for row in per_query] == [sorted(t) for t in targets]
+        tops = [[i for i, _ in row["top"]] for row in per_query]
+        assert all(len(ids) == 5 for ids in tops)
+        expected = {}
+        for k in (1, 5):
+            expected[f"recall@{k}"] = brute_force_recall(tops, targets, k)
+            expected[f"map@{k}"] = brute_force_map(tops, targets, k)
+        assert report["metrics"] == expected, mode

@@ -293,6 +293,14 @@ def test_read_jsonl_bad_utf8_names_file_and_line(tmp_path):
     assert f"{path}:2: " in str(err.value)
 
 
+def test_write_json_is_one_compact_line_with_sorted_keys(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"b": [1, 2.5, None], "a": {"y": "\u00e9", "x": True}}
+    fileio.write_json(path, doc)
+    assert path.read_bytes() == b'{"a":{"x":true,"y":"\\u00e9"},"b":[1,2.5,null]}\n'
+    assert fileio.read_json(path) == doc
+
+
 def test_read_json_bad_utf8_names_file(tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(b'{"a": "\xff"}')

@@ -18,40 +18,48 @@ from cirmap.mappers import Mappers
 from cirmap.retrieval import (
     EvalTask,
     Gallery,
-    Query,
-    RankedResult,
-    average_precision_at_k,
     baseline_compose,
     compose_query,
     evaluate_task,
-    map_at_k,
     rank,
-    recall_at_k,
+    ranking_metrics,
     slerp,
 )
 from cirmap.training import TrainConfig, init_mappers
-from oracles import brute_force_map, brute_force_rank, brute_force_recall, ref_rank, unit_rows
+from oracles import (
+    brute_force_map,
+    brute_force_rank,
+    brute_force_recall,
+    ranked_items,
+    ref_rank,
+    unit_rows,
+)
 
 
-def make_query(rng, d=8, targets=("t0",), qid="q"):
-    ref, cond = unit_rows(rng, 2, d)
-    return Query(
-        query_id=qid,
-        reference_id="ref",
-        reference_emb=ref.astype(np.float32),
-        condition_id="cond",
-        condition_emb=cond.astype(np.float32),
-        target_ids=frozenset(targets),
+def query_rows(rng, d=8):
+    """A reference and a condition unit row, each as a float32 [1 x d] block."""
+    ref, cond = unit_rows(rng, 2, d).astype(np.float32)
+    return ref[None], cond[None]
+
+
+def top(gallery, queries, k):
+    """rank's result as one (id, score) list per query."""
+    return ranked_items(gallery, *rank(gallery, queries, k))
+
+
+def make_task(gallery, reference_rows, condition_rows, targets, **settings):
+    """An EvalTask over the given [Q x d] blocks and target gallery rows."""
+    names = [f"q{j}" for j in range(len(targets))]
+    return EvalTask(
+        gallery=gallery,
+        query_ids=names,
+        reference_ids=[f"r{j}" for j in range(len(targets))],
+        condition_ids=[f"c{j}" for j in range(len(targets))],
+        reference_rows=np.asarray(reference_rows, dtype=np.float32),
+        condition_rows=np.asarray(condition_rows, dtype=np.float32),
+        targets=[np.unique(np.asarray(t, dtype=np.intp)) for t in targets],
+        **settings,
     )
-
-
-def rows(query):
-    """The query's reference and condition embeddings as [1 x d] blocks."""
-    return query.reference_emb[None], query.condition_emb[None]
-
-
-def ranked(ids):
-    return RankedResult([(i, 1.0 - 0.01 * r) for r, i in enumerate(ids)])
 
 
 @pytest.fixture(scope="module")
@@ -63,58 +71,58 @@ def setup16():
 class TestComposeQuery:
     def test_gamma_range_checked(self, setup16):
         mappers, composer = setup16
-        query = make_query(np.random.default_rng(0), d=16)
+        query = query_rows(np.random.default_rng(0), d=16)
         for bad in (-0.1, 1.1):
             with pytest.raises(ParameterError):
-                compose_query(*rows(query), mappers, composer, bad)
+                compose_query(*query, mappers, composer, bad)
 
     def test_output_unit_norm(self, setup16):
         mappers, composer = setup16
-        query = make_query(np.random.default_rng(1), d=16)
+        query = query_rows(np.random.default_rng(1), d=16)
         for gamma in (0.0, 0.5, 1.0):
-            vec = compose_query(*rows(query), mappers, composer, gamma)[0]
+            vec = compose_query(*query, mappers, composer, gamma)[0]
             assert abs(np.linalg.norm(vec.astype(np.float64)) - 1.0) < 1e-6
 
     def test_gamma_one_ignores_supplement_mapper(self, setup16):
         mappers, composer = setup16
-        query = make_query(np.random.default_rng(2), d=16)
-        base = compose_query(*rows(query), mappers, composer, 1.0)
+        query = query_rows(np.random.default_rng(2), d=16)
+        base = compose_query(*query, mappers, composer, 1.0)
         reinit = TrainConfig(hidden=32, seed=999, batch_size=4, steps=1)
         other = init_mappers(reinit, 16)
         swapped = Mappers.seeded(16, 32, (mappers.seeds[0], other.seeds[1]))
-        again = compose_query(*rows(query), swapped, composer, 1.0)
+        again = compose_query(*query, swapped, composer, 1.0)
         assert np.array_equal(base, again)
 
     def test_gamma_zero_ignores_pseudo_mapper(self, setup16):
         mappers, composer = setup16
-        query = make_query(np.random.default_rng(3), d=16)
-        base = compose_query(*rows(query), mappers, composer, 0.0)
+        query = query_rows(np.random.default_rng(3), d=16)
+        base = compose_query(*query, mappers, composer, 0.0)
         reinit = TrainConfig(hidden=32, seed=777, batch_size=4, steps=1)
         other = init_mappers(reinit, 16)
         swapped = Mappers.seeded(16, 32, (other.seeds[0], mappers.seeds[1]))
-        again = compose_query(*rows(query), swapped, composer, 0.0)
+        again = compose_query(*query, swapped, composer, 0.0)
         assert np.array_equal(base, again)
 
 
 class TestBaselines:
     def test_image_only(self):
-        q = make_query(np.random.default_rng(4))
-        assert np.array_equal(baseline_compose(*rows(q), "image_only")[0], q.reference_emb)
+        ref, cond = query_rows(np.random.default_rng(4))
+        assert np.array_equal(baseline_compose(ref, cond, "image_only"), ref)
 
     def test_text_only(self):
-        q = make_query(np.random.default_rng(5))
-        assert np.array_equal(baseline_compose(*rows(q), "text_only")[0], q.condition_emb)
+        ref, cond = query_rows(np.random.default_rng(5))
+        assert np.array_equal(baseline_compose(ref, cond, "text_only"), cond)
 
     def test_average_normalized(self):
-        q = make_query(np.random.default_rng(6))
-        out = baseline_compose(*rows(q), "average")[0]
-        expected = q.reference_emb.astype(np.float64) + q.condition_emb.astype(np.float64)
+        ref, cond = query_rows(np.random.default_rng(6))
+        out = baseline_compose(ref, cond, "average")[0]
+        expected = ref[0].astype(np.float64) + cond[0].astype(np.float64)
         expected /= np.linalg.norm(expected)
         assert np.allclose(out, expected, atol=1e-6)
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
-            baseline_compose(*rows(make_query(np.random.default_rng(7))), "mystery")
+            baseline_compose(*query_rows(np.random.default_rng(7)), "mystery")
 
 
 class TestSlerp:
@@ -152,35 +160,39 @@ class TestRank:
 
     def test_self_retrieval_first(self):
         g = self._gallery()
-        res = rank(g, np.array([[0.8, 0.6, 0.0]], dtype=np.float32), 3)[0]
-        assert res.items[0][0] == "g1"
-        assert res.items[0][1] == pytest.approx(1.0, abs=1e-6)
+        rows, scores = rank(g, np.array([[0.8, 0.6, 0.0]], dtype=np.float32), 3)
+        assert rows[0, 0] == 1
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_k_larger_than_gallery(self):
         g = self._gallery()
-        res = rank(g, np.array([[1.0, 0.0, 0.0]], dtype=np.float32), 99)[0]
-        assert len(res.items) == 5
+        queries = np.eye(3, dtype=np.float32)[[0, 1, 2, 0]]
+        for k, width in ((1, 1), (3, 3), (5, 5), (99, 5)):
+            rows, scores = rank(g, queries, k)
+            assert rows.shape == scores.shape == (4, width)
+            assert rows.dtype == np.intp and scores.dtype == np.float64
+        assert rows[0].tolist() == [0, 1, 2, 3, 4]
 
     def test_hand_gallery_matches_brute_force(self):
         g = self._gallery()
         q = np.array([0.6, 0.0, 0.8], dtype=np.float32)
-        ours = rank(g, q[None], 5)[0].items
+        ours = top(g, q[None], 5)[0]
         ref = brute_force_rank(g.ids, g.vectors, q, 5)
         assert [i for i, _ in ours] == [i for i, _ in ref]
 
     def test_tie_break_ascending_id(self):
         vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         g = Gallery(["b", "a", "c"], vecs)
-        res = rank(g, np.array([[1.0, 0.0]], dtype=np.float32), 3)[0]
-        assert res.ids() == ["a", "b", "c"]
+        rows, _ = rank(g, np.array([[1.0, 0.0]], dtype=np.float32), 3)
+        assert rows[0].tolist() == [1, 0, 2]
 
     def test_ties_use_exact_ids_with_trailing_nul(self):
         vecs = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 0.0]], dtype=np.float32)
         g = Gallery(["a\x00", "b", "a"], vecs)
         q = np.array([1.0, 0.0], dtype=np.float32)
-        res = rank(g, q[None], 3)[0]
-        assert res.ids() == ["a", "a\x00", "b"]
-        assert res.items == ref_rank(g, q, 3).items
+        rows, scores = rank(g, q[None], 3)
+        assert rows[0].tolist() == [2, 0, 1]
+        assert ranked_items(g, rows, scores)[0] == ref_rank(g, q, 3)
 
     def test_oracle_equivalence_seeded_suite(self):
         # 1000 random galleries, full ordering equality with the loop oracle
@@ -191,16 +203,15 @@ class TestRank:
             g = Gallery([f"i{j:03d}" for j in range(n)], unit_rows(rng, n, d))
             q = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, n + 1))
-            ours = rank(g, q[None], k)[0]
+            ours = top(g, q[None], k)[0]
             ref = brute_force_rank(g.ids, g.vectors, q, k)
-            assert ours.ids() == [i for i, _ in ref], seed
+            assert [i for i, _ in ours] == [i for i, _ in ref], seed
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(9)
         g = Gallery([f"i{j}" for j in range(20)], unit_rows(rng, 20, 6))
-        res = rank(g, unit_rows(rng, 1, 6), 20)[0]
-        scores = [s for _, s in res.items]
-        assert all(a >= b for a, b in zip(scores, scores[1:]))
+        _, scores = rank(g, unit_rows(rng, 1, 6), 20)
+        assert (scores[0, :-1] >= scores[0, 1:]).all()
 
 
 def tied_gallery(rng, n, d):
@@ -231,12 +242,11 @@ class TestBatchedRank:
                 rng.random((n_queries, 1)) < 0.5, picks, unit_rows(rng, n_queries, d)
             ).astype(np.float32)
             for k in (1, n - 1, n, n + 3):
-                ours = rank(g, queries, k)
+                ours = top(g, queries, k)
                 assert len(ours) == n_queries
-                for q, res in zip(queries, ours):
-                    ref = ref_rank(g, q, k).items
-                    assert res.items == ref, (seed, k)
-                    full = [s for _, s in ref_rank(g, q, n).items]
+                for q, items in zip(queries, ours):
+                    assert items == ref_rank(g, q, k), (seed, k)
+                    full = [s for _, s in ref_rank(g, q, n)]
                     straddled += k < n and full[k - 1] == full[k]
         assert straddled >= 50
 
@@ -256,8 +266,8 @@ class TestBatchedRank:
         queries = np.array([[np.nan, 1.0], [np.inf, 0.0], [1.0, 0.0]], dtype=np.float32)
         with np.errstate(invalid="ignore"):
             for k in (1, 2, 3, 4):
-                for q, res in zip(queries, rank(g, queries, k)):
-                    assert str(res.items) == str(ref_rank(g, q, k).items)
+                for q, items in zip(queries, top(g, queries, k)):
+                    assert str(items) == str(ref_rank(g, q, k))
 
 
 _values = st.one_of(
@@ -278,14 +288,14 @@ def test_rank_equals_reference_property(data):
     k = data.draw(st.integers(1, n + 3), label="k")
     g = Gallery(ids, vecs[:n])
     queries = vecs[n:]
-    for q, res in zip(queries, rank(g, queries, k)):
-        assert res.items == ref_rank(g, q, k).items
+    for q, items in zip(queries, top(g, queries, k)):
+        assert items == ref_rank(g, q, k)
 
 
-def blocked_rank(gallery, queries, k, block_rows):
-    """rank with the GEMM run over blocks of ``block_rows`` gallery rows."""
+def blocked_top(gallery, queries, k, block_rows):
+    """top with the GEMM run over blocks of ``block_rows`` gallery rows."""
     with mock.patch.object(retrieval, "_SCORE_BLOCK_ROWS", block_rows):
-        return rank(gallery, queries, k)
+        return top(gallery, queries, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,9 +321,9 @@ def test_rank_equals_per_row_brute_force_property(data):
         with np.errstate(over="ignore"):
             queries = queries.astype(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        results = blocked_rank(g, queries, k, block)
-        for q, res in zip(queries, results):
-            assert str(res.items) == str(ref_rank(g, q, k).items)
+        results = blocked_top(g, queries, k, block)
+        for q, items in zip(queries, results):
+            assert str(items) == str(ref_rank(g, q, k))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -321,12 +331,12 @@ def test_result_does_not_depend_on_batch_or_block_size(seed):
     rng = np.random.default_rng(300 + seed)
     g = tied_gallery(rng, 3000, 16)
     queries = np.concatenate([g.vectors[:3], unit_rows(rng, 6, 16)]).astype(np.float32)
-    whole = [r.items for r in rank(g, queries, 10)]
+    whole = top(g, queries, 10)
     for block in (1, 5, 999, 4096):
-        assert [r.items for r in blocked_rank(g, queries, 10, block)] == whole
-    assert [r.items for r in rank(g, queries[::-1], 10)] == whole[::-1]
+        assert blocked_top(g, queries, 10, block) == whole
+    assert top(g, queries[::-1], 10) == whole[::-1]
     for j in range(len(queries)):
-        assert rank(g, queries[j : j + 1], 10)[0].items == whole[j]
+        assert top(g, queries[j : j + 1], 10) == [whole[j]]
 
 
 def test_identical_rows_score_equally_and_rank_by_id():
@@ -339,7 +349,7 @@ def test_identical_rows_score_equally_and_rank_by_id():
         copies = np.append(rng.choice(n - 1, size=3, replace=False), n - 1)
         vecs[copies] = vecs[copies[0]]
         g = Gallery([f"i{j:03d}" for j in rng.permutation(n)], vecs)
-        items = rank(g, unit_rows(rng, 1, 32).astype(np.float32), n)[0].items
+        items = top(g, unit_rows(rng, 1, 32).astype(np.float32), n)[0]
         copy_ids = {g.ids[i] for i in copies}
         at = [p for p, (i, _) in enumerate(items) if i in copy_ids]
         assert len({items[p][1] for p in at}) == 1, seed
@@ -355,12 +365,12 @@ def test_nan_rows_rank_last_by_id_and_leave_the_batch_alone():
     queries = unit_rows(rng, 3, 8).astype(np.float32)
     queries[1, 2] = np.nan
     with np.errstate(invalid="ignore"):
-        results = blocked_rank(g, queries, 2000, 256)
-        for q, res in zip(queries, results):
-            assert str(res.items) == str(ref_rank(g, q, 2000).items)
-    assert results[1].ids() == sorted(g.ids)
-    assert all(np.isnan(s) for _, s in results[1].items)
-    assert [i for i, _ in results[0].items[-2:]] == sorted([g.ids[5], g.ids[1500]])
+        results = blocked_top(g, queries, 2000, 256)
+        for q, items in zip(queries, results):
+            assert str(items) == str(ref_rank(g, q, 2000))
+    assert [i for i, _ in results[1]] == sorted(g.ids)
+    assert all(np.isnan(s) for _, s in results[1])
+    assert [i for i, _ in results[0][-2:]] == sorted([g.ids[5], g.ids[1500]])
 
 
 _THREADS_SCRIPT = """
@@ -370,8 +380,8 @@ from cirmap.retrieval import Gallery, rank
 rng = np.random.default_rng(44)
 vecs = rng.standard_normal((40000, 32)).astype(np.float32)
 queries = rng.standard_normal((16, 32)).astype(np.float32)
-g = Gallery([f"i{j:05d}" for j in range(40000)], vecs)
-print(json.dumps([[[i, repr(s)] for i, s in r.items] for r in rank(g, queries, 10)]))
+rows, scores = rank(Gallery([f"i{j:05d}" for j in range(40000)], vecs), queries, 10)
+print(json.dumps([[[r, repr(s)] for r, s in zip(*q)] for q in zip(rows.tolist(), scores.tolist())]))
 """
 
 
@@ -389,8 +399,10 @@ def test_rankings_do_not_depend_on_blas_threads():
     rng = np.random.default_rng(44)
     vecs = rng.standard_normal((40000, 32)).astype(np.float32)
     queries = rng.standard_normal((16, 32)).astype(np.float32)
-    here = rank(Gallery([f"i{j:05d}" for j in range(40000)], vecs), queries, 10)
-    assert outputs[0] == [[[i, repr(s)] for i, s in r.items] for r in here]
+    rows, scores = rank(Gallery([f"i{j:05d}" for j in range(40000)], vecs), queries, 10)
+    assert outputs[0] == [
+        [[r, repr(s)] for r, s in zip(*q)] for q in zip(rows.tolist(), scores.tolist())
+    ]
 
 
 def test_ranking_allocates_less_than_a_float64_gallery_copy():
@@ -434,125 +446,125 @@ class TestBatchedComposition:
             assert np.array_equal(block[i], one[0]), i
 
 
+def metrics_of(rows, targets, k_values):
+    """ranking_metrics of ranked row lists against target row lists."""
+    return ranking_metrics(
+        np.array(rows, dtype=np.intp),
+        [np.unique(np.asarray(t, dtype=np.intp)) for t in targets],
+        ["recall", "map"],
+        k_values,
+    )
+
+
 class TestMetrics:
+    # Row 0 is the target of every hand case; rows 1.. are fillers.
     def test_recall_all_first(self):
-        rng = np.random.default_rng(10)
-        queries = [make_query(rng, targets=(f"t{i}",), qid=f"q{i}") for i in range(3)]
-        results = [ranked([f"t{i}", "x", "y"]) for i in range(3)]
-        assert recall_at_k(results, queries, 1) == 1.0
+        m = metrics_of([[0, 1, 2]] * 3, [[0]] * 3, [1])
+        assert m["recall@1"] == 1.0
 
     def test_recall_none(self):
-        rng = np.random.default_rng(11)
-        queries = [make_query(rng, targets=("t",), qid="q0")]
-        assert recall_at_k([ranked(["a", "b"])], queries, 2) == 0.0
+        assert metrics_of([[1, 2]], [[0]], [2])["recall@2"] == 0.0
 
     def test_recall_hand_case(self):
         # targets at ranks 1, 3, 7 -> R@5 = 2/3
-        rng = np.random.default_rng(12)
-        queries = [make_query(rng, targets=("t",), qid=f"q{i}") for i in range(3)]
-        fillers = [f"f{i}" for i in range(10)]
-        results = [
-            ranked(["t"] + fillers[:9]),
-            ranked(fillers[:2] + ["t"] + fillers[2:9]),
-            ranked(fillers[:6] + ["t"] + fillers[6:9]),
-        ]
-        assert recall_at_k(results, queries, 5) == pytest.approx(2.0 / 3.0)
+        fillers = list(range(1, 10))
+        ranked = [[0] + fillers, fillers[:2] + [0] + fillers[2:], fillers[:6] + [0] + fillers[6:]]
+        assert metrics_of(ranked, [[0]] * 3, [5])["recall@5"] == pytest.approx(2.0 / 3.0)
 
     def test_map_single_target_rank_one(self):
-        rng = np.random.default_rng(13)
-        q = make_query(rng, targets=("t",))
-        assert average_precision_at_k(ranked(["t", "a", "b"]), q, 3) == 1.0
+        assert metrics_of([[0, 1, 2]], [[0]], [3])["map@3"] == 1.0
 
     def test_map_single_target_rank_two(self):
-        rng = np.random.default_rng(14)
-        q = make_query(rng, targets=("t",))
-        assert average_precision_at_k(ranked(["a", "t", "b"]), q, 5) == pytest.approx(0.5)
+        assert metrics_of([[1, 0, 2]], [[0]], [5])["map@5"] == pytest.approx(0.5)
 
     def test_map_two_targets_hand_case(self):
         # targets at ranks 1 and 3, k=5 -> AP = (1 + 2/3) / 2 = 5/6
-        rng = np.random.default_rng(15)
-        q = make_query(rng, targets=("t1", "t2"))
-        res = ranked(["t1", "x", "t2", "y", "z"])
-        assert average_precision_at_k(res, q, 5) == pytest.approx(5.0 / 6.0)
+        m = metrics_of([[0, 2, 1, 3, 4]], [[0, 1]], [5])
+        assert m["map@5"] == pytest.approx(5.0 / 6.0)
+
+    def test_keys_follow_k_then_metric_as_python_floats(self):
+        m = metrics_of([[0, 1]], [[0]], [2, 1])
+        assert list(m) == ["recall@2", "map@2", "recall@1", "map@1"]
+        assert all(type(value) is float for value in m.values())
+        rows, targets = np.array([[0, 1]]), [np.array([0])]
+        assert list(ranking_metrics(rows, targets, ["map"], [1, 2])) == ["map@1", "map@2"]
 
     def test_metric_oracle_equivalence(self):
-        # 1000 seeded galleries; exact within 1e-9 of the loop oracles
+        # 1000 seeded galleries with tied rows, targets drawn with repeats and
+        # K past the gallery's size: equal to the loop oracles' sums
         for seed in range(1000):
             rng = np.random.default_rng(10_000 + seed)
             n = int(rng.integers(4, 33))
             d = int(rng.integers(2, 7))
-            ids = [f"i{j:03d}" for j in range(n)]
-            g = Gallery(ids, unit_rows(rng, n, d))
-            queries, results, ranked_ids, target_sets = [], [], [], []
-            for qi in range(int(rng.integers(1, 5))):
-                n_targets = int(rng.integers(1, 4))
-                targets = set(rng.choice(ids, size=n_targets, replace=False).tolist())
-                q = make_query(rng, d=d, targets=tuple(targets), qid=f"q{qi}")
-                res = rank(g, q.reference_emb[None], n)[0]
-                queries.append(q)
-                results.append(res)
-                ranked_ids.append(res.ids())
-                target_sets.append(targets)
-            for k in (1, 3, n):
-                ours_r = recall_at_k(results, queries, k)
-                ours_m = map_at_k(results, queries, k)
-                assert abs(ours_r - brute_force_recall(ranked_ids, target_sets, k)) < 1e-9
-                assert abs(ours_m - brute_force_map(ranked_ids, target_sets, k)) < 1e-9
+            g = tied_gallery(rng, n, d)
+            n_queries = int(rng.integers(1, 5))
+            # targets listed twice count once
+            listed = [rng.integers(0, n, size=int(rng.integers(1, 5))) for _ in range(n_queries)]
+            target_sets = [set(g.ids[t]) for t in listed]
+            queries = unit_rows(rng, n_queries, d)
+            rows, _ = rank(g, queries, n + 3)
+            ranked_ids = [g.ids[r] for r in rows]
+            k_values = [1, 3, n, n + 3]
+            targets = [np.unique(t) for t in listed]
+            ours = ranking_metrics(rows, targets, ["recall", "map"], k_values)
+            for k in k_values:
+                assert ours[f"recall@{k}"] == brute_force_recall(ranked_ids, target_sets, k), seed
+                assert ours[f"map@{k}"] == brute_force_map(ranked_ids, target_sets, k), seed
 
     def test_recall_monotone_in_k(self):
-        rng = np.random.default_rng(16)
-        queries = [make_query(rng, targets=("t",), qid=f"q{i}") for i in range(4)]
-        results = [
-            ranked(["a", "t", "b", "c"]),
-            ranked(["t", "a", "b", "c"]),
-            ranked(["a", "b", "c", "t"]),
-            ranked(["a", "b", "c", "d"]),
-        ]
-        values = [recall_at_k(results, queries, k) for k in (1, 2, 3, 4)]
+        ranked = [[1, 0, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0], [1, 2, 3, 4]]
+        m = metrics_of(ranked, [[0]] * 4, [1, 2, 3, 4])
+        values = [m[f"recall@{k}"] for k in (1, 2, 3, 4)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_map_stable_beyond_gallery_size(self):
-        rng = np.random.default_rng(17)
-        queries = [make_query(rng, targets=("t",), qid="q0")]
-        results = [ranked(["a", "t", "b"])]
-        assert map_at_k(results, queries, 3) == map_at_k(results, queries, 10)
+        m = metrics_of([[1, 0, 2]], [[0]], [3, 10])
+        assert m["map@3"] == m["map@10"]
 
     def test_metric_range(self):
-        rng = np.random.default_rng(18)
-        queries = [make_query(rng, targets=("t",), qid=f"q{i}") for i in range(5)]
-        results = [ranked(["a", "t", "b"]) for _ in range(5)]
-        for k in (1, 2, 3):
-            assert 0.0 <= recall_at_k(results, queries, k) <= 1.0
-            assert 0.0 <= map_at_k(results, queries, k) <= 1.0
+        m = metrics_of([[1, 0, 2]] * 5, [[0]] * 5, [1, 2, 3])
+        assert all(0.0 <= value <= 1.0 for value in m.values())
 
     def test_length_mismatch_rejected(self):
-        rng = np.random.default_rng(19)
-        queries = [make_query(rng, targets=("t",))]
         with pytest.raises(ShapeError):
-            recall_at_k([], queries, 1)
+            ranking_metrics(np.empty((0, 1), np.intp), [np.array([0])], ["recall"], [1])
+        with pytest.raises(ShapeError, match="no queries"):
+            ranking_metrics(np.empty((0, 1), np.intp), [], ["recall"], [1])
+        with pytest.raises(ParameterError):
+            metrics_of([[0]], [[0]], [0, 1])
+
+    def test_hit_matrix_is_not_gallery_wide(self):
+        # 200 queries against a gallery of a million rows: the hit matrix
+        # covers the top k only, never a [Q x G] block
+        rng = np.random.default_rng(27)
+        rows = rng.integers(0, 1_000_000, size=(200, 10))
+        targets = [np.unique(rng.integers(0, 1_000_000, size=3)) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            ranking_metrics(rows, targets, ["recall", "map"], [1, 5, 10])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 1_000_000 // 100
 
 
 class TestEvaluateTask:
     def test_composed_requires_models(self):
         rng = np.random.default_rng(20)
         g = Gallery(["a", "b"], unit_rows(rng, 2, 8).astype(np.float32))
-        task = EvalTask(gallery=g, queries=[make_query(rng, targets=("a",))])
+        task = make_task(g, *query_rows(rng), [[0]])
         with pytest.raises(ParameterError):
             evaluate_task(task, None, None, mode="composed")
 
     def test_baseline_report_shape(self):
         rng = np.random.default_rng(21)
         g = Gallery(["a", "b", "t0"], unit_rows(rng, 3, 8).astype(np.float32))
-        task = EvalTask(
-            gallery=g,
-            queries=[make_query(rng, targets=("t0",))],
-            k_values=[1, 2],
-            gamma=0.6,
-        )
+        task = make_task(g, *query_rows(rng), [[2]], k_values=[1, 2], gamma=0.6)
         report = evaluate_task(task, None, None, mode="image_only", per_query=True)
         assert report["mode"] == "image_only"
         assert set(report["metrics"]) == {"recall@1", "recall@2", "map@1", "map@2"}
         assert len(report["per_query"]) == 1
+        assert report["per_query"][0]["targets"] == ["t0"]
 
 
 class TestEvaluateTaskBatched:
@@ -560,18 +572,8 @@ class TestEvaluateTaskBatched:
     def task16(self):
         rng = np.random.default_rng(26)
         g = tied_gallery(rng, 60, 16)
-        queries = [
-            Query(
-                query_id=f"q{i}",
-                reference_id=g.ids[i],
-                reference_emb=g.vectors[i],
-                condition_id=f"c{i}",
-                condition_emb=unit_rows(rng, 1, 16)[0],
-                target_ids=frozenset(g.ids[i + 1 : i + 3]),
-            )
-            for i in range(7)
-        ]
-        return EvalTask(gallery=g, queries=queries, k_values=[1, 5, 10])
+        targets = [[i + 1, i + 2] for i in range(7)]
+        return make_task(g, g.vectors[:7], unit_rows(rng, 7, 16), targets, k_values=[1, 5, 10])
 
     def _count_calls(self, monkeypatch, names):
         calls = dict.fromkeys(names, 0)
@@ -585,36 +587,41 @@ class TestEvaluateTaskBatched:
             monkeypatch.setattr(retrieval, name, counted)
         return calls
 
+    def _check_per_query(self, task, report, compose):
+        ranked_ids, target_sets = [], []
+        for j, row in enumerate(report["per_query"]):
+            vec = compose(task.reference_rows[j : j + 1], task.condition_rows[j : j + 1])[0]
+            assert row["top"] == [[i, s] for i, s in ref_rank(task.gallery, vec, 10)]
+            assert row["targets"] == sorted(task.gallery.ids[task.targets[j]])
+            ranked_ids.append([i for i, _ in row["top"]])
+            target_sets.append(set(row["targets"]))
+        metrics = report["metrics"]
+        for k in task.k_values:
+            assert metrics[f"recall@{k}"] == brute_force_recall(ranked_ids, target_sets, k)
+            assert metrics[f"map@{k}"] == brute_force_map(ranked_ids, target_sets, k)
+
     def test_composed_is_one_compose_and_one_rank(self, task16, setup16, monkeypatch):
         mappers, composer = setup16
         calls = self._count_calls(monkeypatch, ["compose_query", "rank"])
         report = evaluate_task(task16, mappers, composer, gamma=0.6, per_query=True)
         assert calls == {"compose_query": 1, "rank": 1}
-        for q, row in zip(task16.queries, report["per_query"]):
-            vec = compose_query(*rows(q), mappers, composer, 0.6)[0]
-            expected = ref_rank(task16.gallery, vec, 10).items
-            assert row["top"] == [[i, s] for i, s in expected]
+        self._check_per_query(
+            task16, report, lambda ref, cond: compose_query(ref, cond, mappers, composer, 0.6)
+        )
 
     @pytest.mark.parametrize("mode", ["image_only", "text_only", "average", "slerp"])
     def test_baseline_is_one_compose_and_one_rank(self, task16, mode, monkeypatch):
         calls = self._count_calls(monkeypatch, ["baseline_compose", "rank"])
         report = evaluate_task(task16, None, None, mode=mode, slerp_t=0.3, per_query=True)
         assert calls == {"baseline_compose": 1, "rank": 1}
-        for q, row in zip(task16.queries, report["per_query"]):
-            vec = baseline_compose(*rows(q), mode, 0.3)[0]
-            expected = ref_rank(task16.gallery, vec, 10).items
-            assert row["top"] == [[i, s] for i, s in expected]
+        self._check_per_query(
+            task16, report, lambda ref, cond: baseline_compose(ref, cond, mode, 0.3)
+        )
 
     def test_no_queries_is_a_shape_error(self, task16):
-        task16.queries = []
+        task16.query_ids = []
         with pytest.raises(ShapeError, match="no queries"):
             evaluate_task(task16, None, None, mode="image_only")
-
-
-def test_query_requires_targets():
-    rng = np.random.default_rng(22)
-    with pytest.raises(ShapeError):
-        make_query(rng, targets=())
 
 
 def test_gallery_unique_ids():

@@ -221,27 +221,30 @@ def test_export_import_round_trip(tmp_path, world):
     task, doc = load_task(tmp_path)
     assert doc["composer_seed"] == world.spec.composer_seed
     assert task.gallery.vectors.tobytes() == world.gallery_vectors.tobytes()
-    assert len(task.queries) == len(world.query_records)
-    by_id = {q.query_id: q for q in task.queries}
-    for rec in world.query_records:
-        q = by_id[rec["query_id"]]
-        assert q.reference_id == rec["reference_id"]
-        assert q.target_ids == frozenset(rec["target_ids"])
+    records = world.query_records
+    assert task.query_ids == [rec["query_id"] for rec in records]
+    assert task.reference_ids == [rec["reference_id"] for rec in records]
+    assert task.condition_ids == [rec["condition_id"] for rec in records]
+    for rec, targets in zip(records, task.targets):
+        assert targets.dtype == np.intp and (np.diff(targets) > 0).all()
+        assert sorted(task.gallery.ids[targets]) == sorted(set(rec["target_ids"]))
 
 
 def test_eval_task_construction(tmp_path, world):
     export_world(world, tmp_path, k_values=[1, 5], gamma=0.7)
     task, _ = load_task(tmp_path)
     assert task.gamma == 0.7 and task.k_values == [1, 5]
-    assert len(task.queries) == 24
+    assert len(task.query_ids) == 24
+    assert task.reference_rows.shape == task.condition_rows.shape == (24, world.spec.dim)
+    assert task.reference_rows.dtype == task.condition_rows.dtype == np.float32
+    norms = np.linalg.norm(task.reference_rows.astype(np.float64), axis=1)
+    assert (abs(norms - 1.0) < 1e-5).all()
     gallery_row = {i: r for r, i in enumerate(world.gallery_ids)}
     condition_row = {i: r for r, i in enumerate(world.condition_ids)}
-    for q in task.queries:
-        assert abs(np.linalg.norm(q.reference_emb.astype(np.float64)) - 1.0) < 1e-5
-        reference = world.gallery_vectors[gallery_row[q.reference_id]]
-        assert q.reference_emb.tobytes() == reference.tobytes()
-        condition = world.condition_vectors[condition_row[q.condition_id]]
-        assert q.condition_emb.tobytes() == condition.tobytes()
+    references = world.gallery_vectors[[gallery_row[i] for i in task.reference_ids]]
+    assert task.reference_rows.tobytes() == references.tobytes()
+    conditions = world.condition_vectors[[condition_row[i] for i in task.condition_ids]]
+    assert task.condition_rows.tobytes() == conditions.tobytes()
 
 
 def _world_fields(world):
