@@ -1,19 +1,22 @@
 """Dense float32 tensors with a reverse-mode differentiation tape.
 
-Values are stored as 32-bit floats. The precision contract:
+Values are stored as 32-bit floats. The precision contract depends on
+whether an op is recorded on a tape:
 
-- Elementwise ops, reductions and softmaxes evaluate in 64-bit and truncate
-  their result to the storage format.
-- A matmul recorded on the tape multiplies its float32 operands in float32,
-  the storage precision. Its backward GEMMs also run in float32, on the
-  upstream gradient truncated to float32, and their results are upcast.
-- :func:`info_nce` follows the matmul rule for its logits GEMM and its
-  backward GEMMs (float32 when recorded, 64-bit when not); its row and
-  column softmaxes always run in 64-bit.
-- An untaped matmul (inference, world generation) evaluates in 64-bit, so
-  its result is the float64 product truncated to float32.
-- Gradients accumulate in 64-bit and are truncated to float32 on the way
-  out of :func:`backward`.
+- A taped :func:`linear`, :func:`matmul` and :func:`tanh` run forward and
+  backward in float32, the storage precision; the gradients they pass to
+  each other stay float32. A bias gradient is the batch sum of the upstream
+  gradient, taken in float64.
+- Softmaxes (inside :func:`info_nce`), :func:`l2_normalize_rows`,
+  :func:`mse` and the remaining ops evaluate forward and backward in 64-bit,
+  taped or not, and truncate their result to the storage format; :func:`add`
+  passes its upstream gradient on as it is. :func:`info_nce` runs its logits
+  GEMM and its backward GEMMs by the float32 rule when taped.
+- An untaped op (inference, world generation) evaluates in 64-bit and
+  truncates its result. An untaped :func:`linear` gives the bytes of an
+  untaped :func:`matmul` followed by an untaped :func:`add_rowvec`.
+- A node that receives gradients from two or more consumers sums them in
+  64-bit. Leaf gradients come out of :func:`backward` as float32.
 
 Results are deterministic for a fixed BLAS and thread count, with enough
 precision headroom for finite-difference verification.
@@ -47,9 +50,12 @@ class Tensor:
     :func:`backward`; for op outputs it is derived from the parents.
 
     An array that is already float32, C-contiguous and read-only is taken
-    over, not copied, so a tensor can be a view of a larger read-only buffer;
-    whoever made that buffer read-only must not write it again. Any other
-    input is copied and the copy made read-only.
+    over, not copied, so a tensor can be a view of a larger buffer. The
+    buffer may be a read-only view of a buffer its owner still writes (the
+    trainer's parameter vector): the owner may write it only while no tape
+    and no graph built from the tensor is alive, since taped ops keep views
+    of their operands for the backward pass. Any other input is copied and
+    the copy made read-only.
     """
 
     __slots__ = ("values", "requires_grad")
@@ -136,18 +142,24 @@ def _tracked(parents: tuple[Tensor, ...]) -> bool:
     return _active_tape is not None and any(p.requires_grad for p in parents)
 
 
+def _frozen(values) -> np.ndarray:
+    """A fresh result as a read-only float32 C-contiguous array: one that
+    already is float32 and C-contiguous is frozen and taken over, anything
+    else is truncated to one."""
+    arr = np.asarray(values, dtype=np.float32, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _make(values, parents: tuple[Tensor, ...], backward_fn: Callable | None) -> Tensor:
     """Create an op output, recording it when :func:`_tracked`.
 
-    ``values`` must be the op's own fresh result: a float32 C-contiguous
-    array is frozen and taken over, anything else is truncated to one.
+    ``values`` must be the op's own fresh result (see :func:`_frozen`).
     ``backward_fn`` maps the upstream gradient to one gradient per parent,
     or None for a parent that needs none.
     """
-    arr = np.asarray(values, dtype=np.float32, order="C")
-    arr.flags.writeable = False
     track = _tracked(parents)
-    out = Tensor(arr, requires_grad=track)
+    out = Tensor(_frozen(values), requires_grad=track)
     if track:
         _active_tape._record(out, parents, backward_fn)
     return out
@@ -160,9 +172,11 @@ def _f64(t: Tensor) -> np.ndarray:
 def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Tensor]:
     """Accumulate gradients of a scalar loss and return them per leaf parameter.
 
-    Gradients accumulate in 64-bit slots and are truncated to float32 in the
-    returned map. Only leaves with ``requires_grad=True`` appear; detached
-    inputs and frozen weights are never materialized.
+    A gradient is passed on in the precision its op produced it; where two or
+    more consumers reach one node or leaf, their gradients are summed in
+    64-bit. The returned map holds float32 gradients. Only leaves with
+    ``requires_grad=True`` appear; detached inputs and frozen weights are
+    never materialized.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -181,13 +195,13 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Tensor]:
             if grad is None or not parent.requires_grad:
                 continue
             if id(parent) in tape._produced:
-                acc = slots.get(id(parent))
-                slots[id(parent)] = grad if acc is None else acc + grad
+                table, key = slots, id(parent)
             else:
-                acc = leaf_grads.get(parent)
-                leaf_grads[parent] = grad if acc is None else acc + grad
+                table, key = leaf_grads, parent
+            acc = table.get(key)
+            table[key] = grad if acc is None else np.add(acc, grad, dtype=np.float64)
 
-    return {p: Tensor(g.astype(np.float32)) for p, g in leaf_grads.items()}
+    return {p: Tensor(_frozen(g)) for p, g in leaf_grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +220,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(_f64(a) * c, (a,), lambda g: (g * c,))
+    return _make(_f64(a) * c, (a,), lambda g: (np.multiply(g, c, dtype=np.float64),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors. A product recorded on the tape runs
-    its forward and backward GEMMs in float32 (see the module docstring); an
-    untaped one evaluates in 64-bit like every other op."""
+    its forward and backward GEMMs in float32 and passes float32 gradients
+    on (see the module docstring); an untaped one evaluates in 64-bit."""
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -224,31 +238,75 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     b_t = b.values.T if a.requires_grad else None
 
     def grad(g):
-        g = g.astype(np.float32)
-        return (
-            None if b_t is None else (g @ b_t).astype(np.float64),
-            None if a_t is None else (a_t @ g).astype(np.float64),
-        )
+        g = g.astype(np.float32, copy=False)
+        return (None if b_t is None else g @ b_t, None if a_t is None else a_t @ g)
 
     return _make(a.values @ b.values, (a, b), grad)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus the bias row ``b`` added to every row: one dense layer.
+
+    Taped, it runs by the float32 rule and its bias gradient is the float64
+    batch sum of the upstream gradient; untaped, it gives the bytes of
+    ``add_rowvec(matmul(x, w), b)`` (see the module docstring).
+    """
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
+    if b.values.ndim != 1 or b.shape[0] != w.shape[1]:
+        raise ShapeError(f"linear: bias {b.shape} does not fit outputs of width {w.shape[1]}")
+    if not _tracked((x, w, b)):
+        xw = (_f64(x) @ _f64(w)).astype(np.float32)
+        return _make(xw.astype(np.float64) + _f64(b), (x, w, b), None)
+    y = x.values @ w.values
+    y += b.values
+    # Each side's gradient needs the other side's values; hold only those.
+    x_t = x.values.T if w.requires_grad else None
+    w_t = w.values.T if x.requires_grad else None
+    need_b = b.requires_grad
+
+    def grad(g):
+        g32 = g.astype(np.float32, copy=False)
+        return (
+            None if w_t is None else g32 @ w_t,
+            None if x_t is None else x_t @ g32,
+            g.sum(axis=0, dtype=np.float64) if need_b else None,
+        )
+
+    return _make(y, (x, w, b), grad)
+
+
 def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(_f64(a))
-    return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
+    """Elementwise tanh; taped, it runs forward and backward in float32."""
+    if not _tracked((a,)):
+        return _make(np.tanh(_f64(a)), (a,), None)
+    y = np.tanh(a.values)
+
+    def grad(g):
+        slope = np.multiply(y, y, out=np.empty_like(y))
+        np.subtract(1.0, slope, out=slope)
+        return (np.multiply(slope, g.astype(np.float32, copy=False), out=slope),)
+
+    return _make(y, (a,), grad)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an m-by-n matrix."""
+    """Add a length-n vector to every row of an m-by-n matrix. Only the
+    two-slot composition still adds its bias apart from its GEMMs; a layer
+    is one :func:`linear`."""
     if a.values.ndim != 2 or v.values.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowvec: incompatible shapes {a.shape} and {v.shape}")
     need_v = v.requires_grad
     return _make(
-        _f64(a) + _f64(v), (a, v), lambda g: (g, g.sum(axis=0) if need_v else None)
+        _f64(a) + _f64(v),
+        (a, v),
+        lambda g: (g, g.sum(axis=0, dtype=np.float64) if need_v else None),
     )
 
 
 def mean(a: Tensor) -> Tensor:
+    """Mean over all elements. No part of the package calls it; the tests use
+    it as their scalar reduction of a non-scalar op."""
     n = a.size
     shp = a.shape
     return _make(
@@ -329,10 +387,7 @@ def info_nce(a: Tensor, b: Tensor, temperature: float) -> Tensor:
 
     def grad(g):
         gz = (coef * (float(g) / (n * t))).astype(np.float32)
-        return (
-            None if b_v is None else (gz @ b_v).astype(np.float64),
-            None if a_v is None else (gz.T @ a_v).astype(np.float64),
-        )
+        return (None if b_v is None else gz @ b_v, None if a_v is None else gz.T @ a_v)
 
     return _make(loss, (a, b), grad)
 

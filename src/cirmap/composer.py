@@ -111,8 +111,12 @@ class PromptComposer:
         if any(s.shape[0] != n for s in slot_rows):
             raise ShapeError("slot blocks disagree on batch size")
 
-        pre = ad.matmul(slot_rows[0], self._w1_slots_t[0])
-        for k in range(1, arity):
-            pre = ad.add(pre, ad.matmul(slot_rows[k], self._w1_slots_t[k]))
-        hidden = ad.tanh(ad.add_rowvec(pre, self._bias_t[template]))
-        return ad.l2_normalize_rows(ad.matmul(hidden, self._w2_t))
+        bias = self._bias_t[template]
+        if arity == 1:
+            pre = ad.linear(slot_rows[0], self._w1_slots_t[0], bias)
+        else:
+            # The slot products are summed before the bias is added, which
+            # fixes the bytes of an inference composition.
+            products = [ad.matmul(s, w) for s, w in zip(slot_rows, self._w1_slots_t)]
+            pre = ad.add_rowvec(ad.add(*products), bias)
+        return ad.l2_normalize_rows(ad.matmul(ad.tanh(pre), self._w2_t))

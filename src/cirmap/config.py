@@ -1,7 +1,8 @@
 """Run configuration: strict JSON parsing, defaults, and the resolved echo.
 
 Unknown keys are rejected at every level so a typoed hyperparameter can never
-silently fall back to a default, and every value must have its field's type.
+silently fall back to a default, every value must have its field's type, and
+no number may be NaN or infinite.
 Seeds left out resolve from the top-level seed. The frozen encoder's width
 and seed belong to the world section only: training reads them from the
 generated data.
@@ -9,6 +10,7 @@ generated data.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -65,6 +67,10 @@ def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = N
         if not fileio.fits(value, hint):
             expected = str(hint) if typing.get_origin(hint) else hint.__name__
             raise ConfigError(f"{name}.{key} must be {expected}, got {type(value).__name__}")
+        # The JSON reader takes NaN and Infinity, which no range check
+        # catches: a comparison with NaN is false either way.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite, got {value}")
         kwargs[attr] = value
     try:
         return cls(**kwargs)

@@ -4,8 +4,8 @@ Both mappers share one architecture: a 3-layer perceptron d -> h -> h -> d
 with tanh hidden activations and a linear output. Tokens are free vectors
 (not normalized). Both mappers' parameters live in one flat float32 vector
 in :func:`layout` order; the optimizer updates that vector and the
-checkpoint stores it. :class:`Mappers` is immutable: an update builds a new
-one from the new vector.
+checkpoint stores it. :class:`Mappers` never writes that vector; the
+trainer updates it in place.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def map_rows(weights: dict[str, Tensor], x_rows: Tensor) -> Tensor:
     dim = weights["w1"].shape[0]
     if x_rows.values.ndim != 2 or x_rows.shape[1] != dim:
         raise ShapeError(f"expected [N x {dim}] input, got {x_rows.shape}")
-    h1 = ad.tanh(ad.add_rowvec(ad.matmul(x_rows, weights["w1"]), weights["b1"]))
-    h2 = ad.tanh(ad.add_rowvec(ad.matmul(h1, weights["w2"]), weights["b2"]))
-    return ad.add_rowvec(ad.matmul(h2, weights["w3"]), weights["b3"])
+    h1 = ad.tanh(ad.linear(x_rows, weights["w1"], weights["b1"]))
+    h2 = ad.tanh(ad.linear(h1, weights["w2"], weights["b2"]))
+    return ad.linear(h2, weights["w3"], weights["b3"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,9 @@ class Mappers:
     """Both trainable mappers. ``flat`` holds every parameter in
     :func:`layout` order; ``pseudo`` and ``supplement`` are each mapper's six
     leaf tensors, cut from ``flat`` once. A float32 ``flat`` is taken over,
-    not copied: it is made read-only."""
+    not copied: it is made read-only. It may be a view of a vector its owner
+    still writes, as the trainer's AdamW does between steps (see
+    :class:`~cirmap.autodiff.Tensor`)."""
 
     dim: int
     hidden: int

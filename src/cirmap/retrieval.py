@@ -299,6 +299,9 @@ def evaluate_task(
     if not task.query_ids:
         raise ShapeError("no queries to score")
     gamma = task.gamma if gamma is None else gamma
+    # Checked in every mode: a baseline ignores gamma but reports it.
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     max_k = max(task.k_values)
 
     refs, conds = task.reference_rows, task.condition_rows

@@ -19,6 +19,7 @@ from . import mining
 from .autodiff import Tape, Tensor
 from .composer import PromptComposer
 from .errors import (
+    ContractError,
     DegenerateInputError,
     ParameterError,
     ShapeError,
@@ -82,10 +83,12 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """AdamW moments: one float64 entry per element of the flat parameter vector."""
+    """AdamW moments, one float64 entry per element of the flat parameter
+    vector, and the float64 scratch one block of the update works in."""
 
     def __init__(self, size: int):
         self.m, self.v, self.step = np.zeros(size), np.zeros(size), 0
+        self.scratch = np.empty((3, min(size, _ADAM_BLOCK)))
 
 
 def lr_schedule(step: int, base_lr: float, warmup_steps: int) -> float:
@@ -101,41 +104,60 @@ def adamw_step(
     state: OptimizerState,
     lr_t: float,
     weight_decay: float,
-) -> np.ndarray:
-    """One decoupled-weight-decay Adam update of the flat parameter vector;
-    bias-corrected, 64-bit math, returned as a new float32 vector.
+) -> None:
+    """One decoupled-weight-decay Adam update of the writable float32 vector
+    ``flat``, in place; bias-corrected, 64-bit math.
 
     ``grads`` holds one flat gradient per equal part of ``flat`` (one per
     mapper), or None for a part the loss did not reach: that part is neither
     decayed nor are its moments advanced. Decay applies before the Adam delta.
+    The update runs block by block in the state's float64 scratch; each
+    element gets the same operations, in the same order, as a whole-array
+    update would apply.
     """
     if lr_t < 0:
         raise ParameterError(f"lr_t must be >= 0, got {lr_t}")
     size = flat.size // len(grads)
     if size * len(grads) != flat.size or state.m.shape != flat.shape:
         raise ShapeError(f"{flat.size} parameters, {len(grads)} parts, {state.m.size} moments")
+    if flat.dtype != np.float32 or not flat.flags.writeable:
+        raise ContractError("adamw_step updates a writable float32 vector in place")
     state.step += 1
     t = state.step
-    out = flat.copy()
+    decay, c1, c2 = lr_t * weight_decay, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for i, grad in enumerate(grads):
         if grad is None:
             continue
         if np.shape(grad) != (size,):
             raise ShapeError(f"gradient shape {np.shape(grad)} does not match part {i} ({size},)")
         for lo in range(0, size, _ADAM_BLOCK):
-            part = slice(i * size + lo, i * size + min(lo + _ADAM_BLOCK, size))
-            g = np.asarray(grad[lo : lo + _ADAM_BLOCK], dtype=np.float64)
-            theta = flat[part].astype(np.float64)
-            theta -= lr_t * weight_decay * theta
-            m = ADAM_BETA1 * state.m[part] + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * state.v[part] + (1.0 - ADAM_BETA2) * g * g
-            state.m[part] = m
-            state.v[part] = v
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            theta -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            out[part] = theta
-    return out
+            hi = min(lo + _ADAM_BLOCK, size)
+            part = slice(i * size + lo, i * size + hi)
+            theta, g, tmp = state.scratch[:, : hi - lo]
+            m, v = state.m[part], state.v[part]
+            g[...] = grad[lo:hi]
+            theta[...] = flat[part]
+            # theta -= lr_t * weight_decay * theta
+            np.multiply(theta, decay, out=tmp)
+            theta -= tmp
+            # m = beta1 * m + (1 - beta1) * g
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            m += tmp
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            # theta -= lr_t * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=tmp)
+            tmp *= lr_t
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            tmp /= g
+            theta -= tmp
+            flat[part] = theta
 
 
 def init_mappers(config: TrainConfig, dim: int) -> Mappers:
@@ -210,8 +232,14 @@ def train(
 
     frozen_hash = composer.weights_hash()
 
+    # The one writable parameter vector: AdamW updates it in place between
+    # steps, when no tape is alive, and the mappers read it through a
+    # read-only view. The gradient buffer is reused by every step.
     mappers = init_mappers(config, composer.dim)
-    state = OptimizerState(mappers.flat.size)
+    params = mappers.flat.copy()
+    mappers = replace(mappers, flat=params.view())
+    grad_buf = np.empty_like(params)
+    state = OptimizerState(params.size)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, 1]))
     )
@@ -226,12 +254,13 @@ def train(
             order = shuffle_rng.permutation(n)
         rows = order[pos * config.batch_size : (pos + 1) * config.batch_size]
         try:
-            grads, terms = _gradients(config, mappers, composer, images[rows], texts[rows], step)
+            grads, terms = _gradients(
+                config, mappers, composer, images[rows], texts[rows], step, grad_buf
+            )
         except (DegenerateInputError, FloatingPointError) as exc:
             raise TrainingDivergedError(f"numerical fault at step {step}: {exc}") from exc
         lr_t = lr_schedule(step, config.learning_rate, config.warmup_steps)
-        flat = adamw_step(mappers.flat, grads, state, lr_t, config.weight_decay)
-        mappers = replace(mappers, flat=flat)
+        adamw_step(params, grads, state, lr_t, config.weight_decay)
         step_metrics = {"step": step, "lr": lr_t, **terms}
         metrics.append(step_metrics)
         if step % 100 == 0 or step == config.steps - 1:
@@ -241,14 +270,16 @@ def train(
 
     if composer.weights_hash() != frozen_hash:
         raise TrainingDivergedError("frozen composer weights changed during training")
+    params.flags.writeable = False
     return TrainResult(mappers=mappers, metrics=metrics)
 
 
-def _gradients(config, mappers, composer, batch_images, batch_texts, step):
+def _gradients(config, mappers, composer, batch_images, batch_texts, step, grad_buf):
     """Forward and backward over one batch. Returns each mapper's flat gradient
-    (None when the loss does not reach it) and the step's loss terms and N_S.
-    The tape and the batch graph are freed on return, so they are no longer
-    alive while the optimizer updates the vector."""
+    (None when the loss does not reach it), written into its half of
+    ``grad_buf``, and the step's loss terms and N_S. The tape and the batch
+    graph are freed on return, so they are no longer alive while the
+    optimizer updates the vector."""
     with Tape() as tape:
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
@@ -275,9 +306,7 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
     # of ``mappers.flat`` in layout order, so one buffer of its size holds
     # every gradient at its parameter's offset.
     grads = []
-    for weights, part in zip(
-        (mappers.pseudo, mappers.supplement), np.split(np.empty_like(mappers.flat), 2)
-    ):
+    for weights, part in zip((mappers.pseudo, mappers.supplement), np.split(grad_buf, 2)):
         if weights["w1"] not in grad_map:
             grads.append(None)
             continue

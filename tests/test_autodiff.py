@@ -66,22 +66,50 @@ class TestMatmul:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_precision_follows_the_tape(self):
-        # taped: float32 GEMMs forward and backward; untaped: the float64
-        # product truncated to float32
+        # taped matmul, linear and tanh: float32 forward and backward, with a
+        # float64 batch sum for the bias gradient; untaped: 64-bit, then
+        # truncated to float32
         rng = np.random.default_rng(5)
         a = Tensor(rng.standard_normal((37, 64)), requires_grad=True)
         b = Tensor(rng.standard_normal((64, 29)))
-        with Tape() as tape:
-            taped = ad.matmul(a, b)
-            loss = ad.mean(taped)
-        grads = backward(loss, tape)
+        bias = Tensor(rng.standard_normal(29), requires_grad=True)
+        a64, b64, bias64 = (t.values.astype(np.float64) for t in (a, b, bias))
+        # the mean's upstream gradient, as the float32 ops receive it
+        upstream = np.full((37, 29), 1.0 / (37 * 29))
+        up32 = upstream.astype(np.float32)
+
+        def taped(op, *args):
+            with Tape() as tape:
+                out = op(*args)
+                loss = ad.mean(out)
+            return out, backward(loss, tape)
+
+        out, grads = taped(ad.matmul, a, b)
         untaped = ad.matmul(a, b)
-        a64, b64 = a.values.astype(np.float64), b.values.astype(np.float64)
-        assert taped.values.tobytes() == (a.values @ b.values).tobytes()
+        assert out.values.tobytes() == (a.values @ b.values).tobytes()
         assert untaped.values.tobytes() == (a64 @ b64).astype(np.float32).tobytes()
-        assert taped.values.tobytes() != untaped.values.tobytes()
-        upstream = np.full((37, 29), 1.0 / (37 * 29)).astype(np.float32)
-        assert grads[a].values.tobytes() == (upstream @ b.values.T).tobytes()
+        assert out.values.tobytes() != untaped.values.tobytes()
+        assert grads[a].values.tobytes() == (up32 @ b.values.T).tobytes()
+
+        out, grads = taped(ad.linear, a, b, bias)
+        untaped = ad.linear(a, b, bias)
+        assert out.values.tobytes() == (a.values @ b.values + bias.values).tobytes()
+        # untaped: the bytes of the untaped matmul, then the untaped bias add
+        product = (a64 @ b64).astype(np.float32).astype(np.float64)
+        assert untaped.values.tobytes() == (product + bias64).astype(np.float32).tobytes()
+        assert untaped.values.tobytes() == ad.add_rowvec(ad.matmul(a, b), bias).values.tobytes()
+        assert out.values.tobytes() != untaped.values.tobytes()
+        assert grads[a].values.tobytes() == (up32 @ b.values.T).tobytes()
+        assert grads[bias].values.tobytes() == upstream.sum(axis=0).astype(np.float32).tobytes()
+
+        h = Tensor(rng.standard_normal((37, 29)) * 2.0, requires_grad=True)
+        h64 = h.values.astype(np.float64)
+        out, grads = taped(ad.tanh, h)
+        untaped = ad.tanh(h)
+        y = np.tanh(h.values)
+        assert y.dtype == np.float32 and out.values.tobytes() == y.tobytes()
+        assert untaped.values.tobytes() == np.tanh(h64).astype(np.float32).tobytes()
+        assert grads[h].values.tobytes() == ((1.0 - y * y) * up32).tobytes()
 
 
 class TestConstantParents:
@@ -110,6 +138,19 @@ class TestConstantParents:
         assert ga.shape == (4, 3) and gb is None
         ga, gb = self._backward_of_last_op(lambda: ad.info_nce(c, p, 0.5), 1.0)
         assert ga is None and gb.shape == (4, 3)
+
+    def test_linear(self):
+        rng = np.random.default_rng(9)
+        x, w, b = (rng.standard_normal(shape) for shape in ((2, 3), (3, 4), (4,)))
+        g = np.ones((2, 4))
+        for trainable in range(1, 8):
+            x_t, w_t, b_t = (
+                Tensor(v, requires_grad=bool(trainable >> i & 1)) for i, v in enumerate((x, w, b))
+            )
+            grads = self._backward_of_last_op(lambda: ad.linear(x_t, w_t, b_t), g)
+            for t, grad in zip((x_t, w_t, b_t), grads):
+                assert (grad is None) != t.requires_grad
+                assert grad is None or grad.shape == t.shape
 
     def test_add_rowvec_and_mse(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -341,6 +382,10 @@ def _fd_check_primitive(build_loss, leaves, seeds, dims):
 
 
 _CONST_SIDE = Tensor(np.random.default_rng(8).standard_normal((4, 3)))
+# constant operands of the linear cases: an input, a weight and a bias
+_CONST_X, _CONST_W, _CONST_B = (
+    Tensor(np.random.default_rng(10).standard_normal(shape)) for shape in ((3, 4), (4, 5), (5,))
+)
 
 
 class TestPrimitiveGradients:
@@ -368,6 +413,31 @@ class TestPrimitiveGradients:
                 (14, "log_softmax", lambda a, b: ad.info_nce(a, b, 0.5), [(4, 3), (4, 3)]),
                 (16, "gather", lambda a: ad.mean(ad.gather_rows(a, [0, 2, 2])), [(4, 3)]),
                 (17, "info_nce_const", lambda a: ad.info_nce(a, _CONST_SIDE, 0.5), [(4, 3)]),
+                # a tanh after the layer makes the loss non-linear in every operand
+                (
+                    18,
+                    "linear",
+                    lambda x, w, b: ad.mean(ad.tanh(ad.linear(x, w, b))),
+                    [(3, 4), (4, 5), (5,)],
+                ),
+                (
+                    19,
+                    "linear_const_x",
+                    lambda w, b: ad.mean(ad.tanh(ad.linear(_CONST_X, w, b))),
+                    [(4, 5), (5,)],
+                ),
+                (
+                    20,
+                    "linear_const_w",
+                    lambda x, b: ad.mean(ad.tanh(ad.linear(x, _CONST_W, b))),
+                    [(3, 4), (5,)],
+                ),
+                (
+                    21,
+                    "linear_const_b",
+                    lambda x, w: ad.mean(ad.tanh(ad.linear(x, w, _CONST_B))),
+                    [(3, 4), (4, 5)],
+                ),
             ]
         ],
     )
@@ -432,6 +502,7 @@ _AD_OPS = {
     "tanh": ad.tanh,
     "matmul": ad.matmul,
     "add_rowvec": ad.add_rowvec,
+    "linear": ad.linear,
     "mse": ad.mse,
     "info_nce": ad.info_nce,
 }
@@ -440,6 +511,7 @@ _NP_OPS = {
     "tanh": np.tanh,
     "matmul": np.matmul,
     "add_rowvec": np.add,
+    "linear": lambda x, w, b: x @ w + b,
     "mse": lambda a, b: float(np.mean((a - b) ** 2)),
     "info_nce": ref_info_nce,
 }
@@ -457,6 +529,8 @@ def _run_graph(program, leaves, ops):
             nodes.append(ops[kind](*(nodes[i] for i in args)))
         elif kind in ("matmul", "add_rowvec"):
             nodes.append(ops[kind](nodes[args[0]], leaves[args[1]]))
+        elif kind == "linear":
+            nodes.append(ops[kind](nodes[args[0]], leaves[args[1]], leaves[args[2]]))
         else:
             return ops[kind](nodes[args[0]], nodes[args[1]], *args[2:])
 
@@ -475,7 +549,7 @@ def _graphs(draw):
     for _ in range(draw(st.integers(1, 3))):
         program.append(("leaf", leaf((m, n))))
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["add", "tanh", "matmul", "add_rowvec"]))
+        kind = draw(st.sampled_from(["add", "tanh", "matmul", "add_rowvec", "linear"]))
         i = draw(st.integers(0, len(program) - 1))
         if kind == "add":
             program.append((kind, i, draw(st.integers(0, len(program) - 1))))
@@ -483,6 +557,8 @@ def _graphs(draw):
             program.append((kind, i))
         elif kind == "matmul":
             program.append((kind, i, leaf((n, n))))
+        elif kind == "linear":
+            program.append((kind, i, leaf((n, n)), leaf((n,))))
         else:
             program.append((kind, i, leaf((n,))))
     last, other = len(program) - 1, draw(st.integers(0, len(program) - 1))

@@ -269,6 +269,18 @@ def test_seed_override_changes_world(tmp_path):
     assert (tmp_path / "data" / "train_images.emb").read_bytes() != base
 
 
+@pytest.mark.parametrize("mode", ["composed", "image_only", "text_only", "average", "slerp"])
+def test_evaluate_gamma_out_of_range_is_an_error_in_every_mode(pipeline, capsys, mode):
+    tmp_path, config = pipeline
+    out = tmp_path / "run" / "g7.json"
+    argv = ["evaluate", "--config", str(config), "--mode", mode, "--gamma", "7"]
+    argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint"), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: gamma must lie in [0, 1], got 7.0\n"
+    assert not out.exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path):
     assert main(["gen-data", "--config", str(tmp_path / "absent.json")]) == 1
 

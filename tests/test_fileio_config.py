@@ -265,6 +265,32 @@ class TestRunConfig:
             cfg.parse_config({"seed": 1, **doc})
         assert where in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("train", "learning_rate"),
+            ("train", "weight_decay"),
+            ("train", "alpha"),
+            ("train", "beta"),
+            ("train", "lambda"),
+            ("train", "tau"),
+            ("train", "sigma"),
+            ("world", "noise_scale"),
+            ("world", "caption_collision_rate"),
+            ("world", "caption_jitter"),
+            ("world", "modality_gap"),
+            ("eval", "gamma"),
+            ("eval", "slerp_t"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, section, key, literal):
+        # the JSON reader accepts these literals; the config must not
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"seed": 1, "{section}": {{"{key}": {literal}}}}}')
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite, got"):
+            cfg.load_config(path)
+
     def test_int_accepted_for_float(self):
         run = cfg.parse_config({"seed": 1, "train": {"learning_rate": 1, "lambda": 0}})
         assert run.train.learning_rate == 1 and run.train.lam == 0

@@ -7,8 +7,8 @@ from cirmap import training
 from cirmap.autodiff import Tensor
 from cirmap.config import parse_config
 from cirmap.composer import PromptComposer
-from cirmap.errors import ParameterError, ShapeError, TrainingDivergedError
-from cirmap.mappers import Mappers, layout, map_rows
+from cirmap.errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
+from cirmap.mappers import Mappers, layout, load_checkpoint, map_rows, save_checkpoint
 from cirmap.training import (
     ADAM_EPS,
     OptimizerState,
@@ -68,34 +68,37 @@ class TestLrSchedule:
 
 
 class TestAdamW:
+    """``adamw_step`` updates the vector it is given in place."""
+
     def _flat(self):
         return np.array([1.0, -2.0, 3.0], dtype=np.float32)
 
     def test_zero_grad_zero_decay_is_identity(self):
         flat = self._flat()
-        out = adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.0)
-        assert np.array_equal(out, flat)
+        adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.0)
+        assert np.array_equal(flat, self._flat())
 
     def test_first_step_is_sign_scaled(self):
         # one step from zero moments: delta = -lr * g / (|g| + eps)
         flat = self._flat()
         g = np.array([0.5, -0.25, 1.0])
-        out = adamw_step(flat, [g], OptimizerState(3), 0.01, 0.0)
-        expected = flat.astype(np.float64) - 0.01 * g / (np.abs(g) + ADAM_EPS)
-        assert np.allclose(out, expected, atol=1e-7)
+        adamw_step(flat, [g], OptimizerState(3), 0.01, 0.0)
+        expected = self._flat().astype(np.float64) - 0.01 * g / (np.abs(g) + ADAM_EPS)
+        assert np.allclose(flat, expected, atol=1e-7)
 
     def test_decay_only_shrinks(self):
         flat = self._flat()
-        out = adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.5)
-        expected = flat * (1.0 - 0.1 * 0.5)
-        assert np.allclose(out, expected, atol=1e-7)
+        adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.5)
+        expected = self._flat() * (1.0 - 0.1 * 0.5)
+        assert np.allclose(flat, expected, atol=1e-7)
 
     def test_missing_grad_leaves_param(self):
         flat = np.arange(6, dtype=np.float32)
+        before = flat.copy()
         state = OptimizerState(6)
-        out = adamw_step(flat, [None, np.ones(3)], state, 0.1, 0.5)
-        assert np.array_equal(out[:3], flat[:3])
-        assert not np.array_equal(out[3:], flat[3:])
+        adamw_step(flat, [None, np.ones(3)], state, 0.1, 0.5)
+        assert np.array_equal(flat[:3], before[:3])
+        assert not np.array_equal(flat[3:], before[3:])
         assert not state.m[:3].any() and not state.v[:3].any()
         assert state.m[3:].all() and state.v[3:].all()
 
@@ -103,11 +106,19 @@ class TestAdamW:
         with pytest.raises(ShapeError):
             adamw_step(self._flat(), [np.zeros(4)], OptimizerState(3), 0.1, 0.0)
 
+    def test_read_only_or_float64_vector_rejected(self):
+        frozen = self._flat()
+        frozen.flags.writeable = False
+        for flat in (frozen, self._flat().astype(np.float64)):
+            with pytest.raises(ContractError):
+                adamw_step(flat, [np.ones(3)], OptimizerState(3), 0.1, 0.0)
+        assert np.array_equal(frozen, self._flat())
+
     def test_step_counter_increases(self):
         state = OptimizerState(6)
         flat = np.ones(6, dtype=np.float32)
         for expected in (1, 2, 3):
-            flat = adamw_step(flat, [np.ones(3), None], state, 0.01, 0.0)
+            adamw_step(flat, [np.ones(3), None], state, 0.01, 0.0)
             assert state.step == expected
 
     def test_matches_per_name_reference_bitwise(self):
@@ -115,11 +126,11 @@ class TestAdamW:
         # 46,464 parameters per mapper: the update runs over more than one block
         entries = layout(dim=64, hidden=160)
         shapes = {e["name"]: tuple(e["shape"]) for e in entries}
-        flat = Mappers.seeded(64, 160, (11, 12)).flat
+        flat = Mappers.seeded(64, 160, (11, 12)).flat.copy()  # updated in place
         ref = {
-            e["name"]: flat[e["offset"] : e["offset"] + math.prod(e["shape"])].reshape(
-                e["shape"]
-            )
+            e["name"]: flat[e["offset"] : e["offset"] + math.prod(e["shape"])]
+            .reshape(e["shape"])
+            .copy()
             for e in entries
         }
         state, ref_state = OptimizerState(flat.size), RefAdamState()
@@ -138,7 +149,7 @@ class TestAdamW:
                 for role in ("pseudo.", "supplement.")
             ]
             lr_t, decay = float(rng.uniform(0.0, 1e-2)), 0.1
-            flat = adamw_step(flat, halves, state, lr_t, decay)
+            adamw_step(flat, halves, state, lr_t, decay)
             ref = ref_adamw_step(ref, grads, ref_state, lr_t, decay)
 
             assert flat.tobytes() == np.concatenate([ref[n].ravel() for n in shapes]).tobytes()
@@ -185,6 +196,21 @@ class TestForwardBatch:
 
 
 class TestTrain:
+    def test_result_vector_is_frozen_and_saved_as_is(self, small_world, tmp_path):
+        # train updates one vector in place and hands it over without a copy:
+        # no writable array lies under the result, and it is what is saved
+        cfg = small_config(steps=3)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+        arr = result.mappers.flat
+        while arr is not None:
+            assert not arr.flags.writeable
+            arr = arr.base
+        leaf = result.mappers.pseudo["w1"].values
+        assert np.shares_memory(leaf, result.mappers.flat)
+        save_checkpoint(tmp_path / "ckpt", result.mappers, 3, 21)
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.flat.tobytes() == result.mappers.flat.tobytes()
+
     def test_deterministic_across_runs(self, small_world):
         cfg = small_config()
         a = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
@@ -321,13 +347,13 @@ def test_train_config_validation():
 
 
 def test_one_step_tape_size(monkeypatch):
-    # One step of the README's minimal config (d32, b64) records 36 tape
-    # nodes: 8 per mapper, 5 per composition (slot matmul, template bias,
-    # tanh, matmul, normalize), 1 per InfoNCE term, the gather of the
-    # selected composed rows, the MSE, and 5 scales and adds that combine
-    # the terms. Without selection the S-Set term reads the whole blocks and
-    # needs no gather (35); without the S-Set term its InfoNCE and its
-    # weighting scale go as well (33).
+    # One step of the README's minimal config (d32, b64) records 28 tape
+    # nodes: 5 per mapper (three linear layers, two tanh), 4 per composition
+    # (slot layer with the template bias, tanh, matmul, normalize), 1 per
+    # InfoNCE term, the gather of the selected composed rows, the MSE, and 5
+    # scales and adds that combine the terms. Without selection the S-Set
+    # term reads the whole blocks and needs no gather (27); without the
+    # S-Set term its InfoNCE and its weighting scale go as well (25).
     sizes = []
     backward = training.ad.backward
 
@@ -339,9 +365,9 @@ def test_one_step_tape_size(monkeypatch):
     world_doc = {"n_train_pairs": 2048, "gallery_size": 256, "n_eval_queries": 64, "dim": 32}
     world = None
     for switches, nodes, n_s in (
-        ({}, 36, None),
-        ({"sset_select": False}, 35, 64),
-        ({"use_sset": False}, 33, 0),
+        ({}, 28, None),
+        ({"sset_select": False}, 27, 64),
+        ({"use_sset": False}, 25, 0),
     ):
         run = parse_config(
             {
