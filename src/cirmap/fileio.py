@@ -62,10 +62,68 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _compact(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
 def write_json(path: Path, obj) -> None:
     """One compact line with sorted keys: ``json.dumps`` takes its C encoder
-    for it, where ``indent`` falls back to the pure-Python one."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    for it, where ``indent`` falls back to the pure-Python one.
+
+    A 2-D integer array held under a key of a top-level object is written by
+    :func:`_int_rows_json`, in the bytes its ``tolist()`` would give.
+    """
+    if isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values()):
+        fields = [
+            _compact(key) + b":" + (_int_rows_json(v) if isinstance(v, np.ndarray) else _compact(v))
+            for key, v in sorted(obj.items())
+        ]
+        atomic_write_bytes(path, b"{" + b",".join(fields) + b"}\n")
+    else:
+        atomic_write_bytes(path, _compact(obj) + b"\n")
+
+
+# Rows of an integer array spelled out per pass of _int_rows_json. It bounds
+# the pass's temporaries, several times the rows' own size.
+_JSON_BLOCK_ROWS = 16384
+
+
+def _int_rows_json(rows: np.ndarray) -> bytes:
+    """``json.dumps(rows.tolist(), separators=(",", ":"))`` of a 2-D integer
+    array, from a few numpy passes per block of rows."""
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise TypeError(f"expected a 2-D integer array, got {rows.dtype} of shape {rows.shape}")
+    blocks = (rows[lo : lo + _JSON_BLOCK_ROWS] for lo in range(0, len(rows), _JSON_BLOCK_ROWS))
+    return b"[" + b",".join(map(_int_rows_text, blocks)) + b"]"
+
+
+def _int_rows_text(rows: np.ndarray) -> bytes:
+    """The JSON lists of ``rows``, joined by commas. Every value is spelled
+    right-aligned in a field as wide as the widest, and the padding bytes
+    are dropped."""
+    n, m = rows.shape
+    negative = rows < 0
+    magnitude = rows.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |v| of any int64, modulo 2**64
+    digits = np.ones(rows.shape, dtype=np.uint8)
+    for place in range(1, 20):
+        wider = magnitude >= np.uint64(10**place)
+        if not wider.any():
+            break
+        digits += wider
+    width = int((digits + negative).max(initial=1))
+    # Each row: "[", m fields of width digit bytes and a "," (none after the
+    # last), then "]" and ",". Zero bytes are padding.
+    out = np.zeros((n, m * (width + 1) + 3), dtype=np.uint8)
+    out[:, 0], out[:, -2], out[:, -1] = ord("["), ord("]"), ord(",")
+    fields = out[:, 1:-2].reshape(n, m, width + 1)
+    fields[:, :-1, width] = ord(",")
+    for place in range(int(digits.max(initial=1))):
+        digit = (magnitude // np.uint64(10**place) % np.uint64(10)).astype(np.uint8)
+        fields[:, :, width - 1 - place] = np.where(place < digits, digit + ord("0"), 0)
+    i, j = np.nonzero(negative)
+    fields[i, j, width - 1 - digits[i, j]] = ord("-")
+    return out[out != 0][:-1].tobytes()
 
 
 def read_json(path: Path):
@@ -150,14 +208,27 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
     header = _HEADER.pack(MAGIC, VERSION, count, dim)
     # One copy of the payload, not two (tobytes, then the concatenation).
     atomic_write_bytes(path, b"".join([header, matrix.reshape(-1).view(np.uint8)]))
-    atomic_write_text(ids_path_for(path), _id_lines(ids))
+    atomic_write_bytes(ids_path_for(path), _id_lines(ids))
 
 
-def _id_lines(ids: list[str]) -> str:
-    """The text of an id file: each line is
+# Id lines spelled out and encoded together. It bounds the live line strings,
+# whose heap would otherwise grow by some 75 bytes per row.
+_ID_CHUNK_LINES = 8192
+
+
+def _id_lines(ids: list[str]) -> bytes:
+    """The bytes of an id file: each line is
     ``json.dumps({"row": r, "id": i}, sort_keys=True)``, spelled out."""
     quote = json.encoder.encode_basestring_ascii
-    return "".join([f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids)])
+    return b"".join(
+        "".join(
+            [
+                f'{{"id": {quote(i)}, "row": {r}}}\n'
+                for r, i in enumerate(ids[lo : lo + _ID_CHUNK_LINES], start=lo)
+            ]
+        ).encode("ascii")
+        for lo in range(0, len(ids), _ID_CHUNK_LINES)
+    )
 
 
 # Ids in the index are keyed by at most this many leading UTF-8 bytes, so the

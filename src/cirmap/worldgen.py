@@ -12,6 +12,11 @@ gap) and per-instance Gaussian noise. This models an aligned encoder pair:
 paired image/caption embeddings are close but not equal, and both prompt
 families the query side uses are correlated with gallery geometry.
 
+A large gallery repeats tuples, so each distinct tuple's anchor is
+composed once and only the gap direction and the noise are per row. Each row
+meets the same operations in the same order either way, so neither the
+dedup nor the block size changes a byte.
+
 Caption collisions (distinct entities with near-identical captions) are
 injected at a configured rate in small clusters, which is what makes the
 confusable-pair selection fire on realistic batches.
@@ -178,21 +183,73 @@ class _Embedder:
         rows = Tensor(descriptors.astype(np.float32))
         return self.composer.compose_rows("photo_of", [rows]).values.astype(np.float64)
 
+    def anchors(self, descriptors: np.ndarray) -> np.ndarray | None:
+        """The float32 two-slot prompt composed over each descriptor; None
+        for "linear" captions, whose images have no anchor."""
+        if self.spec.caption_style == "linear":
+            return None
+        rows = Tensor(descriptors.astype(np.float32))
+        return self.composer.compose_rows("photo_of_that", [rows, rows]).values
+
     def images(
-        self, tuples: np.ndarray, descriptors: np.ndarray, noise_rng: np.random.Generator
+        self, tuples: np.ndarray, anchors: np.ndarray | None, noise_rng: np.random.Generator
     ) -> np.ndarray:
         gap_dirs = _unit_rows(
             _one_hot(tuples, self.spec.n_values_per_attribute) @ self.p_image.T
         )
         noise = noise_rng.standard_normal(gap_dirs.shape)
-        if self.spec.caption_style == "linear":
+        if anchors is None:
             return _unit_rows(gap_dirs + self.spec.noise_scale * noise)
-        rows = Tensor(descriptors.astype(np.float32))
-        anchors = self.composer.compose_rows(
-            "photo_of_that", [rows, rows]
-        ).values.astype(np.float64)
-        raw = anchors + self.spec.modality_gap * gap_dirs + self.spec.noise_scale * noise
+        raw = (
+            anchors.astype(np.float64)
+            + self.spec.modality_gap * gap_dirs
+            + self.spec.noise_scale * noise
+        )
         return _unit_rows(raw)
+
+    def gallery_images(
+        self, tuples: np.ndarray, codes: np.ndarray, noise_rng: np.random.Generator
+    ) -> np.ndarray:
+        """``images`` of the gallery's rows, as float32; ``codes`` are the
+        rows' ``_tuple_codes``.
+
+        An anchor depends on the tuple alone, so it is composed once per
+        distinct tuple, ``_GALLERY_BLOCK_ROWS`` tuples at a time. Gap
+        directions and noise are per row, one block of rows at a time, so no
+        whole-gallery 64-bit intermediate is alive; the noise stream is drawn
+        in row order, as one draw would.
+        """
+        anchors = None
+        if self.spec.caption_style == "encoded":
+            distinct, inverse = _distinct_rows(tuples, codes)
+            anchors = np.empty((len(distinct), self.spec.dim), dtype=np.float32)
+            for lo in range(0, len(distinct), _GALLERY_BLOCK_ROWS):
+                block = distinct[lo : lo + _GALLERY_BLOCK_ROWS]
+                anchors[lo : lo + len(block)] = self.anchors(self.descriptors(block))
+        out = np.empty((len(tuples), self.spec.dim), dtype=np.float32)
+        for lo in range(0, len(tuples), _GALLERY_BLOCK_ROWS):
+            rows = slice(lo, lo + _GALLERY_BLOCK_ROWS)
+            block_anchors = None if anchors is None else anchors[inverse[rows]]
+            out[rows] = self.images(tuples[rows], block_anchors, noise_rng)
+        return out
+
+
+def _distinct_rows(tuples: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``tuples`` and, for each row, the index of its tuple
+    among them; ``codes`` are the rows' ``_tuple_codes``.
+
+    Rows sorted by code hold equal tuples next to each other, and neighbours
+    are compared on the tuples themselves. Where wrapped codes collide, one
+    tuple may be listed more than once; two distinct tuples never share an
+    index.
+    """
+    order = np.argsort(codes)
+    ordered = tuples[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def generate_world(spec: WorldSpec) -> World:
@@ -227,7 +284,7 @@ def generate_world(spec: WorldSpec) -> World:
                 descriptors[m] = base + jitter
         descriptors = _unit_rows(descriptors)
     train_texts = embedder.captions(descriptors)
-    train_images = embedder.images(train_tuples, descriptors, rng_noise)
+    train_images = embedder.images(train_tuples, embedder.anchors(descriptors), rng_noise)
     train_ids = [f"pair-{i:05d}" for i in range(spec.n_train_pairs)]
 
     # Gallery: duplicates allowed so that queries can have several targets.
@@ -246,11 +303,11 @@ def generate_world(spec: WorldSpec) -> World:
 
     # Queries: flip one attribute of a gallery reference; make sure at least
     # one gallery entity carries the edited tuple, inserting one if needed.
-    protected: set[int] = set()
+    protected = np.zeros(spec.gallery_size, dtype=bool)
     pending: list[dict] = []
     for q in range(spec.n_eval_queries):
         ref_slot = int(rng_query.integers(spec.gallery_size))
-        protected.add(ref_slot)
+        protected[ref_slot] = True
         attribute = int(rng_query.integers(spec.n_attributes))
         old_value = int(gallery_tuples[ref_slot, attribute])
         shift = int(rng_query.integers(1, spec.n_values_per_attribute))
@@ -259,17 +316,17 @@ def generate_world(spec: WorldSpec) -> World:
         edited[attribute] = new_value
         matches = slots_holding(edited)
         if matches.size:
-            protected.add(int(matches[0]))
+            protected[matches[0]] = True
         else:
-            free = [s for s in range(spec.gallery_size) if s not in protected]
-            if not free:
+            free = np.flatnonzero(~protected)
+            if not free.size:
                 raise InconsistentSpecError(
                     "gallery too small to host all query targets; raise gallery_size"
                 )
-            slot = free[int(rng_query.integers(len(free)))]
+            slot = int(free[rng_query.integers(len(free))])
             gallery_tuples[slot] = edited
             gallery_codes[slot] = _tuple_codes(edited[None], spec.n_values_per_attribute)[0]
-            protected.add(slot)
+            protected[slot] = True
         pending.append(
             {
                 "query_id": f"query-{q:04d}",
@@ -281,14 +338,7 @@ def generate_world(spec: WorldSpec) -> World:
             }
         )
 
-    # One block of rows at a time, so no whole-gallery 64-bit intermediate
-    # is alive; the noise stream is drawn in row order, as one draw would.
-    gallery_vectors = np.empty((spec.gallery_size, spec.dim), dtype=np.float32)
-    for lo in range(0, spec.gallery_size, _GALLERY_BLOCK_ROWS):
-        block = gallery_tuples[lo : lo + _GALLERY_BLOCK_ROWS]
-        gallery_vectors[lo : lo + len(block)] = embedder.images(
-            block, embedder.descriptors(block), rng_noise
-        )
+    gallery_vectors = embedder.gallery_images(gallery_tuples, gallery_codes, rng_noise)
     gallery_ids = [f"item-{i:05d}" for i in range(spec.gallery_size)]
 
     condition_ids, condition_rows, query_records = [], [], []
@@ -383,7 +433,7 @@ def export_world(
     meta = {
         "spec": asdict(world.spec),
         "composer_hash": world.composer_hash,
-        "gallery_tuples": world.gallery_tuples.tolist(),
+        "gallery_tuples": world.gallery_tuples,
         "query_records": world.query_records,
     }
     fileio.write_json(data_dir / WORLD_META, meta)

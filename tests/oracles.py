@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cirmap.autodiff import Tensor
 from cirmap.composer import MAX_SLOTS, PromptComposer
 from cirmap.errors import FormatError, InconsistentSpecError, ParameterError, ShapeError
 from cirmap.retrieval import Gallery
@@ -185,6 +186,43 @@ def ref_sample_separated_tuples(
         accepted[count] = cand
         count += 1
     return accepted
+
+
+def ref_gallery_vectors(spec, gallery_tuples: np.ndarray, block_rows: int) -> np.ndarray:
+    """A world's gallery as composed before the per-tuple dedup: blocks of
+    ``block_rows`` rows, each row's two-slot anchor composed from its own
+    descriptor. It replays the generator's seeded streams (the projections,
+    and the training images' noise before the gallery's), and composes with
+    the package's composer, since what it checks is bytes, not math.
+    """
+    def stream(k):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, k])))
+
+    rng_proj, rng_noise = stream(0), stream(2)
+    n_attr, n_values, dim = spec.n_attributes, spec.n_values_per_attribute, spec.dim
+    p_text = rng_proj.standard_normal((dim, n_attr * n_values))
+    p_image = rng_proj.standard_normal((dim, n_attr * n_values))
+    rng_noise.standard_normal((spec.n_train_pairs, dim))
+    composer = PromptComposer(dim, spec.composer_seed)
+
+    def unit(m):
+        return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+    out = np.empty((len(gallery_tuples), dim), dtype=np.float32)
+    for lo in range(0, len(gallery_tuples), block_rows):
+        block = gallery_tuples[lo : lo + block_rows]
+        one_hot = np.zeros((len(block), n_attr * n_values))
+        one_hot[np.arange(len(block))[:, None], np.arange(n_attr) * n_values + block] = 1.0
+        gap = unit(one_hot @ p_image.T)
+        noise = rng_noise.standard_normal(gap.shape)
+        if spec.caption_style == "linear":
+            raw = gap + spec.noise_scale * noise
+        else:
+            rows = Tensor(unit(one_hot @ p_text.T).astype(np.float32))
+            anchors = composer.compose_rows("photo_of_that", [rows, rows]).values
+            raw = anchors.astype(np.float64) + spec.modality_gap * gap + spec.noise_scale * noise
+        out[lo : lo + len(block)] = unit(raw)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirmap import fileio
 from cirmap.cli import main
-from cirmap.mappers import Mappers, checkpoint_paths, save_checkpoint
+from cirmap.errors import CirmapError
+from cirmap.mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from cirmap.training import TrainConfig, init_mappers
+from cirmap.worldgen import load_task, load_train_pairs
 from oracles import brute_force_map, brute_force_recall
 
 
@@ -642,3 +646,51 @@ def test_evaluate_per_query_flag(pipeline):
             expected[f"recall@{k}"] = brute_force_recall(tops, targets, k)
             expected[f"map@{k}"] = brute_force_map(tops, targets, k)
         assert report["metrics"] == expected, mode
+
+
+def _load_all(root: Path) -> None:
+    load_task(root / "data")
+    load_train_pairs(root / "data")
+    load_checkpoint(root / "ckpt")
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A small gen-data directory and a checkpoint beside it, both loadable."""
+    root = tmp_path_factory.mktemp("pristine")
+    assert main(["gen-data", "--config", str(write_config(root))]) == 0
+    save_checkpoint(root / "ckpt", Mappers.seeded(16, 32, (1, 2)), step=3, composer_seed=17)
+    _load_all(root)
+    files = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    return root, [f for f in files if f.name != "config.json"]  # the test's own config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pick=st.integers(0, 10**6),
+    at=st.one_of(st.integers(0, 64), st.integers(0, 10**7)),
+    edit=st.sampled_from(["flip", "overwrite", "truncate"]),
+    value=st.integers(0, 255),
+)
+def test_corrupted_file_loads_or_raises_a_cirmap_error(pristine, pick, at, edit, value):
+    # One byte of one file is flipped, overwritten or cut at: every loader
+    # either still succeeds or raises what the CLI prints as ``error:``.
+    root, files = pristine
+    path = root / files[pick % len(files)]
+    original = path.read_bytes()
+    raw = bytearray(original)
+    at %= len(raw) + (edit == "truncate")
+    if edit == "truncate":
+        del raw[at:]
+    elif edit == "flip":
+        raw[at] ^= 1 << (value % 8)
+    else:
+        raw[at] = value
+    # Replaced, not rewritten in place: an embedding file's matrix maps it.
+    fileio.atomic_write_bytes(path, bytes(raw))
+    try:
+        _load_all(root)
+    except (CirmapError, OSError):
+        pass
+    finally:
+        fileio.atomic_write_bytes(path, original)

@@ -327,6 +327,36 @@ def test_write_json_is_one_compact_line_with_sorted_keys(tmp_path):
     assert fileio.read_json(path) == doc
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.zeros((0, 6), np.int64),
+        np.zeros((3, 0), np.int64),
+        np.array([[0, 9, 10, 99, 100]]),
+        np.array([[0], [9], [10], [99], [100]], np.int8),
+        np.array([[-7, 0, -100], [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 1]]),
+        np.array([[np.iinfo(np.uint64).max, 0]], np.uint64),
+        np.random.default_rng(0).integers(-(10**6), 10**6, size=(9, 4)),
+    ],
+    ids=["no-rows", "empty-rows", "one-row", "int8-column", "signed", "uint64", "random"],
+)
+@pytest.mark.parametrize("block_rows", [2, 16384])
+def test_int_rows_json_matches_json_dumps(monkeypatch, rows, block_rows):
+    monkeypatch.setattr(fileio, "_JSON_BLOCK_ROWS", block_rows)
+    assert fileio._int_rows_json(rows) == json.dumps(rows.tolist(), separators=(",", ":")).encode()
+
+
+def test_write_json_takes_an_integer_array_field(tmp_path):
+    path = tmp_path / "doc.json"
+    rows = np.arange(12).reshape(4, 3) * 37
+    doc = {"z": "é", "rows": rows, "a": [1.5, {"k": None}]}
+    fileio.write_json(path, doc)
+    listed = {**doc, "rows": rows.tolist()}
+    assert path.read_bytes() == json.dumps(listed, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    with pytest.raises(TypeError):
+        fileio.write_json(path, {"rows": rows.astype(np.float32)})
+
+
 def test_read_json_bad_utf8_names_file(tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(b'{"a": "\xff"}')

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,7 @@ from cirmap.worldgen import (
     load_task,
     load_train_pairs,
 )
-from oracles import ref_sample_separated_tuples
+from oracles import ref_gallery_vectors, ref_sample_separated_tuples
 
 
 @pytest.fixture(scope="module")
@@ -285,12 +286,66 @@ def test_wrapped_tuple_codes_are_confirmed():
 
 
 def test_world_meta_is_one_compact_line(tmp_path, world):
-    export_world(world, tmp_path)
-    text = (tmp_path / "world_meta.json").read_text()
-    meta = json.loads(text)
-    # one line, sorted keys, no spaces after separators
-    assert text == json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
-    assert meta["spec"] == asdict(world.spec)
-    assert meta["composer_hash"] == world.composer_hash
-    assert meta["gallery_tuples"] == world.gallery_tuples.tolist()
-    assert meta["query_records"] == world.query_records
+    # Tuple values of one, two and three digits.
+    worlds = [world] + [
+        generate_world(
+            WorldSpec(n_values_per_attribute=n, n_train_pairs=64, gallery_size=96,
+                      n_eval_queries=24, dim=16, seed=31)
+        )
+        for n in (12, 101)
+    ]
+    assert worlds[-1].gallery_tuples.max() >= 100
+    for each in worlds:
+        export_world(each, tmp_path)
+        text = (tmp_path / "world_meta.json").read_text()
+        meta = json.loads(text)
+        # one line, sorted keys, no spaces after separators
+        assert text == json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
+        assert meta["spec"] == asdict(each.spec)
+        assert meta["composer_hash"] == each.composer_hash
+        assert meta["gallery_tuples"] == each.gallery_tuples.tolist()
+        assert meta["query_records"] == each.query_records
+
+
+# 27 possible tuples, so that most gallery rows repeat a tuple.
+SMALL_SPACE = dict(n_attributes=3, n_values_per_attribute=3, n_train_pairs=20, seed=4)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize(
+    "extra",
+    [{}, WRAPPED, {"caption_style": "linear"}, {"n_values_per_attribute": 12}, SMALL_SPACE],
+    ids=["default", "wrapped", "linear", "values-12", "small-space"],
+)
+def test_gallery_matches_per_row_reference(monkeypatch, extra, block_rows):
+    spec = WorldSpec(**{"n_train_pairs": 128, **extra}, gallery_size=300, n_eval_queries=24, dim=16)
+    if block_rows:
+        monkeypatch.setattr(worldgen, "_GALLERY_BLOCK_ROWS", block_rows)
+    world = generate_world(spec)
+    expected = ref_gallery_vectors(spec, world.gallery_tuples, worldgen._GALLERY_BLOCK_ROWS)
+    assert world.gallery_vectors.tobytes() == expected.tobytes()
+
+
+def test_distinct_rows_keep_colliding_codes_apart():
+    tuples = np.random.default_rng(0).integers(0, 2, size=(200, 65))
+    tuples[100:] = tuples[:100]
+    tuples[150:, 0] ^= 1  # attribute 0 wraps out of the code
+    codes = worldgen._tuple_codes(tuples, 2)
+    assert (codes[150:] == codes[50:100]).all()
+    distinct, inverse = worldgen._distinct_rows(tuples, codes)
+    assert (distinct[inverse] == tuples).all()
+    assert len(distinct) == 150
+
+
+def test_set_up_memory_at_50k_rows(tmp_path):
+    # Composing every gallery row and writing the tuples through tolist()
+    # peaked at 32.8 MiB of traced memory here; one composition per distinct
+    # tuple and the array-written tuple field peak at 26.8 MiB.
+    spec = WorldSpec(n_train_pairs=256, gallery_size=50_000, n_eval_queries=32, dim=32, seed=1)
+    tracemalloc.start()
+    try:
+        export_world(generate_world(spec), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
