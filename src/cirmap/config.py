@@ -67,16 +67,25 @@ def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = N
         if not fileio.fits(value, hint):
             expected = str(hint) if typing.get_origin(hint) else hint.__name__
             raise ConfigError(f"{name}.{key} must be {expected}, got {type(value).__name__}")
-        # The JSON reader takes NaN and Infinity, which no range check
-        # catches: a comparison with NaN is false either way.
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}.{key} must be finite, got {value}")
+        # An int is taken for a float and held as one; past float range it
+        # is not finite. The JSON reader takes NaN and Infinity, which no
+        # range check catches: a comparison with NaN is false either way.
+        if hint is float:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}.{key} must be finite, got {doc[key]}")
         kwargs[attr] = value
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except Exception as exc:
+        # A check of one field names it first; the error names it as a key.
+        if str(exc).split(" ", 1)[0] in allowed:
+            raise ConfigError(f"{name}.{exc}") from exc
         raise ConfigError(f"invalid {name} section: {exc}") from exc
 
 
@@ -90,6 +99,8 @@ def parse_config(doc: dict) -> RunConfig:
     seed = doc.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"config requires an integer top-level seed, got {type(seed).__name__}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     for name in ("world", "train", "eval", "paths"):
         if not isinstance(doc.get(name, {}), dict):
             raise ConfigError(f"config section {name} must be a JSON object")

@@ -14,11 +14,14 @@ in order. Every value must be finite.
 
 write_embeddings spells each id line out canonically as
 ``{"id": "<id>", "row": <r>}`` and a newline, the id escaped as
-``json.dumps`` escapes it (ASCII only) and ``r`` in plain decimal. A file
-whose ids are all printable ASCII other than ``"`` and ``\\`` is read in
-one pass: a few numpy passes over its bytes check every line's template,
-row number and id bytes, and the ids stay in the file's bytes as an
-:class:`IdList`. Any other file is parsed line by line.
+``json.dumps`` escapes it (ASCII only) and ``r`` in plain decimal. Numbered
+ids (:class:`NumberedIds`, a prefix and a zero-padded row number) are
+written from their template by a few numpy passes per chunk of rows; no
+string is made per row. A file whose ids are all printable ASCII other than
+``"`` and ``\\`` is read in one pass: a few numpy passes over its bytes
+check every line's template, row number and id bytes, and the ids stay in
+the file's bytes as an :class:`IdList`. Any other file is parsed line by
+line.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def ids_path_for(path: Path) -> Path:
     return path.with_suffix(".ids.jsonl")
 
 
-def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
+def write_embeddings(path: Path, matrix: np.ndarray, ids: Sequence[str]) -> None:
     path = Path(path)
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
@@ -211,14 +214,23 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: list[str]) -> None:
     atomic_write_bytes(ids_path_for(path), _id_lines(ids))
 
 
-# Id lines spelled out and encoded together. It bounds the live line strings,
-# whose heap would otherwise grow by some 75 bytes per row.
+# Id lines made together: spelled out and encoded from a list of ids, or
+# filled in from a template. It bounds the live line strings, whose heap
+# would otherwise grow by some 75 bytes per row, and a template's digit
+# columns.
 _ID_CHUNK_LINES = 8192
 
 
-def _id_lines(ids: list[str]) -> bytes:
+def _id_lines(ids: Sequence[str]) -> bytes | bytearray:
     """The bytes of an id file: each line is
-    ``json.dumps({"row": r, "id": i}, sort_keys=True)``, spelled out."""
+    ``json.dumps({"row": r, "id": i}, sort_keys=True)``, spelled out.
+
+    :class:`NumberedIds` are filled into one buffer of the file's size from
+    their template (see :func:`_numbered_id_lines`); any other ids are
+    escaped and spelled one line at a time.
+    """
+    if isinstance(ids, NumberedIds):
+        return _numbered_id_lines(ids)
     quote = json.encoder.encode_basestring_ascii
     return b"".join(
         "".join(
@@ -229,6 +241,106 @@ def _id_lines(ids: list[str]) -> bytes:
         ).encode("ascii")
         for lo in range(0, len(ids), _ID_CHUNK_LINES)
     )
+
+
+def _numbered_id_lines(ids: "NumberedIds") -> bytearray:
+    """``_id_lines`` of numbered ids, from their template.
+
+    Rows with the same number of digits have lines of one length, so each
+    chunk of them is a 2-D block of the output: the line's fixed bytes are
+    broadcast into it, then each decimal place's digit column is written
+    twice, once into the id and once into the row number.
+    """
+    head = b'{"id": "' + ids.prefix.encode("ascii")
+    groups, lo, digits = [], 0, 1  # (first row, end row, digits) per line length
+    while lo < len(ids):
+        hi = min(len(ids), 10**digits)
+        groups.append((lo, hi, digits))
+        lo, digits = hi, digits + 1
+    lines = [
+        head + b"0" * max(ids.width, digits) + b'", "row": ' + b"0" * digits + b"}\n"
+        for _, _, digits in groups
+    ]
+    out = bytearray(sum((hi - lo) * len(line) for (lo, hi, _), line in zip(groups, lines)))
+    view, at = np.frombuffer(out, np.uint8), 0
+    for (lo, hi, digits), line in zip(groups, lines):
+        size, id_end = len(line), len(head) + max(ids.width, digits)
+        for start in range(lo, hi, _ID_CHUNK_LINES):
+            n = min(_ID_CHUNK_LINES, hi - start)
+            block = view[at : at + n * size].reshape(n, size)
+            block[:] = np.frombuffer(line, np.uint8)
+            for place in range(digits):
+                column = _place_digits(place, start, n)
+                block[:, id_end - 1 - place] = column
+                block[:, size - 3 - place] = column  # before the "}\n"
+            at += n * size
+    return out
+
+
+def _place_digits(place: int, lo: int, n: int) -> np.ndarray:
+    """The ASCII digit at decimal ``place`` of each of the rows ``lo`` ..
+    ``lo + n - 1``, ``0`` where a row has fewer digits.
+
+    Down the rows the digit cycles through 0-9, each repeated ``10**place``
+    times, so the column is a run of each digit the rows reach.
+    """
+    if n <= 0:
+        return np.empty(0, np.uint8)
+    run = 10**place
+    first, skip = divmod(lo, run)
+    runs = (skip + n + run - 1) // run
+    lengths = np.full(runs, run)
+    lengths[0] -= skip
+    lengths[-1] -= runs * run - skip - n
+    values = (np.arange(first, first + runs) % 10 + ord("0")).astype(np.uint8)
+    return np.repeat(values, lengths)
+
+
+class NumberedIds(Sequence):
+    """The ids ``f"{prefix}{r:0{width}d}"`` of rows ``0 .. count - 1``, held
+    as that template; an id becomes a ``str`` only when it is read.
+
+    Rows at ``10**width`` or above get more digits, as the f-string gives.
+    It equals an equal template and a list of the same strings. The prefix
+    must be printable ASCII other than ``"`` and ``\\``, so that its id lines
+    need no escape.
+    """
+
+    def __init__(self, prefix: str, width: int, count: int):
+        plain = prefix.isascii() and prefix.isprintable() and not {'"', "\\"} & set(prefix)
+        if not plain:
+            raise FormatError(f"id prefix {prefix!r} must be printable ASCII without \" or \\")
+        if width < 0 or count < 0:
+            raise FormatError(f"id width {width} and count {count} must be >= 0")
+        self.prefix, self.width, self._count = prefix, width, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        """The id at row ``i``; for a slice, a list of ids."""
+        if isinstance(i, slice):
+            return [self._spell(r) for r in range(*i.indices(self._count))]
+        r = operator.index(i)
+        if r < 0:
+            r += self._count
+        if not 0 <= r < self._count:
+            raise IndexError(f"row {i} out of range for {self._count} ids")
+        return self._spell(r)
+
+    def _spell(self, r: int) -> str:
+        return f"{self.prefix}{r:0{self.width}d}"
+
+    def __iter__(self):
+        return map(self._spell, range(self._count))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (NumberedIds, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"NumberedIds({self.prefix!r}, {self.width}, {self._count})"
 
 
 # Ids in the index are keyed by at most this many leading UTF-8 bytes, so the
@@ -376,13 +488,11 @@ def _canonical_id_spans(raw: bytes, count: int):
         and (data[ends_nl - 1] == ord("}")).all()
     ):
         return None
-    # The digit at place p of rows 0, 1, 2, ... runs through 0-9, each
-    # repeated 10**p times; rows below 10**p have no digit there.
+    # Rows below 10**place have no digit at that place.
     for place in range(int(digits[-1])):
-        cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), 10**place)
-        expected = np.resize(cycle, count)
         low = 10**place if place else 0
-        if not (data[ends_nl[low:] - (2 + place)] == expected[low:]).all():
+        expected = _place_digits(place, low, count - low)
+        if not (data[ends_nl[low:] - (2 + place)] == expected).all():
             return None
     return starts + 8, id_ends
 

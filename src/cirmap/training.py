@@ -61,6 +61,10 @@ class TrainConfig:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
         if self.warmup_steps < 0:
             raise ParameterError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.hidden < 1:
+            raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.tau > 0 or not self.sigma > 0:

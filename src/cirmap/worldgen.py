@@ -28,6 +28,7 @@ the gallery, so a pure image query retrieves the reference itself first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -75,6 +76,12 @@ class WorldSpec:
             raise InconsistentSpecError("need at least 2 attributes")
         if self.n_values_per_attribute < 2:
             raise InconsistentSpecError("need at least 2 values per attribute")
+        for name in ("seed", "composer_seed"):
+            if getattr(self, name) < 0:
+                raise InconsistentSpecError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("n_train_pairs", "n_eval_queries"):
+            if getattr(self, name) < 1:
+                raise InconsistentSpecError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.gallery_size < self.n_eval_queries:
             raise InconsistentSpecError("gallery_size must be >= n_eval_queries")
         if self.noise_scale < 0:
@@ -94,14 +101,14 @@ class WorldSpec:
 @dataclass
 class World:
     spec: WorldSpec
-    train_ids: list[str]
+    train_ids: Sequence[str]
     train_images: np.ndarray
     train_texts: np.ndarray
     train_tuples: np.ndarray
-    gallery_ids: list[str]
+    gallery_ids: Sequence[str]
     gallery_vectors: np.ndarray
     gallery_tuples: np.ndarray
-    condition_ids: list[str]
+    condition_ids: Sequence[str]
     condition_vectors: np.ndarray
     query_records: list[dict]
     composer_hash: str
@@ -285,7 +292,7 @@ def generate_world(spec: WorldSpec) -> World:
         descriptors = _unit_rows(descriptors)
     train_texts = embedder.captions(descriptors)
     train_images = embedder.images(train_tuples, embedder.anchors(descriptors), rng_noise)
-    train_ids = [f"pair-{i:05d}" for i in range(spec.n_train_pairs)]
+    train_ids = fileio.NumberedIds("pair-", 5, spec.n_train_pairs)
 
     # Gallery: duplicates allowed so that queries can have several targets.
     gallery_tuples = rng_gallery.integers(
@@ -339,13 +346,12 @@ def generate_world(spec: WorldSpec) -> World:
         )
 
     gallery_vectors = embedder.gallery_images(gallery_tuples, gallery_codes, rng_noise)
-    gallery_ids = [f"item-{i:05d}" for i in range(spec.gallery_size)]
+    gallery_ids = fileio.NumberedIds("item-", 5, spec.gallery_size)
+    condition_ids = fileio.NumberedIds("cond-", 4, spec.n_eval_queries)
 
-    condition_ids, condition_rows, query_records = [], [], []
-    for rec in pending:
+    condition_rows, query_records = [], []
+    for rec, cond_id in zip(pending, condition_ids):
         targets = slots_holding(rec["edited"])
-        cond_id = f"cond-{rec['query_id'].split('-')[1]}"
-        condition_ids.append(cond_id)
         condition_rows.append(
             embedder.delta_descriptor(rec["attribute"], rec["new_value"])
         )

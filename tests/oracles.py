@@ -233,6 +233,8 @@ class RefAdamState:
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # Each updated parameter in float64, before its cast to float32.
+        self.theta: dict[str, np.ndarray] = {}
         self.step = 0
 
 
@@ -269,6 +271,7 @@ def ref_adamw_step(
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         theta -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+        state.theta[name] = theta
         out[name] = theta.astype(np.float32)
     return out
 

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +13,11 @@ from hypothesis import strategies as st
 
 from cirmap import fileio
 from cirmap.cli import main
+from cirmap.config import EvalConfig, PathsConfig
 from cirmap.errors import CirmapError
 from cirmap.mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from cirmap.training import TrainConfig, init_mappers
-from cirmap.worldgen import load_task, load_train_pairs
+from cirmap.worldgen import WorldSpec, load_task, load_train_pairs
 from oracles import brute_force_map, brute_force_recall
 
 
@@ -310,6 +316,27 @@ def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, doc, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({"seed": -1}, [], "seed must be >= 0, got -1"),
+        ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ({"world": {"seed": -1}}, [], "world.seed must be >= 0, got -1"),
+        ({"world": {"composer_seed": -1}}, [], "world.composer_seed must be >= 0, got -1"),
+        ({"train": {"seed": -1}}, [], "train.seed must be >= 0, got -1"),
+        ({"world": {"n_eval_queries": 0}}, [], "world.n_eval_queries must be >= 1, got 0"),
+        ({"train": {"hidden": 0}}, [], "train.hidden must be >= 1, got 0"),
+    ],
+)
+def test_config_value_out_of_range_is_an_error(tmp_path, capsys, command, overrides, argv, message):
+    # Each of these once ended in a traceback from numpy.
+    config = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(config), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
 
 def test_non_finite_gallery_row_is_an_error(pipeline, capsys):
@@ -694,3 +721,84 @@ def test_corrupted_file_loads_or_raises_a_cirmap_error(pristine, pick, at, edit,
         pass
     finally:
         fileio.atomic_write_bytes(path, original)
+
+
+# A valid config small enough that gen-data and train take a few
+# milliseconds; its paths are relative, so each example runs in its own
+# directory.
+FUZZ_BASE = {
+    "seed": 5,
+    "world": {"dim": 8, "n_train_pairs": 16, "n_eval_queries": 4, "gallery_size": 24},
+    "train": {"batch_size": 8, "steps": 2, "warmup_steps": 1, "hidden": 8},
+    "eval": {"k_values": [1, 5]},
+    "paths": {"data_dir": "data", "run_dir": "run"},
+}
+_SECTIONS = {"world": WorldSpec, "train": TrainConfig, "eval": EvalConfig, "paths": PathsConfig}
+FUZZ_KEYS = (
+    [("seed",)]
+    + [(section,) for section in _SECTIONS]
+    + [
+        (section, "lambda" if f.name == "lam" else f.name)
+        for section, cls in _SECTIONS.items()
+        for f in fields(cls)
+    ]
+)
+FUZZ_VALUES = [
+    -(2**63), -1, 0, 1, 2, 3, 2**31, 2**64,
+    -0.5, 0.5, 1.5, 1e308, float("nan"),
+    "", "x", "linear", [], [1], ["recall"], None, True, False, {},
+]  # fmt: skip
+# Larger values of these keys are cut to these, so that no example allocates
+# more than a few MiB or runs for long.
+FUZZ_SIZE_CAPS = {
+    "dim": 16,
+    "n_attributes": 8,
+    "n_values_per_attribute": 8,
+    "gallery_size": 64,
+    "n_train_pairs": 64,
+    "n_eval_queries": 64,
+    "collision_cluster": 64,
+    "batch_size": 64,
+    "hidden": 16,
+    "steps": 3,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    key=st.sampled_from(FUZZ_KEYS),
+    edit=st.sampled_from(["set", "delete", "add unknown"]),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_fuzzed_config_runs_or_prints_an_error(key, edit, value):
+    # One key of a valid config is set to a drawn value, deleted, or joined
+    # by an unknown key: gen-data and then train each exit 0, or print
+    # ``error:`` and exit 1; nothing raises.
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    *sections, name = key
+    parent = doc[sections[0]] if sections else doc
+    if edit == "delete":
+        parent.pop(name, None)
+    elif edit == "add unknown":
+        (doc[key[0]] if len(key) == 2 else parent).update(unknown_key=value)
+    else:
+        if type(value) is int and name in FUZZ_SIZE_CAPS:
+            value = min(value, FUZZ_SIZE_CAPS[name])
+        parent[name] = value
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(doc))
+            for command in ("gen-data", "train"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", "config.json"])
+                lines = err.getvalue().splitlines()
+                assert code == 0 or (code == 1 and lines[-1].startswith("error: ")), (command, doc)
+                if code:
+                    break
+        finally:
+            os.chdir(home)
+    if edit == "add unknown":
+        assert code == 1 and "unknown" in lines[-1]

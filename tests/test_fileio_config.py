@@ -291,6 +291,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite, got"):
             cfg.load_config(path)
 
+    # Values that passed the type checks and ended in a traceback from
+    # numpy (a negative seed, no queries to stack, an empty hidden layer).
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"world": {"seed": -2}}, "world.seed must be >= 0, got -2"),
+            ({"world": {"composer_seed": -3}}, "world.composer_seed must be >= 0, got -3"),
+            ({"train": {"seed": -4}}, "train.seed must be >= 0, got -4"),
+            ({"world": {"n_eval_queries": 0}}, "world.n_eval_queries must be >= 1, got 0"),
+            ({"world": {"n_train_pairs": -1}}, "world.n_train_pairs must be >= 1, got -1"),
+            ({"train": {"hidden": 0}}, "train.hidden must be >= 1, got 0"),
+        ],
+    )
+    def test_value_out_of_range_rejected_naming_its_key(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            cfg.parse_config({"seed": 1, **doc})
+        assert str(err.value) == message
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3}))
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            cfg.load_config(path, seed_override=-1)
+
+    def test_int_for_float_is_held_as_float(self):
+        run = cfg.parse_config({"seed": 1, "train": {"sigma": 2**64}})
+        assert type(run.train.sigma) is float and run.train.sigma == 2.0**64
+        with pytest.raises(ConfigError, match="^train.sigma must be finite, got 1000"):
+            cfg.parse_config({"seed": 1, "train": {"sigma": 10**400}})
+
     def test_int_accepted_for_float(self):
         run = cfg.parse_config({"seed": 1, "train": {"learning_rate": 1, "lambda": 0}})
         assert run.train.learning_rate == 1 and run.train.lam == 0
@@ -560,3 +591,53 @@ def test_id_list_lookups_match_a_list(prefix, tails, absent):
     assert listed.find(looked_up) == [ids.index(i) if i in ids else None for i in looked_up]
     assert listed.first_repeat() == _first_repeat(ids)
     assert np.argsort(listed.ranks).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def _spelled(prefix, width, count):
+    return [f"{prefix}{r:0{width}d}" for r in range(count)]
+
+
+@pytest.mark.parametrize("chunk_lines", [fileio._ID_CHUNK_LINES, 7])
+@pytest.mark.parametrize("width", [4, 5])
+@pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 99_999, 100_000, 100_001])
+def test_numbered_id_lines_match_the_spelled_ids(monkeypatch, chunk_lines, width, count):
+    monkeypatch.setattr(fileio, "_ID_CHUNK_LINES", chunk_lines)
+    numbered = fileio.NumberedIds("item-", width, count)
+    assert bytes(fileio._id_lines(numbered)) == fileio._id_lines(_spelled("item-", width, count))
+
+
+def test_numbered_ids_are_a_sequence_of_their_strings():
+    ids, spelled = fileio.NumberedIds("cond-", 4, 10_002), _spelled("cond-", 4, 10_002)
+    assert len(ids) == 10_002 and list(ids) == spelled
+    assert ids[0] == "cond-0000" and ids[-1] == "cond-10001" and ids[np.int64(12)] == "cond-0012"
+    for i in (10_002, -10_003):
+        with pytest.raises(IndexError):
+            ids[i]
+    for part in (slice(None), slice(5, 20, 3), slice(None, None, -7), slice(9_990, None)):
+        assert ids[part] == spelled[part]
+    assert ids == spelled and spelled == ids and not ids != spelled
+    assert ids != spelled[:-1] and ids != spelled[:-1] + ["cond-1000"] and ids != tuple(spelled)
+    assert ids == fileio.NumberedIds("cond-", 4, 10_002)
+    assert ids != fileio.NumberedIds("cond-", 4, 10_001)
+    # Different templates are equal where they spell the same ids.
+    assert fileio.NumberedIds("c-0", 2, 100) == fileio.NumberedIds("c-", 3, 100)
+    assert fileio.NumberedIds("c-0", 2, 101) != fileio.NumberedIds("c-", 3, 101)
+    assert repr(ids) == "NumberedIds('cond-', 4, 10002)"
+
+
+@pytest.mark.parametrize("prefix", ['a"', "a\\", "a\n", "\u00e9", "\x7f"])
+def test_numbered_id_prefix_must_need_no_escape(prefix):
+    with pytest.raises(FormatError, match="prefix"):
+        fileio.NumberedIds(prefix, 5, 3)
+
+
+def test_numbered_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
+    def no_line_reader(path):
+        raise AssertionError("read_jsonl called")
+
+    path = tmp_path / "vecs.emb"
+    ids = fileio.NumberedIds("pair ~-", 2, 1234)
+    fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
+    monkeypatch.setattr(fileio, "read_jsonl", no_line_reader)
+    read = fileio.read_embeddings(path)[1]
+    assert read == list(ids) and read.find(["pair ~-07", "pair ~-1233"]) == [7, 1233]

@@ -161,6 +161,22 @@ class TestAdamW:
             assert state.step == ref_state.step == step + 1
 
 
+    def test_float64_update_matches_reference_bitwise(self):
+        # One part within one block: after the update the scratch holds the
+        # float64 parameters, where the cast to float32 cannot hide a
+        # different rounding of the Adam delta.
+        rng = np.random.default_rng(8)
+        flat = rng.standard_normal(5000).astype(np.float32)
+        ref, state, ref_state = {"p": flat.copy()}, OptimizerState(flat.size), RefAdamState()
+        for _ in range(10):
+            g = rng.standard_normal(flat.size).astype(np.float32)
+            lr_t = float(rng.uniform(0.0, 1e-2))
+            adamw_step(flat, [g], state, lr_t, 0.1)
+            ref = ref_adamw_step(ref, {"p": g}, ref_state, lr_t, 0.1)
+            assert state.scratch[0].tobytes() == ref_state.theta["p"].tobytes()
+            assert flat.tobytes() == ref["p"].tobytes()
+
+
 class TestForwardBatch:
     def test_blocks_unit_norm(self):
         rng = np.random.default_rng(0)
