@@ -780,7 +780,7 @@ def test_fuzzed_config_runs_or_prints_an_error(key, edit, value):
     if edit == "delete":
         parent.pop(name, None)
     elif edit == "add unknown":
-        (doc[key[0]] if len(key) == 2 else parent).update(unknown_key=value)
+        parent["unknown_key"] = value
     else:
         if type(value) is int and name in FUZZ_SIZE_CAPS:
             value = min(value, FUZZ_SIZE_CAPS[name])
