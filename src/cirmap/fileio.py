@@ -10,18 +10,19 @@ Embedding file layout (little-endian):
 
 Each embedding file has a companion JSONL id file (same path with the
 suffix ``.ids.jsonl``), one ``{"id": ..., "row": r}`` object per line, rows
-in order. Every value must be finite.
+in order. Every value must be finite: the writer and the reader both reject
+a matrix holding NaN or infinity, naming the file and the first such row.
 
 write_embeddings spells each id line out canonically as
 ``{"id": "<id>", "row": <r>}`` and a newline, the id escaped as
 ``json.dumps`` escapes it (ASCII only) and ``r`` in plain decimal. Numbered
 ids (:class:`NumberedIds`, a prefix and a zero-padded row number) are
 written from their template by a few numpy passes per chunk of rows; no
-string is made per row. A file whose ids are all printable ASCII other than
-``"`` and ``\\`` is read in one pass: a few numpy passes over its bytes
-check every line's template, row number and id bytes, and the ids stay in
-the file's bytes as an :class:`IdList`. Any other file is parsed line by
-line.
+string is made per row. The reader takes a template from the first line's
+id, its trailing zeros as the width and the rest as the prefix, and
+compares the file with that template's lines chunk by chunk. A file that
+matches is returned as that :class:`NumberedIds`; any other file is parsed
+line by line into an :class:`IdList`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import os
 import struct
 import tempfile
 import typing
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -208,16 +209,25 @@ def write_embeddings(path: Path, matrix: np.ndarray, ids: Sequence[str]) -> None
     count, dim = matrix.shape
     if len(ids) != count:
         raise FormatError(f"{path}: {len(ids)} ids for {count} rows")
+    _check_finite(path, matrix)
     header = _HEADER.pack(MAGIC, VERSION, count, dim)
     # One copy of the payload, not two (tobytes, then the concatenation).
     atomic_write_bytes(path, b"".join([header, matrix.reshape(-1).view(np.uint8)]))
     atomic_write_bytes(ids_path_for(path), _id_lines(ids))
 
 
+def _check_finite(path: Path, matrix: np.ndarray) -> None:
+    """Raise FormatError naming ``path`` and the first row of ``matrix`` that
+    holds a NaN or an infinity. The minimum and the maximum, which both
+    reach such a value, decide it with no full-size mask."""
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
+        raise FormatError(f"{path}: row {row} holds a non-finite value")
+
+
 # Id lines made together: spelled out and encoded from a list of ids, or
 # filled in from a template. It bounds the live line strings, whose heap
-# would otherwise grow by some 75 bytes per row, and a template's digit
-# columns.
+# would otherwise grow by some 75 bytes per row, and a template's blocks.
 _ID_CHUNK_LINES = 8192
 
 
@@ -230,7 +240,12 @@ def _id_lines(ids: Sequence[str]) -> bytes | bytearray:
     escaped and spelled one line at a time.
     """
     if isinstance(ids, NumberedIds):
-        return _numbered_id_lines(ids)
+        out, at = bytearray(_numbered_file_size(ids)), 0
+        view = np.frombuffer(out, np.uint8)
+        for block in _numbered_id_lines(ids):
+            view[at : at + block.size] = block.reshape(-1)
+            at += block.size
+        return out
     quote = json.encoder.encode_basestring_ascii
     return b"".join(
         "".join(
@@ -243,38 +258,47 @@ def _id_lines(ids: Sequence[str]) -> bytes | bytearray:
     )
 
 
-def _numbered_id_lines(ids: "NumberedIds") -> bytearray:
-    """``_id_lines`` of numbered ids, from their template.
+def _digit_groups(count: int) -> Iterator[tuple[int, int, int]]:
+    """``(first row, end row, digits)`` of each run of the rows
+    ``0 .. count - 1`` whose numbers have the same number of digits."""
+    lo, digits = 0, 1
+    while lo < count:
+        hi = min(count, 10**digits)
+        yield lo, hi, digits
+        lo, digits = hi, digits + 1
+
+
+def _numbered_line(ids: "NumberedIds", digits: int) -> bytes:
+    """The id line of numbered ids for a row of ``digits`` digits, with every
+    digit 0."""
+    spelled = ids.prefix.encode("ascii") + b"0" * max(ids.width, digits)
+    return b'{"id": "' + spelled + b'", "row": ' + b"0" * digits + b"}\n"
+
+
+def _numbered_file_size(ids: "NumberedIds") -> int:
+    return sum((hi - lo) * len(_numbered_line(ids, d)) for lo, hi, d in _digit_groups(len(ids)))
+
+
+def _numbered_id_lines(ids: "NumberedIds") -> Iterator[np.ndarray]:
+    """The lines of ``_id_lines`` of numbered ids, as [n x line length]
+    uint8 blocks of at most ``_ID_CHUNK_LINES`` rows, from their template.
 
     Rows with the same number of digits have lines of one length, so each
-    chunk of them is a 2-D block of the output: the line's fixed bytes are
-    broadcast into it, then each decimal place's digit column is written
-    twice, once into the id and once into the row number.
+    chunk of them is one block: the line's fixed bytes are broadcast into
+    it, then each decimal place's digit column is written twice, once into
+    the id and once into the row number (before the closing ``}\\n``).
     """
-    head = b'{"id": "' + ids.prefix.encode("ascii")
-    groups, lo, digits = [], 0, 1  # (first row, end row, digits) per line length
-    while lo < len(ids):
-        hi = min(len(ids), 10**digits)
-        groups.append((lo, hi, digits))
-        lo, digits = hi, digits + 1
-    lines = [
-        head + b"0" * max(ids.width, digits) + b'", "row": ' + b"0" * digits + b"}\n"
-        for _, _, digits in groups
-    ]
-    out = bytearray(sum((hi - lo) * len(line) for (lo, hi, _), line in zip(groups, lines)))
-    view, at = np.frombuffer(out, np.uint8), 0
-    for (lo, hi, digits), line in zip(groups, lines):
-        size, id_end = len(line), len(head) + max(ids.width, digits)
+    for lo, hi, digits in _digit_groups(len(ids)):
+        line = np.frombuffer(_numbered_line(ids, digits), np.uint8)
+        id_end = len(line) - 12 - digits  # where the id's closing quote sits
         for start in range(lo, hi, _ID_CHUNK_LINES):
-            n = min(_ID_CHUNK_LINES, hi - start)
-            block = view[at : at + n * size].reshape(n, size)
-            block[:] = np.frombuffer(line, np.uint8)
+            block = np.empty((min(_ID_CHUNK_LINES, hi - start), len(line)), np.uint8)
+            block[:] = line
             for place in range(digits):
-                column = _place_digits(place, start, n)
+                column = _place_digits(place, start, len(block))
                 block[:, id_end - 1 - place] = column
-                block[:, size - 3 - place] = column  # before the "}\n"
-            at += n * size
-    return out
+                block[:, -3 - place] = column
+            yield block
 
 
 def _place_digits(place: int, lo: int, n: int) -> np.ndarray:
@@ -318,9 +342,11 @@ class NumberedIds(Sequence):
         return self._count
 
     def __getitem__(self, i):
-        """The id at row ``i``; for a slice, a list of ids."""
+        """The id at row ``i``; for a slice or an array of rows, a list of ids."""
         if isinstance(i, slice):
             return [self._spell(r) for r in range(*i.indices(self._count))]
+        if isinstance(i, np.ndarray):
+            return [self[r] for r in i.tolist()]
         r = operator.index(i)
         if r < 0:
             r += self._count
@@ -337,10 +363,34 @@ class NumberedIds(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, (NumberedIds, list)):
             return NotImplemented
+        template = (self.prefix, self.width, len(self))
+        if isinstance(other, NumberedIds) and template == (other.prefix, other.width, len(other)):
+            return True  # no id spelled
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
         return f"NumberedIds({self.prefix!r}, {self.width}, {self._count})"
+
+    def find(self, ids: list[str]) -> list[int | None]:
+        """The row holding each of ``ids``, or None where no row holds it."""
+        return list(map(self._row, ids))
+
+    def _row(self, id: str) -> int | None:
+        # The digits after the prefix name the row, and its spelling must be
+        # the id. A run longer than any row's is not parsed: int() refuses
+        # strings of thousands of digits.
+        digits = id[len(self.prefix) :]
+        longest = max(self.width, len(str(self._count)))
+        if not (id.startswith(self.prefix) and 0 < len(digits) <= longest):
+            return None
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        r = int(digits)
+        return r if r < self._count and self._spell(r) == id else None
+
+    def first_repeat(self) -> None:
+        """None: a template spells each row's id differently."""
+        return None
 
 
 # Ids in the index are keyed by at most this many leading UTF-8 bytes, so the
@@ -354,10 +404,10 @@ class IdList(Sequence):
     an id becomes a ``str`` only when it is read.
 
     A sorted index of the ids' keys answers :meth:`find` and
-    :meth:`first_repeat` with a binary search and a comparison of neighbours,
-    and gives ``ranks``, each row's place in the order of the exact ids. The
-    exact ids are compared only where two keys are equal. Lone surrogates,
-    which JSON escapes can produce, are kept with ``surrogatepass``.
+    :meth:`first_repeat` with a binary search and a comparison of
+    neighbours. The exact ids are compared only where two keys are equal.
+    Lone surrogates, which JSON escapes can produce, are kept with
+    ``surrogatepass``.
     """
 
     def __init__(self, buf: bytes, starts: np.ndarray, ends: np.ndarray):
@@ -375,12 +425,6 @@ class IdList(Sequence):
         self._order, self._sorted = order, keys[order]
         # Places in the sorted keys whose key equals the next one's.
         self._same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
-        self.ranks = np.empty(len(order), np.intp)
-        self.ranks[order] = np.arange(len(order))
-        for run in np.split(self._same, np.flatnonzero(np.diff(self._same) > 1) + 1):
-            if len(run):
-                at = np.arange(run[0], run[-1] + 2)
-                self.ranks[sorted(order[at].tolist(), key=self.__getitem__)] = at
 
     @classmethod
     def of(cls, ids) -> "IdList":
@@ -440,75 +484,47 @@ class IdList(Sequence):
         return None
 
 
-# The fixed bytes of a line of an id file: {"id": "<id>", "row": <row>}\n.
-_ID_HEAD = np.frombuffer(b'{"id": "', "<u8")[0]
-_ID_MID = np.frombuffer(b'", "row": ', np.uint8)
-_ID_MID_LO, _ID_MID_HI = _ID_MID[:8].view("<u8")[0], _ID_MID[2:].view("<u8")[0]
-# Bytes of an id file per pass of the byte scan. It bounds the scan's
-# temporaries, which would otherwise grow the heap by a file's size.
-_SCAN_BYTES = 1 << 18
+# The bytes around the id on the first line of an id file.
+_FIRST_HEAD, _FIRST_TAIL = b'{"id": "', b'", "row": 0}\n'
 
 
-def _canonical_id_spans(raw: bytes, count: int):
-    """The byte spans (starts, ends) of the ids in ``raw`` if it is exactly
-    ``_id_lines(ids)`` of ``count`` ids in printable ASCII other than ``"``
-    and ``\\``, else None. A few numpy passes over the bytes decide it.
+def _numbered_ids(path: Path, count: int) -> NumberedIds | None:
+    """The numbered ids whose id file is exactly the file at ``path``, or None.
+
+    The template comes from the first line's id: its trailing zeros are the
+    width, the rest is the prefix. The file is then compared with that
+    template's :func:`_numbered_id_lines`, one block at a time.
     """
-    if not count:
-        return (np.empty(0, np.intp),) * 2 if not raw else None
-    if not raw.isascii() or b"\\" in raw or b"\x7f" in raw:
-        return None
-    data = np.frombuffer(raw, np.uint8)
-    controls = quotes = 0
-    ends_nl = []
-    for at in range(0, len(raw), _SCAN_BYTES):
-        block = data[at : at + _SCAN_BYTES]
-        controls += np.count_nonzero(block < 0x20)
-        quotes += np.count_nonzero(block == 0x22)
-        ends_nl.append(np.flatnonzero(block == 0x0A) + at)
-    # Line ends are the only control bytes, and each line has six quotes.
-    if controls != count or quotes != 6 * count:
-        return None
-    ends_nl = np.concatenate(ends_nl)
-    if len(ends_nl) != count or ends_nl[-1] != len(raw) - 1:
-        return None
-    starts = np.concatenate(([0], ends_nl[:-1] + 1))
-    digits = np.searchsorted(10 ** np.arange(1, 19), np.arange(count), side="right") + 1
-    id_ends = ends_nl - 11 - digits  # where the id's closing quote must be
-    if not (id_ends >= starts + 8).all():
-        return None
-    # The head, the middle and the row number sit at offsets that the line's
-    # start and end and its row number fix. The head and the middle hold six
-    # quotes, so no id holds one.
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    if not (
-        (words[starts] == _ID_HEAD).all()
-        and (words[id_ends] == _ID_MID_LO).all()
-        and (words[id_ends + 2] == _ID_MID_HI).all()
-        and (data[ends_nl - 1] == ord("}")).all()
-    ):
-        return None
-    # Rows below 10**place have no digit at that place.
-    for place in range(int(digits[-1])):
-        low = 10**place if place else 0
-        expected = _place_digits(place, low, count - low)
-        if not (data[ends_nl[low:] - (2 + place)] == expected).all():
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not (first.startswith(_FIRST_HEAD) and first.endswith(_FIRST_TAIL)):
             return None
-    return starts + 8, id_ends
+        first_id = first[len(_FIRST_HEAD) : -len(_FIRST_TAIL)]
+        prefix = first_id.rstrip(b"0")
+        try:
+            ids = NumberedIds(prefix.decode("ascii"), len(first_id) - len(prefix), count)
+        except (UnicodeDecodeError, FormatError):
+            return None
+        if os.fstat(fh.fileno()).st_size != _numbered_file_size(ids):
+            return None
+        fh.seek(0)
+        for block in _numbered_id_lines(ids):
+            if fh.read(block.nbytes) != block.tobytes():
+                return None
+    return ids
 
 
-def _read_ids(path: Path, count: int) -> IdList:
+def _read_ids(path: Path, count: int) -> NumberedIds | IdList:
     """The ``count`` ids of an id file, in row order.
 
-    A file in write_embeddings' own form with printable-ASCII ids (see
-    :func:`_canonical_id_spans`) is taken as it is. Any other file goes
+    A file that write_embeddings would write for numbered ids (see
+    :func:`_numbered_ids`) is returned as those ids. Any other file goes
     through read_jsonl and the per-record checks, so every error keeps its
     text and line number.
     """
-    raw = path.read_bytes()
-    spans = _canonical_id_spans(raw, count)
-    if spans is not None:
-        return IdList(raw, *spans)
+    numbered = _numbered_ids(path, count)
+    if numbered is not None:
+        return numbered
     rows = read_jsonl(path)
     if len(rows) != count:
         raise FormatError(f"{path}: {len(rows)} ids for {count} rows")
@@ -520,7 +536,7 @@ def _read_ids(path: Path, count: int) -> IdList:
     return IdList.of(ids)
 
 
-def read_embeddings(path: Path) -> tuple[np.ndarray, IdList]:
+def read_embeddings(path: Path) -> tuple[np.ndarray, NumberedIds | IdList]:
     """The matrix of an embedding file and the ids of its companion id file.
 
     The matrix maps the file's payload copy-on-write: no byte of it is
@@ -550,9 +566,7 @@ def read_embeddings(path: Path) -> tuple[np.ndarray, IdList]:
     except OSError as exc:
         raise FormatError(f"{path}: cannot read embedding file: {exc}") from exc
     matrix = np.frombuffer(payload, "<f4", count * dim, _HEADER.size).reshape(count, dim)
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
-        row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
-        raise FormatError(f"{path}: row {row} holds a non-finite value")
+    _check_finite(path, matrix)
 
     idp = ids_path_for(path)
     if not idp.exists():

@@ -10,16 +10,17 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import PromptComposer
 from .errors import ParameterError, ShapeError
-from .fileio import IdList
+from .fileio import IdList, NumberedIds
 from .mappers import Mappers, map_rows
 
 BASELINE_MODES = ("image_only", "text_only", "average", "slerp")
 
 
-def unique_ids(ids) -> IdList:
-    """``ids`` as an IdList; a repeated id raises ShapeError naming the
-    first repeat in row order."""
-    ids = IdList.of(ids)
+def unique_ids(ids) -> NumberedIds | IdList:
+    """``ids`` as they are if numbered, else as an IdList; a repeated id
+    raises ShapeError naming the first repeat in row order."""
+    if not isinstance(ids, NumberedIds):
+        ids = IdList.of(ids)
     repeated = ids.first_repeat()
     if repeated is not None:
         raise ShapeError(f"id {repeated!r} appears twice")
@@ -28,7 +29,7 @@ def unique_ids(ids) -> IdList:
 
 @dataclass
 class Gallery:
-    ids: IdList  # any sequence of str, held as an IdList
+    ids: NumberedIds | IdList  # any sequence of str, held as unique_ids gives it
     vectors: np.ndarray  # [G x d] unit rows
 
     def __post_init__(self):
@@ -241,9 +242,21 @@ def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> tuple[np.ndarray, 
             # and the sort places them last, as a full sort would.
             keep = np.flatnonzero(~(neg > kth))
             cand, cand_scores, neg = cand[keep], cand_scores[keep], neg[keep]
-        order = np.lexsort((gallery.ids.ranks[cand], neg))[:k]
+        order = _by_id_where_tied(np.argsort(neg, kind="stable"), neg, cand, gallery.ids)[:k]
         rows[j], scores[j] = cand[order], cand_scores[order]
     return rows, scores
+
+
+def _by_id_where_tied(order: np.ndarray, neg: np.ndarray, cand: np.ndarray, ids) -> np.ndarray:
+    """``order``, which sorts ``neg``, with each run of equal scores (NaN
+    counting as equal to NaN) put in ascending order of the candidates' ids.
+    Ids are read only for such runs."""
+    s = neg[order]
+    tied = (s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1]))
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
+    for lo, hi in edges.reshape(-1, 2).tolist():  # places lo .. hi tie
+        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=lambda i: ids[cand[i]])
+    return order
 
 
 def ranking_metrics(

@@ -342,15 +342,27 @@ def test_config_value_out_of_range_is_an_error(tmp_path, capsys, command, overri
 def test_non_finite_gallery_row_is_an_error(pipeline, capsys):
     tmp_path, config = pipeline
     gallery = tmp_path / "data" / "gallery.emb"
-    matrix, ids = fileio.read_embeddings(gallery)
-    matrix[5, 3] = np.nan
-    fileio.write_embeddings(gallery, matrix, ids)
+    dim = fileio.read_embeddings(gallery)[0].shape[1]
+    raw = bytearray(gallery.read_bytes())
+    np.frombuffer(raw, "<f4", offset=fileio._HEADER.size)[5 * dim + 3] = np.nan
+    gallery.write_bytes(raw)
     out = tmp_path / "run" / "image_only.json"
     argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{gallery}: row 5 " in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_world_is_an_error_not_a_file(tmp_path, capsys):
+    # The noise overflows to inf and the normalized rows to NaN. gen-data
+    # once wrote them, exited 0 and left train to reject the file.
+    config = write_config(tmp_path, world={"noise_scale": 1e308})
+    assert main(["gen-data", "--config", str(config)]) == 1
+    first = tmp_path / "data" / "train_images.emb"
+    assert capsys.readouterr().err == f"error: {first}: row 0 holds a non-finite value\n"
+    assert not list((tmp_path / "data").glob("*.emb"))
 
 
 def test_corrupt_embedding_file_exits_nonzero(pipeline):

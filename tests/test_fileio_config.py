@@ -56,7 +56,15 @@ class TestEmbeddingFile:
         matrix[2, 1] = bad
         matrix[3, 0] = bad
         path = tmp_path / "vecs.emb"
-        fileio.write_embeddings(path, matrix, ["a", "b", "c", "d"])
+        with pytest.raises(FormatError) as err:
+            fileio.write_embeddings(path, matrix, ["a", "b", "c", "d"])
+        assert str(path) in str(err.value) and "row 2 " in str(err.value)
+        assert not path.exists()
+        # The reader's check, on a file whose payload is edited in place.
+        fileio.write_embeddings(path, np.ones((4, 3), np.float32), ["a", "b", "c", "d"])
+        raw = bytearray(path.read_bytes())
+        np.frombuffer(raw, "<f4", offset=fileio._HEADER.size)[:] = matrix.reshape(-1)
+        path.write_bytes(raw)
         with pytest.raises(FormatError) as err:
             fileio.read_embeddings(path)
         assert str(path) in str(err.value) and "row 2 " in str(err.value)
@@ -157,6 +165,24 @@ class TestEmbeddingFile:
             tracemalloc.stop()
         assert loaded.tobytes() == matrix.tobytes()
         assert peak < 0.1 * matrix.nbytes
+
+
+    def test_numbered_id_file_read_allocates_no_per_row_array(self, tmp_path):
+        # Read back as its template, a 100k-row id file costs a few chunks of
+        # lines: 0.84 MiB traced, where the file is 3.3 MiB and each per-row
+        # key, order or rank array 0.76-0.95 MiB (9.8 MiB when every id was
+        # indexed by sorted keys).
+        n = 100_000
+        path = tmp_path / "vecs.emb"
+        fileio.write_embeddings(path, np.ones((n, 8), np.float32), fileio.NumberedIds("item-", 5, n))
+        tracemalloc.start()
+        try:
+            _, ids = fileio.read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
+        assert ids == fileio.NumberedIds("item-", 5, n)
 
 
 MINIMAL = {"seed": 11}
@@ -523,19 +549,37 @@ def test_id_file_reads_as_the_reference_reader(tmp_path, name):
     assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
 
 
-def test_written_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
-    # the canonical form never reaches the line-by-line reader
-    def no_line_reader(path):
-        raise AssertionError("read_jsonl called")
+def _no_line_reader(path):
+    raise AssertionError("read_jsonl called")
 
+
+def test_written_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
+    # A numbered id file never reaches the line-by-line reader, whether its
+    # ids were filled in from the template or spelled out. The template is
+    # read from the first id: its trailing zeros are the width.
+    monkeypatch.setattr(fileio, "read_jsonl", _no_line_reader)
     path = tmp_path / "vecs.emb"
-    # an id longer than the index keys, and short ids after it
-    ids = [f"item-{i:05d}" for i in range(1000)] + ["x" * 70, "", "a b", "-~"]
-    fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
-    monkeypatch.setattr(fileio, "read_jsonl", no_line_reader)
+    for written, (prefix, width) in [
+        (fileio.NumberedIds("item-", 5, 1000), ("item-", 5)),
+        (_spelled("item-", 5, 100_001), ("item-", 5)),  # rows past 10**width
+        (fileio.NumberedIds("v1", 0, 25), ("v1", 1)),  # width 0 spells as width 1
+        (fileio.NumberedIds("c-0", 2, 100), ("c-", 3)),  # the same ids
+        (fileio.NumberedIds("", 3, 7), ("", 3)),
+    ]:
+        fileio.write_embeddings(path, np.zeros((len(written), 2), np.float32), written)
+        read = fileio.read_embeddings(path)[1]
+        assert repr(read) == repr(fileio.NumberedIds(prefix, width, len(written)))
+        assert read == list(written)
+
+
+def test_unmatched_template_is_read_line_by_line(tmp_path):
+    # Read from the first id, "c-000" names the template ("c-", 3), which
+    # spells row 100 "c-100"; the file holds "c-0100", so it is parsed.
+    path = tmp_path / "vecs.emb"
+    written = fileio.NumberedIds("c-0", 2, 101)
+    fileio.write_embeddings(path, np.zeros((101, 2), np.float32), written)
     read = fileio.read_embeddings(path)[1]
-    assert read == ids
-    assert read.find(ids) == list(range(len(ids))) and read.first_repeat() is None
+    assert isinstance(read, fileio.IdList) and read == list(written)
 
 
 _id_file_edits = st.sampled_from(
@@ -553,9 +597,19 @@ _id_lists = st.tuples(
 ).flatmap(lambda drawn: st.lists(drawn[0], min_size=drawn[1], max_size=drawn[1]))
 
 
-@settings(max_examples=300, deadline=None)
+# Numbered ids, filled in from their template: prefixes that end in a digit,
+# width 0, and counts on both sides of 10**width.
+_numbered_id_lists = st.builds(
+    fileio.NumberedIds,
+    st.sampled_from(["item-", "c-0", "v1", "7", ""]),
+    st.integers(0, 2),
+    st.integers(1, 120),
+)
+
+
+@settings(max_examples=500, deadline=None)
 @given(
-    ids=_id_lists,
+    ids=st.one_of(_id_lists, _numbered_id_lists),
     at=st.integers(0, 10_000),
     cut=st.integers(0, 2),
     insert=_id_file_edits,
@@ -569,6 +623,21 @@ def test_edited_id_file_reads_as_the_reference_reader(tmp_path_factory, ids, at,
     idp.write_bytes((text[:at] + insert + text[at + cut :]).encode("utf-8"))
     expected = _ids_outcome(lambda: ref_read_ids(idp, len(ids)))
     assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
+
+
+@pytest.mark.parametrize(
+    "ids", [fileio.NumberedIds("c-0", 0, 12), fileio.NumberedIds("7", 1, 11)], ids=repr
+)
+def test_every_byte_edit_of_a_numbered_file_reads_as_the_reference_reader(tmp_path, ids):
+    path = tmp_path / "edited.emb"
+    fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
+    idp = fileio.ids_path_for(path)
+    text = idp.read_bytes()
+    for at in range(len(text)):
+        for edit in (b"", b"0", b"1", b"9", b'"', b"\n", b" ", b"x"):
+            idp.write_bytes(text[:at] + edit + text[at + 1 :])
+            expected = _ids_outcome(lambda: ref_read_ids(idp, len(ids)))
+            assert _ids_outcome(lambda: fileio.read_embeddings(path)[1]) == expected
 
 
 def _first_repeat(ids):
@@ -590,7 +659,6 @@ def test_id_list_lookups_match_a_list(prefix, tails, absent):
     looked_up = ids + [prefix + t for t in absent]
     assert listed.find(looked_up) == [ids.index(i) if i in ids else None for i in looked_up]
     assert listed.first_repeat() == _first_repeat(ids)
-    assert np.argsort(listed.ranks).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def _spelled(prefix, width, count):
@@ -625,6 +693,31 @@ def test_numbered_ids_are_a_sequence_of_their_strings():
     assert repr(ids) == "NumberedIds('cond-', 4, 10002)"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.sampled_from(["item-", "c-0", "7", ""]),
+    width=st.integers(0, 3),
+    count=st.integers(0, 130),
+    tails=st.lists(st.text(st.sampled_from("0179-c \u0663"), max_size=6), max_size=12),
+)
+def test_numbered_ids_find_as_a_list(prefix, width, count, tails):
+    ids = fileio.NumberedIds(prefix, width, count)
+    spelled = _spelled(prefix, width, count)
+    looked_up = tails + [prefix + t for t in tails] + spelled[::7]
+    assert ids.find(looked_up) == [spelled.index(i) if i in spelled else None for i in looked_up]
+    assert ids.first_repeat() is None
+    rows = np.array([count - 1, 0, count // 2]) if count else np.empty(0, np.intp)
+    assert ids[rows] == [spelled[r] for r in rows.tolist()]
+
+
+def test_equal_templates_compare_without_spelling_ids(monkeypatch):
+    def no_spelling(self, r):
+        raise AssertionError("an id was spelled")
+
+    monkeypatch.setattr(fileio.NumberedIds, "_spell", no_spelling)
+    assert fileio.NumberedIds("item-", 5, 10**12) == fileio.NumberedIds("item-", 5, 10**12)
+
+
 @pytest.mark.parametrize("prefix", ['a"', "a\\", "a\n", "\u00e9", "\x7f"])
 def test_numbered_id_prefix_must_need_no_escape(prefix):
     with pytest.raises(FormatError, match="prefix"):
@@ -632,12 +725,9 @@ def test_numbered_id_prefix_must_need_no_escape(prefix):
 
 
 def test_numbered_id_file_is_read_in_one_pass(tmp_path, monkeypatch):
-    def no_line_reader(path):
-        raise AssertionError("read_jsonl called")
-
     path = tmp_path / "vecs.emb"
     ids = fileio.NumberedIds("pair ~-", 2, 1234)
     fileio.write_embeddings(path, np.zeros((len(ids), 2), np.float32), ids)
-    monkeypatch.setattr(fileio, "read_jsonl", no_line_reader)
+    monkeypatch.setattr(fileio, "read_jsonl", _no_line_reader)
     read = fileio.read_embeddings(path)[1]
     assert read == list(ids) and read.find(["pair ~-07", "pair ~-1233"]) == [7, 1233]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cirmap.retrieval as retrieval
+from cirmap import fileio
 from cirmap.composer import PromptComposer
 from cirmap.errors import ParameterError, ShapeError
 from cirmap.mappers import Mappers
@@ -622,6 +623,38 @@ class TestEvaluateTaskBatched:
         task16.query_ids = []
         with pytest.raises(ShapeError, match="no queries"):
             evaluate_task(task16, None, None, mode="image_only")
+
+
+def test_numbered_gallery_ranks_as_its_spelled_list(tmp_path):
+    # Equal rows at item-99999, item-10000 and item-100000 tie exactly; as
+    # strings item-10000 < item-100000 < item-99999, which is not row order.
+    n = 100_002
+    vectors = unit_rows(np.random.default_rng(29), n, 4).astype(np.float32)
+    tied = [99_999, 10_000, 100_000]
+    vectors[tied] = vectors[5]
+    path = tmp_path / "gallery.emb"
+    fileio.write_embeddings(path, vectors, fileio.NumberedIds("item-", 5, n))
+    matrix, ids = fileio.read_embeddings(path)
+    numbered = Gallery(ids, matrix)
+    spelled = Gallery([f"item-{r:05d}" for r in range(n)], vectors)
+    assert isinstance(numbered.ids, fileio.NumberedIds) and isinstance(spelled.ids, fileio.IdList)
+    queries = np.concatenate([vectors[[5, 7]], unit_rows(np.random.default_rng(31), 3, 4)])
+    rows, scores = rank(numbered, queries, 10)
+    spelled_rows, spelled_scores = rank(spelled, queries, 10)
+    assert np.array_equal(rows, spelled_rows)
+    assert scores.tobytes() == spelled_scores.tobytes()
+    assert rows[0, :4].tolist() == [5, 10_000, 100_000, 99_999]
+    assert numbered.ids[rows[0, :4]] == ["item-00005", "item-10000", "item-100000", "item-99999"]
+    looked_up = [
+        *["item-00000", "item-10000", "item-99999", "item-100000", "item-100001"],
+        *["item-100002", "item-999999", "item-0010", "item-000010", "item-1e3", "item--1"],
+        *["item-\u0663\u0663\u0663\u0663\u0663", "item- 0012", "ITEM-00001", "", "item-"],
+        "item-" + "9" * 5000,
+    ]
+    found = numbered.ids.find(looked_up)
+    assert found == spelled.ids.find(looked_up)
+    assert found == [0, 10_000, 99_999, 100_000, 100_001] + [None] * 12
+    assert numbered.ids.first_repeat() is None and spelled.ids.first_repeat() is None
 
 
 def test_gallery_unique_ids():
