@@ -166,7 +166,6 @@ class TestEmbeddingFile:
         assert loaded.tobytes() == matrix.tobytes()
         assert peak < 0.1 * matrix.nbytes
 
-
     def test_numbered_id_file_read_allocates_no_per_row_array(self, tmp_path):
         # Read back as its template, a 100k-row id file costs a few chunks of
         # lines: 0.84 MiB traced, where the file is 3.3 MiB and each per-row
