@@ -325,9 +325,9 @@ class NumberedIds(Sequence):
     as that template; an id becomes a ``str`` only when it is read.
 
     Rows at ``10**width`` or above get more digits, as the f-string gives.
-    It equals an equal template and a list of the same strings. The prefix
-    must be printable ASCII other than ``"`` and ``\\``, so that its id lines
-    need no escape.
+    It equals an equal template and a list (an :class:`IdList` too) of the
+    same strings. The prefix must be printable ASCII other than ``"`` and
+    ``\\``, so that its id lines need no escape.
     """
 
     def __init__(self, prefix: str, width: int, count: int):
@@ -393,91 +393,33 @@ class NumberedIds(Sequence):
         return None
 
 
-# Ids in the index are keyed by at most this many leading UTF-8 bytes, so the
-# index holds at most this many bytes per row; ids whose keys are equal are
-# told apart by their exact text.
-_ID_KEY_BYTES = 64
-
-
-class IdList(Sequence):
-    """Ids in row order, held as one UTF-8 buffer and each id's byte span;
-    an id becomes a ``str`` only when it is read.
-
-    A sorted index of the ids' keys answers :meth:`find` and
-    :meth:`first_repeat` with a binary search and a comparison of
-    neighbours. The exact ids are compared only where two keys are equal.
-    Lone surrogates, which JSON escapes can produce, are kept with
-    ``surrogatepass``.
-    """
-
-    def __init__(self, buf: bytes, starts: np.ndarray, ends: np.ndarray):
-        self._buf, self._starts, self._ends = buf, starts, ends
-        lens = ends - starts
-        width = int(min(lens.max(initial=1), _ID_KEY_BYTES))
-        if len(starts) and int(starts.max()) + width > len(buf):
-            buf = buf + bytes(width)
-        # Every id's first ``width`` bytes, as overlapping fixed-width windows
-        # of the buffer; bytes past an id's end are zeroed.
-        windows = np.ndarray((len(buf) - width + 1,), f"S{width}", buf, strides=(1,))
-        keys = windows[starts]
-        keys.view(np.uint8).reshape(-1, width)[np.arange(width) >= lens[:, None]] = 0
-        order = np.argsort(keys, kind="stable")
-        self._order, self._sorted = order, keys[order]
-        # Places in the sorted keys whose key equals the next one's.
-        self._same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+class IdList(list):
+    """Ids in row order, as a list of ``str`` that answers :meth:`find` and
+    :meth:`first_repeat` as :class:`NumberedIds` does."""
 
     @classmethod
     def of(cls, ids) -> "IdList":
         """``ids``, any sequence of ``str``, as an IdList."""
-        if isinstance(ids, IdList):
-            return ids
-        encoded = [i.encode("utf-8", "surrogatepass") for i in ids]
-        lens = np.fromiter(map(len, encoded), np.intp, len(encoded))
-        ends = lens.cumsum()
-        return cls(b"".join(encoded), ends - lens, ends)
-
-    def __len__(self) -> int:
-        return len(self._starts)
+        return ids if isinstance(ids, IdList) else cls(ids)
 
     def __getitem__(self, i):
         """The id at row ``i``; for a slice or an array of rows, a list of ids."""
-        starts, ends = self._starts[i], self._ends[i]
-        if isinstance(i, (int, np.integer)):
-            return self._buf[starts:ends].decode("utf-8", "surrogatepass")
-        return [
-            self._buf[start:end].decode("utf-8", "surrogatepass")
-            for start, end in zip(starts.tolist(), ends.tolist())
-        ]
-
-    def __iter__(self):
-        return iter(self[:])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (IdList, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"IdList({list(self)!r})"
+        if isinstance(i, np.ndarray):
+            return [self[r] for r in i.tolist()]
+        return super().__getitem__(i)
 
     def find(self, ids: list[str]) -> list[int | None]:
         """The row holding each of ``ids``, or None where no row holds it;
         for an id held twice, its first row."""
-        width = self._sorted.itemsize
-        keys = np.array([i.encode("utf-8", "surrogatepass")[:width] for i in ids], f"S{width}")
-        los = np.searchsorted(self._sorted, keys, side="left").tolist()
-        his = np.searchsorted(self._sorted, keys, side="right").tolist()
-        # A stable sort keeps the rows of equal keys in row order.
-        return [
-            next((r for r in self._order[lo:hi].tolist() if self[r] == i), None)
-            for i, lo, hi in zip(ids, los, his)
-        ]
+        first: dict[str, int] = {}
+        for r, id in enumerate(self):
+            first.setdefault(id, r)
+        return [first.get(id) for id in ids]
 
     def first_repeat(self) -> str | None:
         """The first id, in row order, that an earlier row also holds, or None."""
         seen: set[str] = set()
-        for r in np.union1d(self._order[self._same], self._order[self._same + 1]).tolist():
-            id = self[r]
+        for id in self:
             if id in seen:
                 return id
             seen.add(id)
@@ -528,12 +470,12 @@ def _read_ids(path: Path, count: int) -> NumberedIds | IdList:
     rows = read_jsonl(path)
     if len(rows) != count:
         raise FormatError(f"{path}: {len(rows)} ids for {count} rows")
-    ids = []
+    ids = IdList()
     for r, row in enumerate(rows):
         if type(row) is not dict or len(row) != 2 or row.get("row") != r or "id" not in row:
             raise FormatError(f"{path}: malformed id record at line {r}")
         ids.append(str(row["id"]))
-    return IdList.of(ids)
+    return ids
 
 
 def read_embeddings(path: Path) -> tuple[np.ndarray, NumberedIds | IdList]:

@@ -212,6 +212,34 @@ def test_mine_sset_cli(pipeline):
     assert (tmp_path / "run" / "selection.config.json").exists()
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_train_ids_read_as_a_template_and_as_lines_agree(tmp_path, capsys, swap):
+    # One id file is the writer's template; the other holds the same ids with
+    # other spacing, so it is read line by line. The pair still agrees.
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    data = tmp_path / "data"
+    images, texts = data / "train_images.emb", data / "train_texts.emb"
+    if swap:
+        images, texts = texts, images
+    idp = fileio.ids_path_for(texts)
+    compact = [json.dumps(row, separators=(",", ":")) + "\n" for row in fileio.read_jsonl(idp)]
+    idp.write_text("".join(compact))
+    assert isinstance(fileio.read_embeddings(images)[1], fileio.NumberedIds)
+    assert isinstance(fileio.read_embeddings(texts)[1], fileio.IdList)
+    load_train_pairs(data)
+    out = tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(images), "--texts", str(texts), "--out", str(out)]
+    assert main(argv) == 0 and len(fileio.read_jsonl(out)) == 192
+
+    # Ids that differ in one row still disagree.
+    idp.write_text(idp.read_text().replace('"pair-00007"', '"pair-x0007"'))
+    with pytest.raises(CirmapError, match="train image/text ids disagree"):
+        load_train_pairs(data)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: image and text id files disagree\n"
+
+
 @pytest.mark.parametrize("batch_size, code", [("-5", 1), ("0", 0)])
 def test_mine_sset_batch_size(tmp_path, capsys, batch_size, code):
     # a negative size is an error; 0 means one batch over all rows

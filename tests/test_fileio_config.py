@@ -646,7 +646,7 @@ def _first_repeat(ids):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    # a shared prefix longer than the index keys, or none
+    # a long shared prefix, or none
     prefix=st.sampled_from(["", "p" * 70]),
     tails=st.lists(st.text(st.sampled_from("ab\x00\ud800\u00e9"), max_size=3), max_size=30),
     absent=st.lists(st.text(st.sampled_from("ab\x00\ud800\u00e9"), max_size=4), max_size=5),
@@ -655,6 +655,8 @@ def test_id_list_lookups_match_a_list(prefix, tails, absent):
     ids = [prefix + t for t in tails]
     listed = fileio.IdList.of(ids)
     assert listed == ids and list(listed) == ids and listed[::-1] == ids[::-1]
+    rows = np.arange(len(ids))[::-2]
+    assert listed[rows] == [ids[r] for r in rows.tolist()]
     looked_up = ids + [prefix + t for t in absent]
     assert listed.find(looked_up) == [ids.index(i) if i in ids else None for i in looked_up]
     assert listed.first_repeat() == _first_repeat(ids)
