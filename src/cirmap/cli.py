@@ -17,7 +17,7 @@ from . import fileio, mining, worldgen
 from .composer import PromptComposer
 from .errors import CirmapError, FormatError
 from .mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
-from .retrieval import compose_query, evaluate_task
+from .retrieval import BASELINE_MODES, compose_query, evaluate_task
 from .training import train
 
 log = logging.getLogger("cirmap")
@@ -147,13 +147,7 @@ def cmd_evaluate(args) -> int:
         mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
 
     report = evaluate_task(
-        task,
-        mappers,
-        composer,
-        gamma=gamma,
-        mode=args.mode,
-        slerp_t=run_cfg.eval.slerp_t,
-        per_query=args.per_query,
+        task, mappers, composer, gamma=gamma, mode=args.mode, per_query=args.per_query
     )
     report["seed"] = run_cfg.seed
     out_path = Path(args.out) if args.out else Path(run_cfg.paths.run_dir) / "report.json"
@@ -224,11 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.add_argument("--gamma", type=float)
-    p.add_argument(
-        "--mode",
-        default="composed",
-        choices=["composed", "image_only", "text_only", "average", "slerp"],
-    )
+    p.add_argument("--mode", default="composed", choices=["composed", *BASELINE_MODES])
     p.add_argument("--per-query", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 

@@ -31,7 +31,6 @@ class EvalConfig:
     gamma: float = 0.6
     metrics: list[str] = field(default_factory=lambda: ["recall", "map"])
     k_values: list[int] = field(default_factory=lambda: [1, 5, 10])
-    slerp_t: float = 0.5
 
     def __post_init__(self):
         problem = eval_settings_problem(self.metrics, self.k_values, self.gamma)
@@ -152,7 +151,6 @@ def resolved_dict(config: RunConfig) -> dict:
             "gamma": config.eval.gamma,
             "metrics": list(config.eval.metrics),
             "k_values": list(config.eval.k_values),
-            "slerp_t": config.eval.slerp_t,
         },
         "paths": {"data_dir": config.paths.data_dir, "run_dir": config.paths.run_dir},
     }

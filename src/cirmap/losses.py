@@ -71,8 +71,7 @@ def loss_sset(batch: BatchEmbeddings, rows: Sequence[int], tau: float) -> Tensor
     """Bidirectional InfoNCE of images against supplement compositions,
     restricted to the given batch rows.
 
-    ``rows`` must be strictly ascending batch indices. Rows covering the whole
-    batch use the blocks as they are, with no gather. An empty row list
+    ``rows`` must be strictly ascending batch indices. An empty row list
     contributes exactly zero, and so does a single row (a singleton softmax
     is certain).
     """
@@ -83,9 +82,8 @@ def loss_sset(batch: BatchEmbeddings, rows: Sequence[int], tau: float) -> Tensor
         raise ShapeError(f"rows must be strictly ascending indices into a batch of {n}")
     if idx.size == 0:
         return _zero()
-    images, supplement = batch.images, batch.composed_supplement
-    if idx.size < n:
-        images, supplement = ad.gather_rows(images, idx), ad.gather_rows(supplement, idx)
+    images = ad.gather_rows(batch.images, idx)
+    supplement = ad.gather_rows(batch.composed_supplement, idx)
     return ad.info_nce(images, supplement, tau)
 
 

@@ -13,7 +13,7 @@ from .errors import ParameterError, ShapeError
 from .fileio import IdList, NumberedIds
 from .mappers import Mappers, map_rows
 
-BASELINE_MODES = ("image_only", "text_only", "average", "slerp")
+BASELINE_MODES = ("image_only", "text_only", "average")
 
 
 def unique_ids(ids) -> NumberedIds | IdList:
@@ -105,7 +105,7 @@ def compose_query(
 
 
 def baseline_compose(
-    reference_rows: np.ndarray, condition_rows: np.ndarray, mode: str, t: float = 0.5
+    reference_rows: np.ndarray, condition_rows: np.ndarray, mode: str
 ) -> np.ndarray:
     """Training-free compositions of a [Q x d] block, used as comparison rows."""
     if mode not in BASELINE_MODES:
@@ -115,27 +115,7 @@ def baseline_compose(
     if mode == "text_only":
         return np.array(condition_rows, dtype=np.float32)
     pairs = zip(reference_rows, condition_rows)
-    if mode == "average":
-        mixed = [_unit(r.astype(np.float64) + c.astype(np.float64)) for r, c in pairs]
-    else:
-        mixed = [slerp(r, c, t) for r, c in pairs]
-    return np.stack(mixed)
-
-
-def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Spherical interpolation of unit vectors, renormalized.
-
-    Falls back to the normalized average when the angle is below 1e-6 (the
-    sine denominator is ill-conditioned there).
-    """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    omega = np.arccos(np.clip(np.dot(av, bv), -1.0, 1.0))
-    if omega < 1e-6:
-        return _unit(av + bv)
-    s = np.sin(omega)
-    mixed = np.sin((1.0 - t) * omega) / s * av + np.sin(t * omega) / s * bv
-    return _unit(mixed)
+    return np.stack([_unit(r.astype(np.float64) + c.astype(np.float64)) for r, c in pairs])
 
 
 # Gallery rows per float32 GEMM. The first block also sets each query's
@@ -301,7 +281,6 @@ def evaluate_task(
     composer: PromptComposer | None,
     gamma: float | None = None,
     mode: str = "composed",
-    slerp_t: float = 0.5,
     per_query: bool = False,
 ) -> dict:
     """Score every query and aggregate the configured metrics into a report."""
@@ -321,7 +300,7 @@ def evaluate_task(
     if mode == "composed":
         block = compose_query(refs, conds, mappers, composer, gamma)
     else:
-        block = baseline_compose(refs, conds, mode, slerp_t)
+        block = baseline_compose(refs, conds, mode)
     rows, scores = rank(task.gallery, block, max_k)
 
     report: dict = {

@@ -53,7 +53,6 @@ class TrainConfig:
     use_itcon: bool = True
     use_mse: bool = True
     use_sset: bool = True
-    sset_select: bool = True  # False: use the full batch instead of the filter
     hidden: int = 128
 
     def __post_init__(self):
@@ -204,6 +203,8 @@ def _check_unit_rows(name: str, block: np.ndarray, rows_per_pass: int) -> None:
             )
 
 
+# A diverging run overflows; the loop reports it as TrainingDivergedError.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: TrainConfig,
     images: np.ndarray,
@@ -287,13 +288,10 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step, grad_
     with Tape() as tape:
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
-        if not config.use_sset:
-            sset_rows = None
-        elif config.sset_select:
+        sset_rows = None
+        if config.use_sset:
             selection = mining.select_batch(batch_images, batch_texts, config.sigma, config.lam)
             sset_rows = selection.selected
-        else:
-            sset_rows = range(config.batch_size)
 
         l_total, parts = L.objective(batch, sset_rows, config.loss_weights())
         if not np.isfinite(l_total.values):

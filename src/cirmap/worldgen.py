@@ -115,7 +115,14 @@ class World:
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``'s rows scaled to unit norm. A norm that overflowed, or is
+    NaN or zero, is an InconsistentSpecError: the spec's scales are too large."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if not np.all((norms > 0) & (norms < np.inf)):
+        raise InconsistentSpecError(
+            "world rows have a norm that is not finite and positive; lower "
+            "world.noise_scale, world.modality_gap or world.caption_jitter"
+        )
     return matrix / norms
 
 
@@ -259,6 +266,8 @@ def _distinct_rows(tuples: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, n
     return ordered[starts], inverse
 
 
+# Scales too large for float64 overflow here; _unit_rows reports them.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_world(spec: WorldSpec) -> World:
     composer = PromptComposer(spec.dim, spec.composer_seed)
     streams = [

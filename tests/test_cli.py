@@ -307,7 +307,7 @@ def test_seed_override_changes_world(tmp_path):
     assert (tmp_path / "data" / "train_images.emb").read_bytes() != base
 
 
-@pytest.mark.parametrize("mode", ["composed", "image_only", "text_only", "average", "slerp"])
+@pytest.mark.parametrize("mode", ["composed", "image_only", "text_only", "average"])
 def test_evaluate_gamma_out_of_range_is_an_error_in_every_mode(pipeline, capsys, mode):
     tmp_path, config = pipeline
     out = tmp_path / "run" / "g7.json"
@@ -317,6 +317,14 @@ def test_evaluate_gamma_out_of_range_is_an_error_in_every_mode(pipeline, capsys,
     err = capsys.readouterr().err
     assert err == "error: gamma must lie in [0, 1], got 7.0\n"
     assert not out.exists()
+
+
+def test_evaluate_mode_slerp_is_refused(tmp_path, capsys):
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--config", str(config), "--mode", "slerp"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'slerp'" in capsys.readouterr().err
 
 
 def test_missing_config_exits_nonzero(tmp_path):
@@ -382,15 +390,23 @@ def test_non_finite_gallery_row_is_an_error(pipeline, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_world_is_an_error_not_a_file(tmp_path, capsys):
-    # The noise overflows to inf and the normalized rows to NaN. gen-data
-    # once wrote them, exited 0 and left train to reject the file.
-    config = write_config(tmp_path, world={"noise_scale": 1e308})
-    assert main(["gen-data", "--config", str(config)]) == 1
-    first = tmp_path / "data" / "train_images.emb"
-    assert capsys.readouterr().err == f"error: {first}: row 0 holds a non-finite value\n"
-    assert not list((tmp_path / "data").glob("*.emb"))
+    # Each scale overflows a row norm, to inf or, through an inf entry, to
+    # NaN. Every case is one error line naming the keys, no file and no
+    # warning (pytest.ini makes a RuntimeWarning an error).
+    for world in (
+        {"noise_scale": 1e200},
+        {"noise_scale": 1e308},
+        {"modality_gap": 1e308},
+        {"caption_jitter": 1e308},
+    ):
+        config = write_config(tmp_path, world=world)
+        assert main(["gen-data", "--config", str(config)]) == 1, world
+        assert capsys.readouterr().err == (
+            "error: world rows have a norm that is not finite and positive; lower "
+            "world.noise_scale, world.modality_gap or world.caption_jitter\n"
+        ), world
+        assert not list((tmp_path / "data").glob("*")), world
 
 
 def test_corrupt_embedding_file_exits_nonzero(pipeline):
@@ -695,7 +711,7 @@ def test_evaluate_per_query_flag(pipeline):
     tmp_path, config = pipeline
     records = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")
     targets = [set(r["target_ids"]) for r in records]
-    for mode in ("composed", "image_only", "text_only", "average", "slerp"):
+    for mode in ("composed", "image_only", "text_only", "average"):
         out = tmp_path / "run" / f"perq-{mode}.json"
         argv = ["evaluate", "--config", str(config), "--mode", mode, "--per-query"]
         argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint"), "--out", str(out)]

@@ -232,6 +232,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown key train.composer_seed"):
             cfg.load_config(path, seed_override=5)
 
+    # Deleted switches: an old config that sets one must not run as if it did.
+    @pytest.mark.parametrize(
+        "section, key, value", [("train", "sset_select", False), ("eval", "slerp_t", 0.5)]
+    )
+    def test_deleted_switch_is_unknown_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+            cfg.parse_config({"seed": 1, section: {key: value}})
+
     def test_gamma_range(self):
         with pytest.raises(ConfigError, match="gamma"):
             cfg.parse_config({"seed": 1, "eval": {"gamma": 1.5}})
@@ -306,7 +314,6 @@ class TestRunConfig:
             ("world", "caption_jitter"),
             ("world", "modality_gap"),
             ("eval", "gamma"),
-            ("eval", "slerp_t"),
         ],
     )
     def test_non_finite_float_rejected(self, tmp_path, section, key, literal):

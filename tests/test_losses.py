@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cirmap.autodiff import Tensor, info_nce
+from cirmap.autodiff import Tape, Tensor, backward, info_nce
 from cirmap.errors import ParameterError, ShapeError
 from cirmap.losses import (
     BatchEmbeddings,
@@ -175,9 +175,23 @@ class TestLossSset:
         assert loss_sset(batch, [2], 0.1).item() == 0.0
 
     def test_full_selection_equals_itcon(self):
-        rng = np.random.default_rng(16)
-        batch = make_batch(rng, 5, 6)
-        assert loss_sset(batch, range(5), 0.05).item() == loss_itcon(batch, 0.05).item()
+        # Gathering every row changes no bit of the value or of either
+        # block's gradient.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            images, supplement = unit_rows(rng, n, 6), unit_rows(rng, n, 6)
+            results = []
+            for loss_fn in (lambda b: loss_sset(b, range(n), 0.05), lambda b: loss_itcon(b, 0.05)):
+                img = Tensor(images, requires_grad=True)
+                sup = Tensor(supplement, requires_grad=True)
+                batch = BatchEmbeddings(img, Tensor(unit_rows(rng, n, 6)), sup)
+                with Tape() as tape:
+                    loss = loss_fn(batch)
+                    grads = backward(loss, tape)
+                results.append((loss.values, grads[img].values, grads[sup].values))
+            for sset_part, itcon_part in zip(*results):
+                assert sset_part.tobytes() == itcon_part.tobytes(), seed
 
     def test_out_of_range_selection(self):
         # also repeated and unordered rows: rows must be strictly ascending

@@ -24,7 +24,6 @@ from cirmap.retrieval import (
     evaluate_task,
     rank,
     ranking_metrics,
-    slerp,
 )
 from cirmap.training import TrainConfig, init_mappers
 from oracles import (
@@ -124,25 +123,6 @@ class TestBaselines:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             baseline_compose(*query_rows(np.random.default_rng(7)), "mystery")
-
-
-class TestSlerp:
-    def test_boundaries(self):
-        rng = np.random.default_rng(8)
-        a, b = unit_rows(rng, 2, 6)
-        assert np.allclose(slerp(a, b, 0.0), a, atol=1e-6)
-        assert np.allclose(slerp(a, b, 1.0), b, atol=1e-6)
-
-    def test_orthogonal_midpoint(self):
-        a = np.array([1.0, 0.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0, 0.0])
-        mid = slerp(a, b, 0.5)
-        assert np.allclose(mid, (a + b) / np.sqrt(2.0), atol=1e-6)
-
-    def test_near_parallel_falls_back_to_average(self):
-        a = np.array([1.0, 0.0])
-        out = slerp(a, a.copy(), 0.3)
-        assert np.allclose(out, a, atol=1e-6)
 
 
 class TestRank:
@@ -434,16 +414,16 @@ class TestBatchedComposition:
             one = compose_query(refs[i : i + 1], conds[i : i + 1], mappers, composer, 0.6)
             assert np.array_equal(block[i], one[0]), i
 
-    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average", "slerp"])
+    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average"])
     def test_baseline_rows_equal_batches_of_one(self, mode):
         rng = np.random.default_rng(25)
         refs = unit_rows(rng, 9, 8).astype(np.float32)
         conds = unit_rows(rng, 9, 8).astype(np.float32)
-        conds[3] = refs[3]  # slerp's near-parallel fallback
-        block = baseline_compose(refs, conds, mode, 0.3)
+        conds[3] = refs[3]  # a condition equal to its reference
+        block = baseline_compose(refs, conds, mode)
         assert block.shape == (9, 8) and block.dtype == np.float32
         for i in range(9):
-            one = baseline_compose(refs[i : i + 1], conds[i : i + 1], mode, 0.3)
+            one = baseline_compose(refs[i : i + 1], conds[i : i + 1], mode)
             assert np.array_equal(block[i], one[0]), i
 
 
@@ -610,14 +590,12 @@ class TestEvaluateTaskBatched:
             task16, report, lambda ref, cond: compose_query(ref, cond, mappers, composer, 0.6)
         )
 
-    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average", "slerp"])
+    @pytest.mark.parametrize("mode", ["image_only", "text_only", "average"])
     def test_baseline_is_one_compose_and_one_rank(self, task16, mode, monkeypatch):
         calls = self._count_calls(monkeypatch, ["baseline_compose", "rank"])
-        report = evaluate_task(task16, None, None, mode=mode, slerp_t=0.3, per_query=True)
+        report = evaluate_task(task16, None, None, mode=mode, per_query=True)
         assert calls == {"baseline_compose": 1, "rank": 1}
-        self._check_per_query(
-            task16, report, lambda ref, cond: baseline_compose(ref, cond, mode, 0.3)
-        )
+        self._check_per_query(task16, report, lambda ref, cond: baseline_compose(ref, cond, mode))
 
     def test_no_queries_is_a_shape_error(self, task16):
         task16.query_ids = []

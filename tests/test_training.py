@@ -294,12 +294,6 @@ class TestTrain:
         assert result.mappers.flat[half:].tobytes() == init[half:].tobytes()
         assert result.mappers.flat[:half].tobytes() != init[:half].tobytes()
 
-    def test_no_select_uses_full_batch(self, small_world):
-        cfg = small_config(steps=4, sset_select=False)
-        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
-        for row in result.metrics:
-            assert row["N_S"] == cfg.batch_size
-
     def test_loss_decreases_on_synthetic_world(self, small_world):
         cfg = small_config(steps=200, warmup_steps=20)
         result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
@@ -367,9 +361,8 @@ def test_one_step_tape_size(monkeypatch):
     # nodes: 5 per mapper (three linear layers, two tanh), 4 per composition
     # (slot layer with the template bias, tanh, matmul, normalize), 1 per
     # InfoNCE term, the gather of the selected composed rows, the MSE, and 5
-    # scales and adds that combine the terms. Without selection the S-Set
-    # term reads the whole blocks and needs no gather (27); without the
-    # S-Set term its InfoNCE and its weighting scale go as well (25).
+    # scales and adds that combine the terms. Without the S-Set term its
+    # gather, its InfoNCE and its weighting scale go (25).
     sizes = []
     backward = training.ad.backward
 
@@ -382,7 +375,6 @@ def test_one_step_tape_size(monkeypatch):
     world = None
     for switches, nodes, n_s in (
         ({}, 28, None),
-        ({"sset_select": False}, 27, 64),
         ({"use_sset": False}, 25, 0),
     ):
         run = parse_config(
