@@ -494,8 +494,8 @@ def test_leaf_created_after_dropped_output_keeps_its_gradient():
 
 
 # ---------------------------------------------------------------------------
-# random graphs: tape gradients against finite differences of a float64
-# evaluation of the same graph
+# random graphs: tape gradients against finite differences of an
+# extended-precision (np.longdouble) evaluation of the same graph
 
 _AD_OPS = {
     "add": ad.add,
@@ -506,14 +506,29 @@ _AD_OPS = {
     "mse": ad.mse,
     "info_nce": ad.info_nce,
 }
+
+
+def _info_nce_in_dtype(a, b, tau):
+    """``ref_info_nce`` without its float casts, so it keeps the inputs' dtype."""
+
+    def mean_diag_log_softmax(sims):
+        m = sims.max(axis=1, keepdims=True)
+        log_sm = sims - m - np.log(np.exp(sims - m).sum(axis=1, keepdims=True))
+        return np.trace(log_sm) / sims.shape[0]
+
+    sims = (a @ b.T) / tau
+    return -(mean_diag_log_softmax(sims) + mean_diag_log_softmax(sims.T))
+
+
+# None of these casts to float, so a longdouble graph stays longdouble.
 _NP_OPS = {
     "add": np.add,
     "tanh": np.tanh,
     "matmul": np.matmul,
     "add_rowvec": np.add,
     "linear": lambda x, w, b: x @ w + b,
-    "mse": lambda a, b: float(np.mean((a - b) ** 2)),
-    "info_nce": ref_info_nce,
+    "mse": lambda a, b: np.mean((a - b) ** 2),
+    "info_nce": _info_nce_in_dtype,
 }
 
 
@@ -582,6 +597,27 @@ def _graphs(draw):
         0,
     )
 )
+# A loss that does not depend on the trainable matmul weight (mse of
+# (a + b) - a): its gradient is exactly zero, but float64 rounding of the
+# loss put 1.3e-9 into the step-1e-6 difference, over the 1e-9 that the
+# 1e-6 floor of rel_err allows. The longdouble reference keeps it far below.
+@example(
+    (
+        [
+            ("leaf", 0),
+            ("add", 0, 0),
+            ("matmul", 0, 1),
+            ("tanh", 0),
+            ("add_rowvec", 1, 2),
+            ("tanh", 0),
+            ("add", 2, 4),
+            ("mse", 6, 2),
+        ],
+        [(1, 3), (3, 3), (3,)],
+        [False, True, False],
+        508,
+    )
+)
 def test_tape_gradients_match_finite_differences_on_random_graphs(graph):
     program, shapes, trainable, seed = graph
     rng = np.random.default_rng(seed)
@@ -599,19 +635,20 @@ def test_tape_gradients_match_finite_differences_on_random_graphs(graph):
     params = [t for t in leaves if t.requires_grad]
     assert set(grads) <= set(params)  # no constant leaf in the result
 
-    values = [t.values.astype(np.float64) for t in leaves]
+    values = [t.values.astype(np.longdouble) for t in leaves]
     sizes = np.cumsum([0] + [t.size for t in params])
 
-    def loss_f64(vec):
+    def loss_ext(vec):
         subs = list(values)
         for k, t in enumerate(params):
             subs[leaves.index(t)] = vec[sizes[k] : sizes[k + 1]].reshape(t.shape)
         return _run_graph(program, subs, _NP_OPS)
 
-    # The graph is evaluated in float64, so a small step keeps the
-    # difference's truncation error far below the tolerance.
+    # A small step keeps the difference's truncation error far below the
+    # tolerance; the longdouble graph keeps its rounding error, which the
+    # step divides into, below it too (float64 rounding did not).
     start = np.concatenate([values[leaves.index(t)].ravel() for t in params])
-    fd = fd_gradient(loss_f64, start, step=1e-6)
+    fd = fd_gradient(loss_ext, start, step=1e-6)
     taped = np.concatenate(
         [grads[t].values.ravel() if t in grads else np.zeros(t.size) for t in params]
     )
