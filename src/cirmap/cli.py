@@ -8,6 +8,7 @@ seed (optionally overridden with --seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -184,6 +185,8 @@ def cmd_compose(args) -> int:
     return 0
 
 
+# Built once per process: parsing leaves the parser as it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cirmap",
@@ -237,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CirmapError, OSError) as exc:

@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .mappers import Mappers, map_rows
+from .mappers import Mappers, layout, map_rows
 
 log = logging.getLogger(__name__)
 
@@ -273,6 +273,13 @@ def train(
                 "step %d: L_deg=%.4f (N_S=%d)", step, step_metrics["L_deg"], step_metrics["N_S"]
             )
 
+    # The last update can overflow the parameters; no later loss would see it.
+    if not (np.isfinite(params.min()) and np.isfinite(params.max())):
+        first = np.flatnonzero(~np.isfinite(params))[0]
+        names = [e["name"] for e in layout(mappers.dim, mappers.hidden) if e["offset"] <= first]
+        raise TrainingDivergedError(
+            f"parameter {names[-1]} is not finite after the update at step {config.steps - 1}"
+        )
     if composer.weights_hash() != frozen_hash:
         raise TrainingDivergedError("frozen composer weights changed during training")
     params.flags.writeable = False

@@ -64,12 +64,6 @@ class WorldSpec:
     # Minimum pairwise Hamming distance between train entity tuples (1 =
     # distinct tuples; 2 = additionally no single-flip neighbors).
     train_min_hamming: int = 1
-    # "encoded": captions and image anchors go through the frozen composer
-    # (aligned-encoder world, the default). "linear": captions and images are
-    # plain normalized projections of the tuple; embeddings of different
-    # modalities are then unaligned, which is the harsher reading where
-    # confusable-pair selection stays empty without collisions.
-    caption_style: str = "encoded"
 
     def __post_init__(self):
         if self.n_attributes < 2:
@@ -92,10 +86,6 @@ class WorldSpec:
             raise InconsistentSpecError("collision clusters need at least 2 members")
         if self.train_min_hamming < 1:
             raise InconsistentSpecError("train_min_hamming must be >= 1")
-        if self.caption_style not in ("encoded", "linear"):
-            raise InconsistentSpecError(
-                f"caption_style must be 'encoded' or 'linear', got {self.caption_style!r}"
-            )
 
 
 @dataclass
@@ -192,28 +182,21 @@ class _Embedder:
         return vec / np.linalg.norm(vec)
 
     def captions(self, descriptors: np.ndarray) -> np.ndarray:
-        if self.spec.caption_style == "linear":
-            return descriptors.copy()
         rows = Tensor(descriptors.astype(np.float32))
         return self.composer.compose_rows("photo_of", [rows]).values.astype(np.float64)
 
-    def anchors(self, descriptors: np.ndarray) -> np.ndarray | None:
-        """The float32 two-slot prompt composed over each descriptor; None
-        for "linear" captions, whose images have no anchor."""
-        if self.spec.caption_style == "linear":
-            return None
+    def anchors(self, descriptors: np.ndarray) -> np.ndarray:
+        """The float32 two-slot prompt composed over each descriptor."""
         rows = Tensor(descriptors.astype(np.float32))
         return self.composer.compose_rows("photo_of_that", [rows, rows]).values
 
     def images(
-        self, tuples: np.ndarray, anchors: np.ndarray | None, noise_rng: np.random.Generator
+        self, tuples: np.ndarray, anchors: np.ndarray, noise_rng: np.random.Generator
     ) -> np.ndarray:
         gap_dirs = _unit_rows(
             _one_hot(tuples, self.spec.n_values_per_attribute) @ self.p_image.T
         )
         noise = noise_rng.standard_normal(gap_dirs.shape)
-        if anchors is None:
-            return _unit_rows(gap_dirs + self.spec.noise_scale * noise)
         raw = (
             anchors.astype(np.float64)
             + self.spec.modality_gap * gap_dirs
@@ -233,18 +216,15 @@ class _Embedder:
         whole-gallery 64-bit intermediate is alive; the noise stream is drawn
         in row order, as one draw would.
         """
-        anchors = None
-        if self.spec.caption_style == "encoded":
-            distinct, inverse = _distinct_rows(tuples, codes)
-            anchors = np.empty((len(distinct), self.spec.dim), dtype=np.float32)
-            for lo in range(0, len(distinct), _GALLERY_BLOCK_ROWS):
-                block = distinct[lo : lo + _GALLERY_BLOCK_ROWS]
-                anchors[lo : lo + len(block)] = self.anchors(self.descriptors(block))
+        distinct, inverse = _distinct_rows(tuples, codes)
+        anchors = np.empty((len(distinct), self.spec.dim), dtype=np.float32)
+        for lo in range(0, len(distinct), _GALLERY_BLOCK_ROWS):
+            block = distinct[lo : lo + _GALLERY_BLOCK_ROWS]
+            anchors[lo : lo + len(block)] = self.anchors(self.descriptors(block))
         out = np.empty((len(tuples), self.spec.dim), dtype=np.float32)
         for lo in range(0, len(tuples), _GALLERY_BLOCK_ROWS):
             rows = slice(lo, lo + _GALLERY_BLOCK_ROWS)
-            block_anchors = None if anchors is None else anchors[inverse[rows]]
-            out[rows] = self.images(tuples[rows], block_anchors, noise_rng)
+            out[rows] = self.images(tuples[rows], anchors[inverse[rows]], noise_rng)
         return out
 
 

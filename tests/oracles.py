@@ -215,12 +215,9 @@ def ref_gallery_vectors(spec, gallery_tuples: np.ndarray, block_rows: int) -> np
         one_hot[np.arange(len(block))[:, None], np.arange(n_attr) * n_values + block] = 1.0
         gap = unit(one_hot @ p_image.T)
         noise = rng_noise.standard_normal(gap.shape)
-        if spec.caption_style == "linear":
-            raw = gap + spec.noise_scale * noise
-        else:
-            rows = Tensor(unit(one_hot @ p_text.T).astype(np.float32))
-            anchors = composer.compose_rows("photo_of_that", [rows, rows]).values
-            raw = anchors.astype(np.float64) + spec.modality_gap * gap + spec.noise_scale * noise
+        rows = Tensor(unit(one_hot @ p_text.T).astype(np.float32))
+        anchors = composer.compose_rows("photo_of_that", [rows, rows]).values
+        raw = anchors.astype(np.float64) + spec.modality_gap * gap + spec.noise_scale * noise
         out[lo : lo + len(block)] = unit(raw)
     return out
 

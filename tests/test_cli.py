@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cirmap import fileio
@@ -511,6 +511,21 @@ def test_query_record_field_missing_or_mistyped_is_an_error(
     assert err.startswith("error: ") and f"{queries}: record 2: {expected}" in err
 
 
+def _check_query_id_error(pipeline, capsys, field, value, expected):
+    # ``field`` of the second query record is set to ``value``: evaluate
+    # prints one error naming the file and the query, and no traceback.
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    records = fileio.read_jsonl(queries)
+    records[1][field] = value
+    fileio.write_jsonl(queries, records)
+    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{queries}: query {records[1]['query_id']}: {expected}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "target_ids,expected",
     [
@@ -520,16 +535,20 @@ def test_query_record_field_missing_or_mistyped_is_an_error(
     ],
 )
 def test_query_target_ids_unknown_or_empty_is_an_error(pipeline, capsys, target_ids, expected):
-    tmp_path, config = pipeline
-    queries = tmp_path / "data" / "queries.jsonl"
-    records = fileio.read_jsonl(queries)
-    records[1]["target_ids"] = target_ids
-    fileio.write_jsonl(queries, records)
-    assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"{queries}: query {records[1]['query_id']}: {expected}" in err
-    assert "Traceback" not in err
+    _check_query_id_error(pipeline, capsys, "target_ids", target_ids, expected)
+
+
+@pytest.mark.parametrize(
+    "field,value,expected",
+    [
+        ("reference_id", "item-99999", "unknown reference id"),
+        ("condition_id", "cond-9999", "unknown condition id"),
+    ],
+)
+def test_query_reference_or_condition_id_unknown_is_an_error(
+    pipeline, capsys, field, value, expected
+):
+    _check_query_id_error(pipeline, capsys, field, value, expected)
 
 
 def test_target_listed_twice_counts_once(pipeline):
@@ -820,16 +839,22 @@ FUZZ_SIZE_CAPS = {
 }
 
 
+# Adding or deleting a config field reshuffles the derandomized draw, so the
+# edits that once failed are pinned: the last update of a learning rate of
+# 1e308 makes the parameters infinite, and a deleted key is refused.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     key=st.sampled_from(FUZZ_KEYS),
     edit=st.sampled_from(["set", "delete", "add unknown"]),
     value=st.sampled_from(FUZZ_VALUES),
 )
+@example(key=("train", "learning_rate"), edit="set", value=1e308)
+@example(key=("world", "caption_style"), edit="set", value="linear")
 def test_fuzzed_config_runs_or_prints_an_error(key, edit, value):
     # One key of a valid config is set to a drawn value, deleted, or joined
     # by an unknown key: gen-data and then train each exit 0, or print
-    # ``error:`` and exit 1; nothing raises.
+    # ``error:`` and exit 1; nothing raises. A key no config field holds is
+    # refused as unknown.
     doc = json.loads(json.dumps(FUZZ_BASE))
     *sections, name = key
     parent = doc[sections[0]] if sections else doc
@@ -856,5 +881,5 @@ def test_fuzzed_config_runs_or_prints_an_error(key, edit, value):
                     break
         finally:
             os.chdir(home)
-    if edit == "add unknown":
+    if edit == "add unknown" or (edit == "set" and key not in FUZZ_KEYS):
         assert code == 1 and "unknown" in lines[-1]

@@ -234,7 +234,12 @@ class TestRunConfig:
 
     # Deleted switches: an old config that sets one must not run as if it did.
     @pytest.mark.parametrize(
-        "section, key, value", [("train", "sset_select", False), ("eval", "slerp_t", 0.5)]
+        "section, key, value",
+        [
+            ("train", "sset_select", False),
+            ("eval", "slerp_t", 0.5),
+            ("world", "caption_style", "linear"),
+        ],
     )
     def test_deleted_switch_is_unknown_key(self, section, key, value):
         with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):

@@ -344,6 +344,13 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="at step"):
             train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
 
+    def test_non_finite_parameters_after_the_last_step_abort(self, small_world):
+        # The one update overflows every parameter, and no loss follows it.
+        cfg = small_config(learning_rate=1e308, warmup_steps=0, steps=1)
+        match = "parameter pseudo.w1 is not finite after the update at step 0"
+        with pytest.raises(TrainingDivergedError, match=match):
+            train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+
 
 def test_train_config_validation():
     with pytest.raises(ParameterError):

@@ -39,8 +39,6 @@ def test_spec_validation():
         WorldSpec(gallery_size=4, n_eval_queries=10)
     with pytest.raises(InconsistentSpecError):
         WorldSpec(noise_scale=-0.1)
-    with pytest.raises(InconsistentSpecError):
-        WorldSpec(caption_style="fancy")
 
 
 def test_deterministic_generation(world):
@@ -130,29 +128,6 @@ def test_selection_fires_with_collisions():
         sel = select_batch(w.train_images[rows], w.train_texts[rows], 0.01, 0.5)
         batches_hit += sel.count >= 1
     assert batches_hit >= 30
-
-
-def test_selection_empty_without_collisions_when_separated():
-    # disjoint tuples, no collisions: nothing is confusable
-    spec = WorldSpec(
-        seed=5,
-        composer_seed=5,
-        dim=64,
-        n_train_pairs=64,
-        n_attributes=3,
-        n_values_per_attribute=128,
-        caption_collision_rate=0.0,
-        train_min_hamming=3,
-        gallery_size=64,
-        n_eval_queries=16,
-        caption_style="linear",
-    )
-    w = generate_world(spec)
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        rows = rng.permutation(64)[:32]
-        sel = select_batch(w.train_images[rows], w.train_texts[rows], 0.01, 0.5)
-        assert sel.selected == []
 
 
 def test_train_tuples_respect_min_hamming():
@@ -261,15 +236,10 @@ def _world_fields(world):
 WRAPPED = dict(n_attributes=65, n_values_per_attribute=2, n_train_pairs=64, seed=3)
 
 
-@pytest.mark.parametrize("caption_style", ["encoded", "linear"])
 @pytest.mark.parametrize("extra", [{}, WRAPPED], ids=["default", "wrapped"])
-def test_gallery_blocks_match_one_block(monkeypatch, caption_style, extra):
+def test_gallery_blocks_match_one_block(monkeypatch, extra):
     spec = WorldSpec(
-        **{"n_train_pairs": 128, **extra},
-        gallery_size=100,
-        n_eval_queries=24,
-        dim=16,
-        caption_style=caption_style,
+        **{"n_train_pairs": 128, **extra}, gallery_size=100, n_eval_queries=24, dim=16
     )
     whole = generate_world(spec)
     monkeypatch.setattr(worldgen, "_GALLERY_BLOCK_ROWS", 7)
@@ -314,8 +284,8 @@ SMALL_SPACE = dict(n_attributes=3, n_values_per_attribute=3, n_train_pairs=20, s
 @pytest.mark.parametrize("block_rows", [None, 7], ids=["one-block", "blocks-of-7"])
 @pytest.mark.parametrize(
     "extra",
-    [{}, WRAPPED, {"caption_style": "linear"}, {"n_values_per_attribute": 12}, SMALL_SPACE],
-    ids=["default", "wrapped", "linear", "values-12", "small-space"],
+    [{}, WRAPPED, {"n_values_per_attribute": 12}, SMALL_SPACE],
+    ids=["default", "wrapped", "values-12", "small-space"],
 )
 def test_gallery_matches_per_row_reference(monkeypatch, extra, block_rows):
     spec = WorldSpec(**{"n_train_pairs": 128, **extra}, gallery_size=300, n_eval_queries=24, dim=16)
