@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -33,13 +34,7 @@ def cmd_gen_data(args) -> int:
     run_cfg = cfg.load_config(args.config, seed_override=args.seed)
     data_dir = Path(args.out) if args.out else Path(run_cfg.paths.data_dir)
     world = worldgen.generate_world(run_cfg.world)
-    worldgen.export_world(
-        world,
-        data_dir,
-        metrics=run_cfg.eval.metrics,
-        k_values=run_cfg.eval.k_values,
-        gamma=run_cfg.eval.gamma,
-    )
+    worldgen.export_world(world, data_dir, run_cfg.eval.metrics, run_cfg.eval.k_values)
     cfg.echo_config(run_cfg, data_dir / "config.resolved.json")
     log.info(
         "wrote %d train pairs, gallery of %d, %d queries to %s",
@@ -84,6 +79,9 @@ def cmd_train(args) -> int:
 def cmd_mine_sset(args) -> int:
     if args.batch_size < 0:
         raise CirmapError(f"--batch-size must be >= 0, got {args.batch_size}")
+    for flag, value in (("--sigma", args.sigma), ("--lambda", getattr(args, "lambda"))):
+        if not math.isfinite(value):
+            raise CirmapError(f"{flag} must be finite, got {value}")
     images, image_ids = fileio.read_embeddings(Path(args.images))
     texts, text_ids = fileio.read_embeddings(Path(args.texts))
     if image_ids != text_ids:
@@ -147,9 +145,7 @@ def cmd_evaluate(args) -> int:
             raise CirmapError("composed evaluation requires --checkpoint")
         mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
 
-    report = evaluate_task(
-        task, mappers, composer, gamma=gamma, mode=args.mode, per_query=args.per_query
-    )
+    report = evaluate_task(task, mappers, composer, gamma, args.mode, args.per_query)
     report["seed"] = run_cfg.seed
     out_path = Path(args.out) if args.out else Path(run_cfg.paths.run_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)

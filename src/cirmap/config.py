@@ -33,7 +33,9 @@ class EvalConfig:
     k_values: list[int] = field(default_factory=lambda: [1, 5, 10])
 
     def __post_init__(self):
-        problem = eval_settings_problem(self.metrics, self.k_values, self.gamma)
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"eval.gamma must lie in [0, 1], got {self.gamma}")
+        problem = eval_settings_problem(self.metrics, self.k_values)
         if problem:
             raise ConfigError(f"eval.{problem[0]} {problem[1]}")
 
@@ -158,9 +160,11 @@ def resolved_dict(config: RunConfig) -> dict:
 
 def echo_config(config: RunConfig, out_path: Path, task_doc: dict | None = None) -> None:
     """Write the resolved config. A command that reads generated data passes
-    its ``task.json``, so the echo names the frozen encoder the data was made
-    with (``world.dim`` and ``world.composer_seed``): the one the run used."""
+    its ``task.json``, so the echo names the settings the data fixed and the
+    run used: the frozen encoder (``world.dim`` and ``world.composer_seed``)
+    and the evaluation protocol (``eval.metrics`` and ``eval.k_values``)."""
     doc = resolved_dict(config)
     if task_doc is not None:
         doc["world"].update(dim=task_doc["dim"], composer_seed=task_doc["composer_seed"])
+        doc["eval"].update(metrics=task_doc["metrics"], k_values=task_doc["k_values"])
     fileio.write_json(Path(out_path), doc)

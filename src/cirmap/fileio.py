@@ -28,7 +28,6 @@ line by line into an :class:`IdList`.
 from __future__ import annotations
 
 import json
-import json.scanner
 import mmap
 import operator
 import os
@@ -170,27 +169,14 @@ def write_jsonl(path: Path, rows) -> None:
     atomic_write_text(path, text)
 
 
-# The decoder's own scanner: it parses one value and reports where it stopped.
-_scan_value = json.scanner.make_scanner(json.JSONDecoder())
-
-
 def read_jsonl(path: Path) -> list:
-    """Parse one JSON value per non-blank line; errors name the file and line.
-
-    A line the scanner cannot take whole is handed to ``json.loads``, which
-    raises the decoder's own error for it.
-    """
+    """Parse one JSON value per non-blank line; errors name the file and line."""
     out = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             text = line.decode("utf-8").strip()
-            if not text:
-                continue
-            try:
-                value, end = _scan_value(text, 0)
-            except StopIteration:
-                end = -1
-            out.append(value if end == len(text) else json.loads(text))
+            if text:
+                out.append(json.loads(text))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
     return out
@@ -225,9 +211,7 @@ def _check_finite(path: Path, matrix: np.ndarray) -> None:
         raise FormatError(f"{path}: row {row} holds a non-finite value")
 
 
-# Id lines made together: spelled out and encoded from a list of ids, or
-# filled in from a template. It bounds the live line strings, whose heap
-# would otherwise grow by some 75 bytes per row, and a template's blocks.
+# Id lines filled in together from a template. It bounds a block's size.
 _ID_CHUNK_LINES = 8192
 
 
@@ -247,15 +231,8 @@ def _id_lines(ids: Sequence[str]) -> bytes | bytearray:
             at += block.size
         return out
     quote = json.encoder.encode_basestring_ascii
-    return b"".join(
-        "".join(
-            [
-                f'{{"id": {quote(i)}, "row": {r}}}\n'
-                for r, i in enumerate(ids[lo : lo + _ID_CHUNK_LINES], start=lo)
-            ]
-        ).encode("ascii")
-        for lo in range(0, len(ids), _ID_CHUNK_LINES)
-    )
+    lines = [f'{{"id": {quote(i)}, "row": {r}}}\n' for r, i in enumerate(ids)]
+    return "".join(lines).encode("ascii")
 
 
 def _digit_groups(count: int) -> Iterator[tuple[int, int, int]]:

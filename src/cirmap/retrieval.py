@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,9 @@ class Gallery:
         return len(self.ids)
 
 
-def eval_settings_problem(metrics: list[str], k_values: list[int], gamma: float):
+def eval_settings_problem(metrics: list[str], k_values: list[int]):
     """The first evaluation setting that breaks its rule, as (key, what is
     wrong), or None. The config's eval section and ``task.json`` share it."""
-    if not 0.0 <= gamma <= 1.0:
-        return "gamma", f"must lie in [0, 1], got {gamma}"
     unknown = sorted(set(metrics) - {"recall", "map"})
     if unknown:
         return "metrics", f"names unknown metrics {unknown}"
@@ -57,8 +55,9 @@ def eval_settings_problem(metrics: list[str], k_values: list[int], gamma: float)
 
 @dataclass
 class EvalTask:
-    """The queries as columns: one id list or [Q x d] block per field, and
-    each query's target gallery rows, ascending and unique."""
+    """The queries as columns: one id list or [Q x d] block per field, each
+    query's target gallery rows, ascending and unique, and the metrics and K
+    they are scored at."""
 
     gallery: Gallery
     query_ids: list[str]
@@ -67,9 +66,8 @@ class EvalTask:
     reference_rows: np.ndarray  # [Q x d]
     condition_rows: np.ndarray  # [Q x d]
     targets: list[np.ndarray]
-    metrics: list[str] = field(default_factory=lambda: ["recall", "map"])
-    k_values: list[int] = field(default_factory=lambda: [1, 5, 10])
-    gamma: float = 0.6
+    metrics: list[str]
+    k_values: list[int]
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -279,18 +277,18 @@ def evaluate_task(
     task: EvalTask,
     mappers: Mappers | None,
     composer: PromptComposer | None,
-    gamma: float | None = None,
+    gamma: float,
     mode: str = "composed",
     per_query: bool = False,
 ) -> dict:
-    """Score every query and aggregate the configured metrics into a report."""
+    """Score every query at mixing ratio ``gamma`` and aggregate the task's
+    metrics into a report."""
     if mode != "composed" and mode not in BASELINE_MODES:
         raise ParameterError(f"unknown evaluation mode {mode!r}")
     if mode == "composed" and (mappers is None or composer is None):
         raise ParameterError("composed evaluation needs mappers and a composer")
     if not task.query_ids:
         raise ShapeError("no queries to score")
-    gamma = task.gamma if gamma is None else gamma
     # Checked in every mode: a baseline ignores gamma but reports it.
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")

@@ -385,13 +385,7 @@ TASK = "task.json"
 WORLD_META = "world_meta.json"
 
 
-def export_world(
-    world: World,
-    data_dir: Path,
-    metrics: list[str] | None = None,
-    k_values: list[int] | None = None,
-    gamma: float = 0.6,
-) -> None:
+def export_world(world: World, data_dir: Path, metrics: list[str], k_values: list[int]) -> None:
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_embeddings(data_dir / TRAIN_IMAGES, world.train_images, world.train_ids)
@@ -418,11 +412,8 @@ def export_world(
             "gallery": GALLERY,
             "conditions": CONDITIONS,
             "queries": QUERIES,
-            "train_images": TRAIN_IMAGES,
-            "train_texts": TRAIN_TEXTS,
-            "metrics": metrics or ["recall", "map"],
-            "k_values": k_values or [1, 5, 10],
-            "gamma": gamma,
+            "metrics": metrics,
+            "k_values": k_values,
         },
     )
     meta = {
@@ -460,7 +451,6 @@ _TASK_KEYS = {
     "queries": str,
     "metrics": list[str],
     "k_values": list[int],
-    "gamma": float,
 }
 _QUERY_KEYS = {"query_id": str, "reference_id": str, "condition_id": str, "target_ids": list[str]}
 
@@ -471,7 +461,7 @@ def read_task_doc(data_dir: Path) -> dict:
     path = Path(data_dir) / TASK
     task_doc = fileio.read_json(path)
     fileio.check_object(task_doc, _TASK_KEYS, str(path))
-    problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"], task_doc["gamma"])
+    problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"])
     if problem:
         raise FormatError(f"{path}: key {problem[0]!r} {problem[1]}")
     return task_doc
@@ -530,6 +520,5 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         targets=targets,
         metrics=list(task_doc["metrics"]),
         k_values=list(task_doc["k_values"]),
-        gamma=float(task_doc["gamma"]),
     )
     return task, task_doc

@@ -237,7 +237,7 @@ def test_criterion_5_gamma_boundaries(tmp_path):
     spec = WorldSpec(
         n_train_pairs=128, gallery_size=48, n_eval_queries=12, dim=16, seed=29, composer_seed=29
     )
-    export_world(generate_world(spec), tmp_path / "data")
+    export_world(generate_world(spec), tmp_path / "data", ["recall", "map"], [1, 5, 10])
     task, _ = load_task(tmp_path / "data")
     composer = PromptComposer(16, 29)
 
@@ -299,12 +299,12 @@ def test_criterion_6a_loss_halves(end_to_end_run):
 
 def test_criterion_6b_beats_baselines(end_to_end_run, tmp_path):
     world, result, _ = end_to_end_run
-    export_world(world, tmp_path, gamma=0.6)
+    export_world(world, tmp_path, ["recall", "map"], [1, 5, 10])
     task, _ = load_task(tmp_path)
     composer = PromptComposer(world.spec.dim, world.spec.composer_seed)
-    composed = evaluate_task(task, result.mappers, composer, mode="composed")
-    image_only = evaluate_task(task, None, None, mode="image_only")
-    text_only = evaluate_task(task, None, None, mode="text_only")
+    composed = evaluate_task(task, result.mappers, composer, 0.6, mode="composed")
+    image_only = evaluate_task(task, None, None, 0.6, mode="image_only")
+    text_only = evaluate_task(task, None, None, 0.6, mode="text_only")
     r_c = composed["metrics"]["recall@1"]
     r_i = image_only["metrics"]["recall@1"]
     r_t = text_only["metrics"]["recall@1"]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cirmap import config as cfg
 from cirmap import fileio
 from cirmap.cli import main
 from cirmap.config import EvalConfig, PathsConfig
 from cirmap.errors import CirmapError
 from cirmap.mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from cirmap.training import TrainConfig, init_mappers
-from cirmap.worldgen import WorldSpec, load_task, load_train_pairs
+from cirmap.worldgen import WorldSpec, generate_world, load_task, load_train_pairs
 from oracles import brute_force_map, brute_force_recall
 
 
@@ -258,6 +260,31 @@ def test_mine_sset_batch_size(tmp_path, capsys, batch_size, code):
         assert echo["batch_size"] == 192
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_mine_sset_non_finite_threshold_is_an_error(tmp_path, capsys, flag, value):
+    # A NaN --lambda compares false with every caption cosine: it would
+    # select no row, exit 0 and echo NaN.
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    data, out = tmp_path / "data", tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(data / "train_images.emb")]
+    argv += ["--texts", str(data / "train_texts.emb"), flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert not out.exists() and not (tmp_path / "selection.config.json").exists()
+
+
+def test_readme_compose_example_names_a_query_of_its_config():
+    # The README's compose example takes the ids of a query of the world its
+    # minimal config generates; other ids are refused as used by no query.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = cfg.parse_config(json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1]))
+    example = re.search(r"--reference-id (\S+) --condition-id (\S+)", readme)
+    records = generate_world(config.world).query_records
+    assert example.groups() in {(r["reference_id"], r["condition_id"]) for r in records}
+
+
 def test_compose_cli(pipeline):
     tmp_path, config = pipeline
     queries = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")
@@ -432,8 +459,8 @@ def test_manifest_missing_key_is_an_error_not_a_traceback(pipeline, capsys):
     assert "Traceback" not in err
 
 
-def _drop_gamma(doc):
-    del doc["gamma"]
+def _drop_metrics(doc):
+    del doc["metrics"]
 
 
 def _k_values_as_text(doc):
@@ -447,7 +474,7 @@ def _gallery_as_number(doc):
 @pytest.mark.parametrize(
     "edit,expected",
     [
-        (_drop_gamma, "missing key 'gamma'"),
+        (_drop_metrics, "missing key 'metrics'"),
         (_k_values_as_text, "key 'k_values' must be list[int], got str"),
         (_gallery_as_number, "key 'gallery' must be str, got int"),
     ],
@@ -470,9 +497,8 @@ def test_task_key_missing_or_mistyped_is_an_error(pipeline, capsys, edit, expect
         ("k_values", [], "key 'k_values' must be a non-empty list of integers >= 1, got []"),
         ("k_values", [0], "key 'k_values' must be a non-empty list of integers >= 1, got [0]"),
         ("metrics", ["foo"], "key 'metrics' names unknown metrics ['foo']"),
-        ("gamma", 1.5, "key 'gamma' must lie in [0, 1], got 1.5"),
     ],
-    ids=["k_values-empty", "k_values-zero", "metrics-unknown", "gamma-above-one"],
+    ids=["k_values-empty", "k_values-zero", "metrics-unknown"],
 )
 def test_task_value_out_of_range_is_an_error(pipeline, capsys, key, value, expected):
     # the rules of the config's eval section hold for task.json too
@@ -485,6 +511,24 @@ def test_task_value_out_of_range_is_an_error(pipeline, capsys, key, value, expec
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{task_path}: {expected}" in err
     assert "Traceback" not in err
+
+
+def test_task_json_with_the_retired_keys_evaluates_the_same(pipeline):
+    # task.json once also held a mixing ratio and the train file names, which
+    # no command read. Such a file still loads, its ratio is not used, and
+    # the report is byte-identical.
+    tmp_path, config = pipeline
+    task_path = tmp_path / "data" / "task.json"
+    argv = ["evaluate", "--config", str(config), "--per-query"]
+    argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint")]
+    assert main(argv + ["--out", str(tmp_path / "now.json")]) == 0
+    doc = json.loads(task_path.read_text())
+    doc.update(gamma=0.9, train_images="train_images.emb", train_texts="train_texts.emb")
+    task_path.write_text(json.dumps(doc))
+    assert main(argv + ["--out", str(tmp_path / "old.json")]) == 0
+    report = (tmp_path / "old.json").read_bytes()
+    assert report == (tmp_path / "now.json").read_bytes()
+    assert json.loads(report)["gamma"] == 0.6
 
 
 @pytest.mark.parametrize(
@@ -660,9 +704,12 @@ def test_train_seed_override_keeps_the_data_encoder(tmp_path):
 def test_config_echoes_name_the_data_encoder(tmp_path):
     # After --seed 7 on seed-17 data, every echo of a command that read the
     # data names the encoder the run used: the data's dim and composer_seed.
+    # Evaluated with other metrics and K than the data's, the report and the
+    # echoes name the data's protocol, which is the one scored.
     config = write_config(tmp_path)
     assert main(["gen-data", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config), "--seed", "7"]) == 0
+    write_config(tmp_path, eval={"metrics": ["recall"], "k_values": [2, 50]})
     run = tmp_path / "run"
     query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
     common = ["--config", str(config), "--checkpoint", str(run / "checkpoint"), "--seed", "7"]
@@ -671,11 +718,15 @@ def test_config_echoes_name_the_data_encoder(tmp_path):
     ids = ["--reference-id", query["reference_id"], "--condition-id", query["condition_id"]]
     assert main(["compose", *common, *ids, "--out", str(run / "vec.json")]) == 0
     manifest = json.loads((run / "checkpoint.json").read_text())
+    report = json.loads((run / "report.json").read_text())
+    assert set(report["metrics"]) == {"recall@1", "recall@5", "map@1", "map@5"}
     for echo in ("config.resolved.json", "report.config.json", "vec.config.json"):
         resolved = json.loads((run / echo).read_text())
         assert resolved["seed"] == 7 and resolved["train"]["seed"] == 7, echo
         assert resolved["world"]["composer_seed"] == manifest["composer_seed"] == 17, echo
         assert resolved["world"]["dim"] == manifest["dim"] == 16, echo
+        assert resolved["eval"]["metrics"] == ["recall", "map"], echo
+        assert resolved["eval"]["k_values"] == [1, 5], echo
 
 
 def test_evaluate_composer_seed_mismatch_names_both_files(pipeline, capsys):

@@ -47,8 +47,9 @@ def top(gallery, queries, k):
     return ranked_items(gallery, *rank(gallery, queries, k))
 
 
-def make_task(gallery, reference_rows, condition_rows, targets, **settings):
-    """An EvalTask over the given [Q x d] blocks and target gallery rows."""
+def make_task(gallery, reference_rows, condition_rows, targets, k_values):
+    """An EvalTask over the given [Q x d] blocks and target gallery rows,
+    scored by recall and mAP at ``k_values``."""
     names = [f"q{j}" for j in range(len(targets))]
     return EvalTask(
         gallery=gallery,
@@ -58,7 +59,8 @@ def make_task(gallery, reference_rows, condition_rows, targets, **settings):
         reference_rows=np.asarray(reference_rows, dtype=np.float32),
         condition_rows=np.asarray(condition_rows, dtype=np.float32),
         targets=[np.unique(np.asarray(t, dtype=np.intp)) for t in targets],
-        **settings,
+        metrics=["recall", "map"],
+        k_values=k_values,
     )
 
 
@@ -533,15 +535,15 @@ class TestEvaluateTask:
     def test_composed_requires_models(self):
         rng = np.random.default_rng(20)
         g = Gallery(["a", "b"], unit_rows(rng, 2, 8).astype(np.float32))
-        task = make_task(g, *query_rows(rng), [[0]])
+        task = make_task(g, *query_rows(rng), [[0]], [1])
         with pytest.raises(ParameterError):
-            evaluate_task(task, None, None, mode="composed")
+            evaluate_task(task, None, None, 0.6, mode="composed")
 
     def test_baseline_report_shape(self):
         rng = np.random.default_rng(21)
         g = Gallery(["a", "b", "t0"], unit_rows(rng, 3, 8).astype(np.float32))
-        task = make_task(g, *query_rows(rng), [[2]], k_values=[1, 2], gamma=0.6)
-        report = evaluate_task(task, None, None, mode="image_only", per_query=True)
+        task = make_task(g, *query_rows(rng), [[2]], [1, 2])
+        report = evaluate_task(task, None, None, 0.6, mode="image_only", per_query=True)
         assert report["mode"] == "image_only"
         assert set(report["metrics"]) == {"recall@1", "recall@2", "map@1", "map@2"}
         assert len(report["per_query"]) == 1
@@ -554,7 +556,7 @@ class TestEvaluateTaskBatched:
         rng = np.random.default_rng(26)
         g = tied_gallery(rng, 60, 16)
         targets = [[i + 1, i + 2] for i in range(7)]
-        return make_task(g, g.vectors[:7], unit_rows(rng, 7, 16), targets, k_values=[1, 5, 10])
+        return make_task(g, g.vectors[:7], unit_rows(rng, 7, 16), targets, [1, 5, 10])
 
     def _count_calls(self, monkeypatch, names):
         calls = dict.fromkeys(names, 0)
@@ -593,14 +595,14 @@ class TestEvaluateTaskBatched:
     @pytest.mark.parametrize("mode", ["image_only", "text_only", "average"])
     def test_baseline_is_one_compose_and_one_rank(self, task16, mode, monkeypatch):
         calls = self._count_calls(monkeypatch, ["baseline_compose", "rank"])
-        report = evaluate_task(task16, None, None, mode=mode, per_query=True)
+        report = evaluate_task(task16, None, None, 0.6, mode=mode, per_query=True)
         assert calls == {"baseline_compose": 1, "rank": 1}
         self._check_per_query(task16, report, lambda ref, cond: baseline_compose(ref, cond, mode))
 
     def test_no_queries_is_a_shape_error(self, task16):
         task16.query_ids = []
         with pytest.raises(ShapeError, match="no queries"):
-            evaluate_task(task16, None, None, mode="image_only")
+            evaluate_task(task16, None, None, 0.6, mode="image_only")
 
 
 def test_numbered_gallery_ranks_as_its_spelled_list(tmp_path):

@@ -18,6 +18,9 @@ from cirmap.worldgen import (
 )
 from oracles import ref_gallery_vectors, ref_sample_separated_tuples
 
+# The metrics and K that export_world writes into task.json.
+PROTOCOL = (["recall", "map"], [1, 5, 10])
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -189,7 +192,7 @@ def test_infeasible_separation_rejected():
 
 
 def test_export_import_round_trip(tmp_path, world):
-    export_world(world, tmp_path, gamma=0.6)
+    export_world(world, tmp_path, *PROTOCOL)
     images, texts = load_train_pairs(tmp_path)
     assert images.tobytes() == world.train_images.tobytes()
     assert texts.tobytes() == world.train_texts.tobytes()
@@ -207,9 +210,9 @@ def test_export_import_round_trip(tmp_path, world):
 
 
 def test_eval_task_construction(tmp_path, world):
-    export_world(world, tmp_path, k_values=[1, 5], gamma=0.7)
+    export_world(world, tmp_path, ["recall"], [1, 5])
     task, _ = load_task(tmp_path)
-    assert task.gamma == 0.7 and task.k_values == [1, 5]
+    assert task.metrics == ["recall"] and task.k_values == [1, 5]
     assert len(task.query_ids) == 24
     assert task.reference_rows.shape == task.condition_rows.shape == (24, world.spec.dim)
     assert task.reference_rows.dtype == task.condition_rows.dtype == np.float32
@@ -266,7 +269,7 @@ def test_world_meta_is_one_compact_line(tmp_path, world):
     ]
     assert worlds[-1].gallery_tuples.max() >= 100
     for each in worlds:
-        export_world(each, tmp_path)
+        export_world(each, tmp_path, *PROTOCOL)
         text = (tmp_path / "world_meta.json").read_text()
         meta = json.loads(text)
         # one line, sorted keys, no spaces after separators
@@ -314,7 +317,7 @@ def test_set_up_memory_at_50k_rows(tmp_path):
     spec = WorldSpec(n_train_pairs=256, gallery_size=50_000, n_eval_queries=32, dim=32, seed=1)
     tracemalloc.start()
     try:
-        export_world(generate_world(spec), tmp_path)
+        export_world(generate_world(spec), tmp_path, *PROTOCOL)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
