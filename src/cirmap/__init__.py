@@ -12,7 +12,7 @@ from .autodiff import Tape, Tensor, backward
 from .composer import PromptComposer
 from .errors import CirmapError
 from .losses import BatchEmbeddings, LossWeights
-from .mappers import Mappers, init_mapper, load_checkpoint, save_checkpoint
+from .mappers import Mappers, load_checkpoint, save_checkpoint
 from .mining import BatchSelection, select_batch
 from .retrieval import EvalTask, Gallery
 from .training import TrainConfig, TrainResult, train
@@ -37,7 +37,6 @@ __all__ = [
     "WorldSpec",
     "backward",
     "generate_world",
-    "init_mapper",
     "load_checkpoint",
     "save_checkpoint",
     "select_batch",

@@ -20,7 +20,7 @@ from .composer import PromptComposer
 from .errors import CirmapError, FormatError
 from .mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from .retrieval import BASELINE_MODES, compose_query, evaluate_task
-from .training import train
+from .training import TrainConfig, train
 
 log = logging.getLogger("cirmap")
 
@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine-sset", help="export per-row selection decisions")
     p.add_argument("--images", required=True)
     p.add_argument("--texts", required=True)
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--lambda", type=float, default=0.5)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
+    p.add_argument("--lambda", type=float, default=TrainConfig.lam)
     p.add_argument("--batch-size", type=int, default=0, help="0 = one batch over all rows")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine_sset)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
 from .composer import PRNG_NAME
-from .errors import ConfigError
+from .errors import CirmapError, ConfigError
 from .retrieval import eval_settings_problem
 from .training import TrainConfig
 from .worldgen import WorldSpec
@@ -34,10 +34,10 @@ class EvalConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"eval.gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         problem = eval_settings_problem(self.metrics, self.k_values)
         if problem:
-            raise ConfigError(f"eval.{problem[0]} {problem[1]}")
+            raise ConfigError(f"{problem[0]} {problem[1]}")
 
 
 @dataclass
@@ -81,13 +81,9 @@ def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = N
         kwargs[attr] = value
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        # A check of one field names it first; the error names it as a key.
-        if str(exc).split(" ", 1)[0] in allowed:
-            raise ConfigError(f"{name}.{exc}") from exc
-        raise ConfigError(f"invalid {name} section: {exc}") from exc
+    except CirmapError as exc:
+        # Every section check starts its message with the field it names.
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -117,7 +113,6 @@ def parse_config(doc: dict) -> RunConfig:
     train_doc.setdefault("seed", seed)
 
     world = _build_section("world", WorldSpec, world_doc)
-    train_doc.setdefault("hidden", 4 * world.dim)
     train = _build_section("train", TrainConfig, train_doc, aliases=_TRAIN_ALIASES)
     eval_cfg = _build_section("eval", EvalConfig, eval_doc)
     paths = _build_section("paths", PathsConfig, paths_doc)
@@ -137,34 +132,17 @@ def load_config(path: Path, seed_override: int | None = None) -> RunConfig:
     return parse_config(doc)
 
 
-def resolved_dict(config: RunConfig) -> dict:
-    """Fully resolved config (defaults filled) for the on-disk echo."""
-    world = {f.name: getattr(config.world, f.name) for f in fields(WorldSpec)}
-    train = {}
-    for f in fields(TrainConfig):
-        key = "lambda" if f.name == "lam" else f.name
-        train[key] = getattr(config.train, f.name)
-    return {
-        "seed": config.seed,
-        "prng": PRNG_NAME,
-        "world": world,
-        "train": train,
-        "eval": {
-            "gamma": config.eval.gamma,
-            "metrics": list(config.eval.metrics),
-            "k_values": list(config.eval.k_values),
-        },
-        "paths": {"data_dir": config.paths.data_dir, "run_dir": config.paths.run_dir},
-    }
-
-
 def echo_config(config: RunConfig, out_path: Path, task_doc: dict | None = None) -> None:
-    """Write the resolved config. A command that reads generated data passes
-    its ``task.json``, so the echo names the settings the data fixed and the
-    run used: the frozen encoder (``world.dim`` and ``world.composer_seed``)
-    and the evaluation protocol (``eval.metrics`` and ``eval.k_values``)."""
-    doc = resolved_dict(config)
+    """Write the resolved config, every default filled. A command that reads
+    generated data passes its ``task.json``, so the echo names the settings
+    the data fixed and the run used: the frozen encoder (``world.dim`` and
+    ``world.composer_seed``), the evaluation protocol (``eval.metrics`` and
+    ``eval.k_values``) and the mappers' ``train.hidden`` at the data's width."""
+    doc = {"prng": PRNG_NAME, **asdict(config)}
+    keys = {attr: key for key, attr in _TRAIN_ALIASES.items()}
+    doc["train"] = {keys.get(attr, attr): value for attr, value in doc["train"].items()}
     if task_doc is not None:
         doc["world"].update(dim=task_doc["dim"], composer_seed=task_doc["composer_seed"])
         doc["eval"].update(metrics=task_doc["metrics"], k_values=task_doc["k_values"])
+    doc["train"]["hidden"] = config.train.hidden_for(doc["world"]["dim"])
     fileio.write_json(Path(out_path), doc)

@@ -21,6 +21,9 @@ from .errors import ParameterError, ShapeError
 
 @dataclass(frozen=True)
 class LossWeights:
+    """The objective's weights and term switches, each declared and checked
+    here once; the trainer's config extends them."""
+
     alpha: float = 1.0  # weight on the embedding-gap MSE inside the supplement loss
     beta: float = 2.0  # weight on the selected-subset contrastive term
     tau: float = 0.01  # shared softmax temperature
@@ -30,8 +33,9 @@ class LossWeights:
     def __post_init__(self):
         if not self.tau > 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("alpha and beta must be non-negative")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -92,11 +96,12 @@ def objective(
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """The combined objective and its named components.
 
-    ``rows`` are the batch rows of the S-Set term (see :func:`loss_sset`);
-    None switches that term off. Switched-off terms (``use_itcon``,
-    ``use_mse`` and ``rows is None``) are constant zeros. Terms are built in
-    the order ori, itcon, mse, ts, ss, total; the tape order fixes the order
-    of gradient accumulation, so it is part of the result.
+    The trainer passes its config as ``weights``. ``rows`` are the batch
+    rows of the S-Set term (see :func:`loss_sset`); None switches that term
+    off. Switched-off terms (``use_itcon``, ``use_mse`` and ``rows is
+    None``) are constant zeros. Terms are built in the order ori, itcon,
+    mse, ts, ss, total; the tape order fixes the order of gradient
+    accumulation, so it is part of the result.
     """
     tau = weights.tau
     l_ori = loss_ori(batch, tau)

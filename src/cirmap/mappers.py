@@ -49,18 +49,6 @@ def layout(dim: int, hidden: int) -> list[dict]:
     return entries
 
 
-def init_mapper(dim: int, hidden: int, seed: int) -> np.ndarray:
-    """One mapper's half of the flat vector: seeded uniform init in
-    [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, drawn in layout order."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    parts = []
-    for fan_in, fan_out in ((dim, hidden), (hidden, hidden), (hidden, dim)):
-        bound = 1.0 / np.sqrt(fan_in)
-        parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        parts.append(rng.uniform(-bound, bound, size=fan_out))
-    return np.concatenate(parts).astype(np.float32)
-
-
 def map_rows(weights: dict[str, Tensor], x_rows: Tensor) -> Tensor:
     """Map an [N x d] block of embeddings to [N x d] tokens with one mapper's
     six leaf tensors."""
@@ -104,9 +92,17 @@ class Mappers:
 
     @classmethod
     def seeded(cls, dim: int, hidden: int, seeds: tuple[int, int]) -> "Mappers":
-        """Freshly initialized mappers, one seed each (pseudo, supplement)."""
-        flat = np.concatenate([init_mapper(dim, hidden, seed) for seed in seeds])
-        return cls(dim, hidden, tuple(seeds), flat)
+        """Freshly initialized mappers, one seed each (pseudo, supplement).
+        Each mapper's parameters are drawn from its own seeded stream in
+        layout order, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
+        parts = []
+        for seed in seeds:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            for fan_in, fan_out in ((dim, hidden), (hidden, hidden), (hidden, dim)):
+                bound = 1.0 / np.sqrt(fan_in)
+                for size in (fan_in * fan_out, fan_out):
+                    parts.append(rng.uniform(-bound, bound, size=size).astype(np.float32))
+        return cls(dim, hidden, tuple(seeds), np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -37,52 +37,39 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 15
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(L.LossWeights):
+    """The trainer's settings. The objective's weights and term switches are
+    the inherited :class:`~cirmap.losses.LossWeights` fields; the S-Set
+    settings act through the rows passed to the objective instead."""
+
     batch_size: int = 64
     steps: int = 500
     learning_rate: float = 5e-4
     weight_decay: float = 0.1
     warmup_steps: int = 50
-    tau: float = 0.01
     sigma: float = 0.01
     lam: float = 0.5  # caption-similarity threshold ("lambda" in config files)
-    alpha: float = 1.0
-    beta: float = 2.0
     seed: int = 0
-    use_itcon: bool = True
-    use_mse: bool = True
     use_sset: bool = True
-    hidden: int = 128
+    hidden: int | None = None  # None: 4 x the width of the rows the mappers map
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.warmup_steps < 0:
-            raise ParameterError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden < 1:
+        super().__post_init__()
+        for name, least in (("steps", 1), ("warmup_steps", 0), ("seed", 0), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.hidden is not None and self.hidden < 1:
             raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.tau > 0 or not self.sigma > 0:
-            raise ParameterError("tau and sigma must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("alpha and beta must be non-negative")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ParameterError("learning_rate and weight_decay must be non-negative")
+        if not self.sigma > 0:
+            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    def loss_weights(self) -> L.LossWeights:
-        """The objective's weights and term switches; the S-Set switches act
-        through the rows passed to the objective instead."""
-        return L.LossWeights(
-            alpha=self.alpha,
-            beta=self.beta,
-            tau=self.tau,
-            use_itcon=self.use_itcon,
-            use_mse=self.use_mse,
-        )
+    def hidden_for(self, dim: int) -> int:
+        """The mappers' hidden width for rows of width ``dim``."""
+        return 4 * dim if self.hidden is None else self.hidden
 
 
 class OptimizerState:
@@ -165,7 +152,7 @@ def adamw_step(
 
 def init_mappers(config: TrainConfig, dim: int) -> Mappers:
     seeds = np.random.SeedSequence([config.seed, 0]).generate_state(2)
-    return Mappers.seeded(dim, config.hidden, (int(seeds[0]), int(seeds[1])))
+    return Mappers.seeded(dim, config.hidden_for(dim), (int(seeds[0]), int(seeds[1])))
 
 
 def forward_batch(
@@ -300,7 +287,7 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step, grad_
             selection = mining.select_batch(batch_images, batch_texts, config.sigma, config.lam)
             sset_rows = selection.selected
 
-        l_total, parts = L.objective(batch, sset_rows, config.loss_weights())
+        l_total, parts = L.objective(batch, sset_rows, config)
         if not np.isfinite(l_total.values):
             raise TrainingDivergedError(
                 f"non-finite loss at step {step}: "

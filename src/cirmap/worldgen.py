@@ -66,26 +66,30 @@ class WorldSpec:
     train_min_hamming: int = 1
 
     def __post_init__(self):
-        if self.n_attributes < 2:
-            raise InconsistentSpecError("need at least 2 attributes")
-        if self.n_values_per_attribute < 2:
-            raise InconsistentSpecError("need at least 2 values per attribute")
-        for name in ("seed", "composer_seed"):
-            if getattr(self, name) < 0:
-                raise InconsistentSpecError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("n_train_pairs", "n_eval_queries"):
-            if getattr(self, name) < 1:
-                raise InconsistentSpecError(f"{name} must be >= 1, got {getattr(self, name)}")
+        least = {
+            "n_attributes": 2,
+            "n_values_per_attribute": 2,
+            "dim": 2,
+            "seed": 0,
+            "composer_seed": 0,
+            "n_train_pairs": 1,
+            "n_eval_queries": 1,
+            "noise_scale": 0,
+            "collision_cluster": 2,
+            "train_min_hamming": 1,
+        }
+        for name, bound in least.items():
+            if getattr(self, name) < bound:
+                raise InconsistentSpecError(f"{name} must be >= {bound}, got {getattr(self, name)}")
         if self.gallery_size < self.n_eval_queries:
-            raise InconsistentSpecError("gallery_size must be >= n_eval_queries")
-        if self.noise_scale < 0:
-            raise InconsistentSpecError("noise_scale must be >= 0")
+            raise InconsistentSpecError(
+                f"gallery_size must be >= n_eval_queries ({self.n_eval_queries}), "
+                f"got {self.gallery_size}"
+            )
         if not 0.0 <= self.caption_collision_rate <= 1.0:
-            raise InconsistentSpecError("caption_collision_rate must lie in [0, 1]")
-        if self.collision_cluster < 2:
-            raise InconsistentSpecError("collision clusters need at least 2 members")
-        if self.train_min_hamming < 1:
-            raise InconsistentSpecError("train_min_hamming must be >= 1")
+            raise InconsistentSpecError(
+                f"caption_collision_rate must lie in [0, 1], got {self.caption_collision_rate}"
+            )
 
 
 @dataclass

@@ -285,6 +285,39 @@ def test_readme_compose_example_names_a_query_of_its_config():
     assert example.groups() in {(r["reference_id"], r["condition_id"]) for r in records}
 
 
+def test_readme_defaults_are_the_config_defaults():
+    # Each value of the README's "Defaults:" sentence is its field's default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Defaults: (.*?)\.\s+[A-Z]", readme, re.S)[1]
+    defaults = {f.name: f.default for cls in (TrainConfig, EvalConfig) for f in fields(cls)}
+    stated = {}
+    for item in " ".join(sentence.split()).split(", "):
+        *words, value = item.split(" ")
+        name = re.search(r"`(\w+)`", item)
+        key = name[1] if name else "_".join(words)
+        stated[cfg._TRAIN_ALIASES.get(key, key)] = float(value)
+    names = {"learning_rate", "weight_decay", "lam", "alpha", "beta", "sigma", "tau", "gamma"}
+    assert set(stated) == names
+    assert stated == {name: defaults[name] for name in names}
+
+
+def test_hidden_follows_the_width_of_the_data(tmp_path):
+    # Data generated at dim 16 and trained with a config that leaves out
+    # world.dim (32 by default) and train.hidden trains hidden 4 x 16.
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    del doc["train"]["hidden"]
+    config.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(config)]) == 0
+    del doc["world"]["dim"]
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    echo = json.loads((tmp_path / "run" / "config.resolved.json").read_text())
+    assert (manifest["dim"], manifest["hidden"]) == (16, 64)
+    assert (echo["world"]["dim"], echo["train"]["hidden"]) == (16, 64)
+
+
 def test_compose_cli(pipeline):
     tmp_path, config = pipeline
     queries = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")

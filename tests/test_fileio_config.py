@@ -199,7 +199,8 @@ class TestRunConfig:
         assert run.eval.gamma == 0.6
         assert run.world.seed == 11
         assert run.world.composer_seed == 11
-        assert run.train.hidden == 4 * run.world.dim
+        assert run.train.hidden is None
+        assert run.train.hidden_for(run.world.dim) == 4 * run.world.dim
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
@@ -340,6 +341,25 @@ class TestRunConfig:
             ({"world": {"n_eval_queries": 0}}, "world.n_eval_queries must be >= 1, got 0"),
             ({"world": {"n_train_pairs": -1}}, "world.n_train_pairs must be >= 1, got -1"),
             ({"train": {"hidden": 0}}, "train.hidden must be >= 1, got 0"),
+            ({"train": {"sigma": 0}}, "train.sigma must be positive, got 0.0"),
+            ({"train": {"tau": -1}}, "train.tau must be positive, got -1.0"),
+            ({"train": {"alpha": -1}}, "train.alpha must be >= 0, got -1.0"),
+            ({"train": {"beta": -1}}, "train.beta must be >= 0, got -1.0"),
+            ({"train": {"learning_rate": -1}}, "train.learning_rate must be >= 0, got -1.0"),
+            ({"train": {"weight_decay": -1}}, "train.weight_decay must be >= 0, got -1.0"),
+            ({"world": {"n_attributes": 1}}, "world.n_attributes must be >= 2, got 1"),
+            (
+                {"world": {"n_values_per_attribute": 1}},
+                "world.n_values_per_attribute must be >= 2, got 1",
+            ),
+            ({"world": {"collision_cluster": 1}}, "world.collision_cluster must be >= 2, got 1"),
+            ({"world": {"dim": 1}}, "world.dim must be >= 2, got 1"),
+            ({"world": {"dim": 0}}, "world.dim must be >= 2, got 0"),
+            (
+                {"world": {"gallery_size": 3, "n_eval_queries": 4}},
+                "world.gallery_size must be >= n_eval_queries (4), got 3",
+            ),
+            ({"eval": {"gamma": 2}}, "eval.gamma must lie in [0, 1], got 2.0"),
         ],
     )
     def test_value_out_of_range_rejected_naming_its_key(self, doc, message):
@@ -373,10 +393,12 @@ class TestRunConfig:
             cfg.parse_config({"seed": 1, "world": [1, 2]})
 
     def test_hidden_defaults_to_four_dim(self):
+        # The default follows the width of the rows the mappers map, not the
+        # config's world.dim; a set hidden is kept at every width.
         run = cfg.parse_config({"seed": 1, "world": {"dim": 16}})
-        assert run.train.hidden == 64
-        run32 = cfg.parse_config({"seed": 1})
-        assert run32.train.hidden == 128
+        assert (run.train.hidden_for(16), run.train.hidden_for(32)) == (64, 128)
+        run = cfg.parse_config({"seed": 1, "train": {"hidden": 8}})
+        assert (run.train.hidden_for(16), run.train.hidden_for(32)) == (8, 8)
 
 
 def test_read_jsonl_bad_utf8_names_file_and_line(tmp_path):
