@@ -150,7 +150,7 @@ def cmd_evaluate(args) -> int:
     out_path = Path(args.out) if args.out else Path(run_cfg.paths.run_dir) / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_json(out_path, report)
-    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc)
+    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc, mappers and mappers.hidden)
     log.info("metrics: %s", report["metrics"])
     return 0
 
@@ -177,7 +177,7 @@ def cmd_compose(args) -> int:
     }
     out_path = Path(args.out)
     fileio.write_json(out_path, out)
-    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc)
+    cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc, mappers.hidden)
     return 0
 
 

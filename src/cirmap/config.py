@@ -132,17 +132,20 @@ def load_config(path: Path, seed_override: int | None = None) -> RunConfig:
     return parse_config(doc)
 
 
-def echo_config(config: RunConfig, out_path: Path, task_doc: dict | None = None) -> None:
+def echo_config(
+    config: RunConfig, out_path: Path, task_doc: dict | None = None, hidden: int | None = None
+) -> None:
     """Write the resolved config, every default filled. A command that reads
     generated data passes its ``task.json``, so the echo names the settings
     the data fixed and the run used: the frozen encoder (``world.dim`` and
     ``world.composer_seed``), the evaluation protocol (``eval.metrics`` and
-    ``eval.k_values``) and the mappers' ``train.hidden`` at the data's width."""
+    ``eval.k_values``) and the mappers' ``train.hidden``: the ``hidden`` of
+    a checkpoint the command loaded, else the one at the data's width."""
     doc = {"prng": PRNG_NAME, **asdict(config)}
     keys = {attr: key for key, attr in _TRAIN_ALIASES.items()}
     doc["train"] = {keys.get(attr, attr): value for attr, value in doc["train"].items()}
     if task_doc is not None:
         doc["world"].update(dim=task_doc["dim"], composer_seed=task_doc["composer_seed"])
         doc["eval"].update(metrics=task_doc["metrics"], k_values=task_doc["k_values"])
-    doc["train"]["hidden"] = config.train.hidden_for(doc["world"]["dim"])
+    doc["train"]["hidden"] = hidden or config.train.hidden_for(doc["world"]["dim"])
     fileio.write_json(Path(out_path), doc)

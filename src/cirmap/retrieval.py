@@ -70,11 +70,6 @@ class EvalTask:
     k_values: list[int]
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    return (v / np.linalg.norm(v)).astype(np.float32)
-
-
 def compose_query(
     reference_rows: np.ndarray,
     condition_rows: np.ndarray,
@@ -112,12 +107,12 @@ def baseline_compose(
         return np.array(reference_rows, dtype=np.float32)
     if mode == "text_only":
         return np.array(condition_rows, dtype=np.float32)
-    pairs = zip(reference_rows, condition_rows)
-    return np.stack([_unit(r.astype(np.float64) + c.astype(np.float64)) for r, c in pairs])
+    total = np.asarray(reference_rows, np.float64) + np.asarray(condition_rows, np.float64)
+    return (total / np.linalg.norm(total, axis=1, keepdims=True)).astype(np.float32)
 
 
-# Gallery rows per float32 GEMM. The first block also sets each query's
-# candidate floor, so a larger block leaves fewer candidates to re-score.
+# Gallery rows per float32 GEMM, and candidate pairs per float64 rescoring
+# step. The first block also sets each query's first candidate floor.
 _SCORE_BLOCK_ROWS = 8192
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
@@ -154,53 +149,62 @@ def _score_error_bounds(vectors: np.ndarray, q64: np.ndarray) -> np.ndarray:
     return np.where(trusted, bound, np.inf)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _candidates(vectors: np.ndarray, q64: np.ndarray, k: int) -> list[np.ndarray]:
-    """Per query row, ascending gallery rows that hold its exact top k.
+def _floor(kth: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per query, the float32 floor ``kth - 2 bound`` rounded toward -inf, or
+    -inf where the bound is infinite or ``kth`` is NaN."""
+    floor64 = kth.astype(np.float64) - 2.0 * bound
+    floor = floor64.astype(np.float32)
+    floor = np.where(floor > floor64, np.nextafter(floor, -np.inf), floor)
+    floor[np.isinf(bound) | np.isnan(kth)] = -np.inf
+    return floor
 
-    One float32 GEMM per block of gallery rows. The k-th float32 score of
-    the first block is at most the k-th of the whole gallery, so every row
-    the float64 top k can hold scores at least that minus 2E in float32:
-    those rows, NaN included, are the candidates. A query without a finite
-    bound keeps every row.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _candidates(vectors: np.ndarray, q64: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (gallery row, query row) pairs that hold each query's exact top k.
+
+    One float32 GEMM per block of gallery rows. If k rows score at least c
+    in float32, they score at least c - E in float64, so every row of the
+    float64 top k scores at least c - 2E in float32. The first floor takes c
+    as the k-th float32 score in the first block, the second as the k-th
+    among the rows that pass the first: those that pass both, NaN included,
+    are the candidates. A query without a finite bound keeps every row.
     """
     n = vectors.shape[0]
     rows = max(_SCORE_BLOCK_ROWS, k)  # the first block holds at least k rows
     bound = _score_error_bounds(vectors, q64)
     q32 = q64.astype(np.float32)
-    hit_rows, hit_queries = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    floor = None
+    hits, floor = [], None
     for start in range(0, n, rows):
         scores = vectors[start : start + rows] @ q32.T  # [block x Q]
         if floor is None:
-            kth = np.partition(scores, scores.shape[0] - k, axis=0)[-k]
-            floor64 = kth.astype(np.float64) - 2.0 * bound
-            floor = floor64.astype(np.float32)
-            above = floor > floor64  # round the floor toward -inf
-            floor[above] = np.nextafter(floor[above], -np.inf)
-            floor[np.isinf(bound)] = -np.inf
+            floor = _floor(np.partition(scores, scores.shape[0] - k, axis=0)[-k], bound)
         r, j = np.divmod(np.flatnonzero(~(scores < floor)), len(floor))
-        hit_rows.append(r + start)
-        hit_queries.append(j)
-    hit_rows = np.concatenate(hit_rows)
-    hit_queries = np.concatenate(hit_queries)
-    # Block by block the rows ascend, and a stable sort keeps them so.
-    order = np.argsort(hit_queries, kind="stable")
-    splits = np.searchsorted(hit_queries[order], np.arange(1, q64.shape[0]))
-    return np.split(hit_rows[order], splits)
+        hits.append((r + start, j, scores[r, j]))
+    hit_rows, hit_queries, hit_scores = (np.concatenate(column) for column in zip(*hits))
+    # Each query has at least k hits: the first block's top k pass its floor.
+    order = np.lexsort((-hit_scores, hit_queries))  # descending, NaN last
+    first = np.searchsorted(hit_queries[order], np.arange(len(floor)))
+    kth = hit_scores[order[first + k - 1]]
+    keep = ~(hit_scores < _floor(kth, bound)[hit_queries])
+    return hit_rows[keep], hit_queries[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k inner-product search of each query row against every gallery row.
 
     Returns ``(rows, scores)``: a [Q x k] block of gallery rows and the
     matching [Q x k] float64 scores, with k capped at the gallery's size.
     A float32 GEMM in row blocks narrows the gallery to candidates with a
-    rigorous error bound (see :func:`_candidates`); only those are scored in
-    float64. A score is the float64 sum of one gallery row times the query
-    row, so it depends on those two rows alone: not on the rest of the
-    batch, the candidate set, the block size or the BLAS. Order is
-    descending score, ties broken by ascending id, NaN last.
+    rigorous error bound E: if k rows score at least c in float32, every
+    float64 top-k row scores at least c - 2E in float32. So c is first the
+    k-th score of the first block, then the k-th among the rows that pass
+    (see :func:`_candidates`). The candidates of all queries are scored in
+    float64 and sorted once. A score is the float64 sum of one gallery row
+    times the query row, so it depends on those two rows alone: not on the
+    rest of the batch, the candidate set, the block size or the BLAS. Order
+    is descending score, ties broken by ascending id, NaN last.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -208,33 +212,26 @@ def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> tuple[np.ndarray, 
     if q64.ndim != 2 or q64.shape[1] != gallery.vectors.shape[1]:
         raise ShapeError(f"query block shape {q64.shape} does not match gallery")
     k = min(k, len(gallery))
-    rows = np.empty((q64.shape[0], k), np.intp)
-    scores = np.empty((q64.shape[0], k), np.float64)
-    for j, (q, cand) in enumerate(zip(q64, _candidates(gallery.vectors, q64, k))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cand_scores = (gallery.vectors[cand].astype(np.float64) * q).sum(axis=1)
-        neg = -cand_scores
-        if k < len(cand):
-            kth = neg[np.argpartition(neg, k - 1)[k - 1]]
-            # NaN scores compare false either way, so they stay candidates
-            # and the sort places them last, as a full sort would.
-            keep = np.flatnonzero(~(neg > kth))
-            cand, cand_scores, neg = cand[keep], cand_scores[keep], neg[keep]
-        order = _by_id_where_tied(np.argsort(neg, kind="stable"), neg, cand, gallery.ids)[:k]
-        rows[j], scores[j] = cand[order], cand_scores[order]
-    return rows, scores
-
-
-def _by_id_where_tied(order: np.ndarray, neg: np.ndarray, cand: np.ndarray, ids) -> np.ndarray:
-    """``order``, which sorts ``neg``, with each run of equal scores (NaN
-    counting as equal to NaN) put in ascending order of the candidates' ids.
-    Ids are read only for such runs."""
-    s = neg[order]
-    tied = (s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1]))
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
-    for lo, hi in edges.reshape(-1, 2).tolist():  # places lo .. hi tie
-        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=lambda i: ids[cand[i]])
-    return order
+    cand, queries = _candidates(gallery.vectors, q64, k)
+    scores = np.empty(len(cand))
+    # In pieces, so no step holds a float64 copy of the gallery.
+    for lo in range(0, len(cand), _SCORE_BLOCK_ROWS):
+        part = slice(lo, lo + _SCORE_BLOCK_ROWS)
+        products = gallery.vectors[cand[part]].astype(np.float64)
+        products *= q64[queries[part]]
+        scores[part] = products.sum(axis=1)
+    order = np.lexsort((-scores, queries))  # by query, then descending, NaN last
+    q, s = queries[order], scores[order]
+    # Each run of equal scores (NaN equal to NaN) within one query goes in
+    # ascending id order, and ids are read for no other row. An object array
+    # compares the id strings themselves, trailing NULs too.
+    same = (q[1:] == q[:-1]) & ((s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1])))
+    tied = np.concatenate(([False], same, [False]))  # place i ties place i - 1
+    at = np.flatnonzero(tied[:-1] | tied[1:])
+    ids = np.array(gallery.ids[cand[order[at]]], dtype=object)
+    order[at] = order[at[np.lexsort((ids, np.cumsum(~tied[:-1])[at]))]]
+    top = order[np.searchsorted(q, np.arange(len(q64)))[:, None] + np.arange(k)]
+    return cand[top], scores[top]
 
 
 def ranking_metrics(

@@ -318,6 +318,31 @@ def test_hidden_follows_the_width_of_the_data(tmp_path):
     assert (echo["world"]["dim"], echo["train"]["hidden"]) == (16, 64)
 
 
+def test_evaluate_and_compose_echo_the_checkpoints_hidden(pipeline):
+    # The checkpoint was trained with hidden 32 on dim-16 data; a config that
+    # leaves out train.hidden would resolve it to 4 x 16 = 64.
+    tmp_path, config = pipeline
+    doc = json.loads(config.read_text())
+    del doc["train"]["hidden"]
+    config.write_text(json.dumps(doc))
+    checkpoint = str(tmp_path / "run" / "checkpoint")
+    query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
+    runs = {
+        "rep": ["evaluate", "--checkpoint", checkpoint],
+        "base": ["evaluate", "--mode", "image_only"],
+        "vec": ["compose", "--checkpoint", checkpoint]
+        + ["--reference-id", query["reference_id"], "--condition-id", query["condition_id"]],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / "run" / f"{name}.json"
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    hidden = {
+        name: json.loads((tmp_path / "run" / f"{name}.config.json").read_text())["train"]["hidden"]
+        for name in runs
+    }
+    assert hidden == {"rep": 32, "base": 64, "vec": 32}
+
+
 def test_compose_cli(pipeline):
     tmp_path, config = pipeline
     queries = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")

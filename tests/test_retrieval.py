@@ -402,6 +402,43 @@ def test_ranking_allocates_less_than_a_float64_gallery_copy():
     assert peak < n * d * 8
 
 
+def test_ranking_allocates_less_than_a_float64_gallery_copy_with_an_unbounded_query():
+    # A NaN component leaves one query without an error bound, so every
+    # gallery row is its candidate and is scored in float64.
+    rng = np.random.default_rng(8)
+    n, d = 50_000, 32
+    g = Gallery([f"i{j}" for j in range(n)], unit_rows(rng, n, d).astype(np.float32))
+    queries = unit_rows(rng, 32, d).astype(np.float32)
+    queries[5, 3] = np.nan
+    tracemalloc.start()
+    try:
+        with np.errstate(invalid="ignore"):
+            rows, scores = rank(g, queries, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
+    assert g.ids[rows[5]] == sorted(g.ids)[:10] and np.isnan(scores[5]).all()
+
+
+@pytest.mark.parametrize("block", [8192, 7])
+def test_exact_ties_stay_within_their_query(block):
+    # Every row is the same, so every score ties and only ids order a query's
+    # rows; a run of ties must end where its query's rows end.
+    rng = np.random.default_rng(12)
+    n = 40
+    g = Gallery(
+        [f"i{j:03d}" for j in rng.permutation(n)],
+        np.repeat(unit_rows(rng, 1, 8).astype(np.float32), n, axis=0),
+    )
+    queries = np.repeat(unit_rows(rng, 1, 8).astype(np.float32), 4, axis=0)
+    by_id = sorted(g.ids)
+    for k in (1, 3, n - 1, n):
+        results = blocked_top(g, queries, k, block)
+        assert all([i for i, _ in items] == by_id[:k] for items in results), k
+        assert results == [blocked_top(g, queries[j : j + 1], k, block)[0] for j in range(4)]
+
+
 class TestBatchedComposition:
     @pytest.mark.parametrize("dim", [16, 32, 256])
     def test_rows_equal_batches_of_one(self, dim):
