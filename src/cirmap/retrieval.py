@@ -155,8 +155,7 @@ def _floor(kth: np.ndarray, bound: np.ndarray) -> np.ndarray:
     floor64 = kth.astype(np.float64) - 2.0 * bound
     floor = floor64.astype(np.float32)
     floor = np.where(floor > floor64, np.nextafter(floor, -np.inf), floor)
-    floor[np.isinf(bound) | np.isnan(kth)] = -np.inf
-    return floor
+    return np.where(np.isinf(bound) | np.isnan(kth), np.float32(-np.inf), floor)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -184,8 +183,7 @@ def _candidates(vectors: np.ndarray, q64: np.ndarray, k: int) -> tuple[np.ndarra
     hit_rows, hit_queries, hit_scores = (np.concatenate(column) for column in zip(*hits))
     # Each query has at least k hits: the first block's top k pass its floor.
     order = np.lexsort((-hit_scores, hit_queries))  # descending, NaN last
-    first = np.searchsorted(hit_queries[order], np.arange(len(floor)))
-    kth = hit_scores[order[first + k - 1]]
+    kth = hit_scores[order[np.searchsorted(hit_queries[order], np.arange(len(floor))) + k - 1]]
     keep = ~(hit_scores < _floor(kth, bound)[hit_queries])
     return hit_rows[keep], hit_queries[keep]
 
@@ -212,6 +210,8 @@ def rank(gallery: Gallery, query_rows: np.ndarray, k: int) -> tuple[np.ndarray, 
     if q64.ndim != 2 or q64.shape[1] != gallery.vectors.shape[1]:
         raise ShapeError(f"query block shape {q64.shape} does not match gallery")
     k = min(k, len(gallery))
+    if k == 0:  # an empty gallery
+        return np.empty((len(q64), 0), np.intp), np.empty((len(q64), 0))
     cand, queries = _candidates(gallery.vectors, q64, k)
     scores = np.empty(len(cand))
     # In pieces, so no step holds a float64 copy of the gallery.

@@ -156,6 +156,11 @@ class TestRank:
             assert rows.dtype == np.intp and scores.dtype == np.float64
         assert rows[0].tolist() == [0, 1, 2, 3, 4]
 
+    def test_empty_gallery_ranks_no_rows(self):
+        rows, scores = rank(Gallery([], np.zeros((0, 3), np.float32)), np.eye(3)[:2], 5)
+        assert rows.shape == scores.shape == (2, 0)
+        assert rows.dtype == np.intp and scores.dtype == np.float64
+
     def test_hand_gallery_matches_brute_force(self):
         g = self._gallery()
         q = np.array([0.6, 0.0, 0.8], dtype=np.float32)
