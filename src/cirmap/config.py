@@ -66,7 +66,7 @@ def _build_section(name: str, cls, doc: dict, aliases: dict[str, str] | None = N
             raise ConfigError(f"unknown key {name}.{key}")
         hint = hints[attr]
         if not fileio.fits(value, hint):
-            expected = str(hint) if typing.get_origin(hint) else hint.__name__
+            expected = fileio.type_name(hint)
             raise ConfigError(f"{name}.{key} must be {expected}, got {type(value).__name__}")
         # An int is taken for a float and held as one; past float range it
         # is not finite. The JSON reader takes NaN and Infinity, which no

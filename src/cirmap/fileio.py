@@ -158,10 +158,14 @@ def check_object(doc, keys: dict, where: str) -> None:
         if key not in doc:
             raise FormatError(f"{where}: missing key {key!r}")
         if not fits(doc[key], hint):
-            expected = str(hint) if typing.get_origin(hint) else hint.__name__
             raise FormatError(
-                f"{where}: key {key!r} must be {expected}, got {type(doc[key]).__name__}"
+                f"{where}: key {key!r} must be {type_name(hint)}, got {type(doc[key]).__name__}"
             )
+
+
+def type_name(hint) -> str:
+    """A declared type as error messages spell it: ``list[str]``, ``int``."""
+    return str(hint) if typing.get_origin(hint) else hint.__name__
 
 
 def write_jsonl(path: Path, rows) -> None:
@@ -297,6 +301,18 @@ def _place_digits(place: int, lo: int, n: int) -> np.ndarray:
     return np.repeat(values, lengths)
 
 
+def _array_rows(i: np.ndarray, count: int) -> list[int]:
+    """The rows that an array of row numbers names among ``count`` ids, a
+    negative one counted from the end; one out of range raises IndexError."""
+    rows = i.tolist()
+    if rows and not 0 <= min(rows) <= max(rows) < count:
+        for r in rows:
+            if not -count <= r < count:
+                raise IndexError(f"row {r} out of range for {count} ids")
+        rows = [r + count if r < 0 else r for r in rows]
+    return rows
+
+
 class NumberedIds(Sequence):
     """The ids ``f"{prefix}{r:0{width}d}"`` of rows ``0 .. count - 1``, held
     as that template; an id becomes a ``str`` only when it is read.
@@ -323,7 +339,7 @@ class NumberedIds(Sequence):
         if isinstance(i, slice):
             return [self._spell(r) for r in range(*i.indices(self._count))]
         if isinstance(i, np.ndarray):
-            return [self[r] for r in i.tolist()]
+            return list(map(self._spell, _array_rows(i, self._count)))
         r = operator.index(i)
         if r < 0:
             r += self._count
@@ -382,7 +398,7 @@ class IdList(list):
     def __getitem__(self, i):
         """The id at row ``i``; for a slice or an array of rows, a list of ids."""
         if isinstance(i, np.ndarray):
-            return [self[r] for r in i.tolist()]
+            return list(map(super().__getitem__, _array_rows(i, len(self))))
         return super().__getitem__(i)
 
     def find(self, ids: list[str]) -> list[int | None]:

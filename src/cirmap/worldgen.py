@@ -303,9 +303,11 @@ def generate_world(spec: WorldSpec) -> World:
 
     # Queries: flip one attribute of a gallery reference; make sure at least
     # one gallery entity carries the edited tuple, inserting one if needed.
+    gallery_ids = fileio.NumberedIds("item-", 5, spec.gallery_size)
+    condition_ids = fileio.NumberedIds("cond-", 4, spec.n_eval_queries)
     protected = np.zeros(spec.gallery_size, dtype=bool)
-    pending: list[dict] = []
-    for q in range(spec.n_eval_queries):
+    condition_rows, query_records = [], []
+    for q, cond_id in enumerate(condition_ids):
         ref_slot = int(rng_query.integers(spec.gallery_size))
         protected[ref_slot] = True
         attribute = int(rng_query.integers(spec.n_attributes))
@@ -327,39 +329,25 @@ def generate_world(spec: WorldSpec) -> World:
             gallery_tuples[slot] = edited
             gallery_codes[slot] = _tuple_codes(edited[None], spec.n_values_per_attribute)[0]
             protected[slot] = True
-        pending.append(
+        condition_rows.append(embedder.delta_descriptor(attribute, new_value))
+        query_records.append(
             {
                 "query_id": f"query-{q:04d}",
-                "ref_slot": ref_slot,
+                "reference_id": gallery_ids[ref_slot],
+                "condition_id": cond_id,
                 "attribute": attribute,
                 "old_value": old_value,
                 "new_value": new_value,
-                "edited": edited,
+                "edited_tuple": edited.tolist(),
             }
         )
+
+    # Targets are read once every insertion is made: a later query's target
+    # can overwrite an unprotected slot that held an earlier query's edit.
+    for rec in query_records:
+        rec["target_ids"] = sorted(gallery_ids[slots_holding(np.array(rec["edited_tuple"]))])
 
     gallery_vectors = embedder.gallery_images(gallery_tuples, gallery_codes, rng_noise)
-    gallery_ids = fileio.NumberedIds("item-", 5, spec.gallery_size)
-    condition_ids = fileio.NumberedIds("cond-", 4, spec.n_eval_queries)
-
-    condition_rows, query_records = [], []
-    for rec, cond_id in zip(pending, condition_ids):
-        targets = slots_holding(rec["edited"])
-        condition_rows.append(
-            embedder.delta_descriptor(rec["attribute"], rec["new_value"])
-        )
-        query_records.append(
-            {
-                "query_id": rec["query_id"],
-                "reference_id": gallery_ids[rec["ref_slot"]],
-                "condition_id": cond_id,
-                "target_ids": sorted(gallery_ids[t] for t in targets),
-                "attribute": rec["attribute"],
-                "old_value": rec["old_value"],
-                "new_value": rec["new_value"],
-                "edited_tuple": [int(x) for x in rec["edited"]],
-            }
-        )
 
     return World(
         spec=spec,

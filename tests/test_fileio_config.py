@@ -716,6 +716,14 @@ def test_numbered_ids_are_a_sequence_of_their_strings():
     for i in (10_002, -10_003):
         with pytest.raises(IndexError):
             ids[i]
+    # An array of rows indexes as the scalar path does, on both id classes.
+    rows = np.array([0, 10_001, -1, -10_002, 5, 5])
+    for each in (ids, fileio.IdList(spelled)):
+        for array in (rows, rows.astype(np.int32), rows[:0]):
+            assert each[array] == [each[r] for r in array.tolist()]
+        for bad in ([10_002], [0, -10_003], [3, 99_999, -1]):
+            with pytest.raises(IndexError):
+                each[np.array(bad)]
     for part in (slice(None), slice(5, 20, 3), slice(None, None, -7), slice(9_990, None)):
         assert ids[part] == spelled[part]
     assert ids == spelled and spelled == ids and not ids != spelled

@@ -1,7 +1,8 @@
 """Import layering: every module imports only from modules of strictly lower rank.
 
 Modules of equal rank (composer and mappers; training and retrieval) may not
-import each other. The package ``__init__`` re-exports and is exempt.
+import each other. The package ``__init__`` imports no package module: callers
+import the modules themselves.
 """
 
 import ast
@@ -72,3 +73,7 @@ def test_parser_sees_relative_imports():
 def test_mining_reads_plain_arrays():
     # selection is bookkeeping over detached values, so it needs no tape types
     assert package_imports("mining") == {"errors"}
+
+
+def test_package_root_imports_no_module():
+    assert package_imports("__init__") == set()

@@ -258,6 +258,28 @@ def test_wrapped_tuple_codes_are_confirmed():
         assert rec["reference_id"] not in rec["target_ids"]
 
 
+def test_targets_are_read_after_every_insertion():
+    # Found by a seed search. Row 1 holds query 1's edit as drawn, but query
+    # 2's edit is on no row, so its target is inserted over row 1. Targets
+    # read as each query is drawn would still list row 1 for query 1.
+    spec = WorldSpec(
+        n_attributes=2,
+        n_values_per_attribute=3,
+        dim=4,
+        seed=4,
+        composer_seed=0,
+        n_train_pairs=4,
+        n_eval_queries=4,
+        gallery_size=6,
+    )
+    world = generate_world(spec)
+    earlier, later = world.query_records[1], world.query_records[2]
+    assert later["target_ids"] == ["item-00001"]
+    matches = np.all(world.gallery_tuples == earlier["edited_tuple"], axis=1)
+    assert earlier["target_ids"] == [world.gallery_ids[r] for r in np.flatnonzero(matches)]
+    assert earlier["target_ids"] == ["item-00000"]
+
+
 def test_world_meta_is_one_compact_line(tmp_path, world):
     # Tuple values of one, two and three digits.
     worlds = [world] + [
