@@ -1,22 +1,39 @@
-"""Independent float64 reference implementations used as test oracles.
+"""Float64 reference implementations used as test oracles.
 
-Everything here is written against the math directly (plain numpy / loops),
-sharing no forward or backward code with the package. Frozen weights are
-treated as input data.
+The composer and mapper forwards, the mappers' flat parameter layout and
+R@K/mAP@K are the benchmark's oracle, ``bench/oracle.py``: it imports nothing
+from the package and re-derives the frozen composer from its seed by the
+documented draw order. This module puts ``bench/`` on ``sys.path`` and hands
+that oracle, and the benchmark's span tracer, to the tests.
+
+The references here are of two kinds. Independent ones are written against
+the math directly (plain numpy and loops) and share no code with the package:
+the loss loops, finite differences, AdamW, subset selection, tuple sampling and
+``ref_rank``. The rest only pin behaviour: ``ref_read_jsonl`` and
+``ref_read_ids`` are frozen copies of the readers' line path, and
+``ref_gallery_vectors`` replays the generator's streams but composes with the
+package's own composer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from cirmap.autodiff import Tensor
-from cirmap.composer import MAX_SLOTS, PromptComposer
+from cirmap.composer import PromptComposer
 from cirmap.errors import FormatError, InconsistentSpecError, ParameterError, ShapeError
 from cirmap.retrieval import Gallery
+
+BENCH_DIR = str(Path(__file__).resolve().parents[1] / "bench")
+if BENCH_DIR not in sys.path:
+    sys.path.append(BENCH_DIR)
+import oracle  # noqa: E402
+import spans  # noqa: E402
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
@@ -29,45 +46,6 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     m = rng.standard_normal((n, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# composer / mapper forward in float64
-
-
-def composer_weights(composer: PromptComposer) -> dict:
-    return {
-        "w1": composer._w1.astype(np.float64),
-        "b1": composer._b1.astype(np.float64),
-        "w2": composer._w2.astype(np.float64),
-        "templates": {
-            name: vec.astype(np.float64)
-            for name, vec in composer._template_vectors.items()
-        },
-    }
-
-
-def ref_compose_rows(weights: dict, template: str, slots: list[np.ndarray]) -> np.ndarray:
-    tmpl = weights["templates"][template]
-    n = slots[0].shape[0]
-    d = tmpl.shape[0]
-    blocks = [np.tile(tmpl, (n, 1))] + [np.asarray(s, dtype=np.float64) for s in slots]
-    while len(blocks) < 1 + MAX_SLOTS:
-        blocks.append(np.zeros((n, d)))
-    x = np.concatenate(blocks, axis=1)
-    hidden = np.tanh(x @ weights["w1"] + weights["b1"])
-    out = hidden @ weights["w2"]
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
-def mapper_weights_f64(weights: dict) -> dict:
-    return {k: t.values.astype(np.float64) for k, t in weights.items()}
-
-
-def ref_mapper_rows(weights: dict, x: np.ndarray) -> np.ndarray:
-    h1 = np.tanh(x @ weights["w1"] + weights["b1"])
-    h2 = np.tanh(h1 @ weights["w2"] + weights["b2"])
-    return h2 @ weights["w3"] + weights["b3"]
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +83,18 @@ def ref_pipeline_losses(
     images: np.ndarray,
     texts: np.ndarray,
     cw: dict,
-    pseudo_w: dict,
-    suppl_w: dict,
+    mappers: dict,
     tau: float,
     alpha: float,
     beta: float,
     selection: list[int],
 ) -> dict[str, float]:
-    """Full float64 forward: mapper tokens -> composed prompts -> all losses."""
-    composed_pseudo = ref_compose_rows(cw, "photo_of", [ref_mapper_rows(pseudo_w, images)])
-    composed_suppl = ref_compose_rows(cw, "photo_of", [ref_mapper_rows(suppl_w, texts)])
+    """Full float64 forward: mapper tokens -> composed prompts -> all losses.
+    ``cw`` and ``mappers`` are the oracle's composer and mapper weights."""
+    pseudo = oracle.map_rows(mappers["pseudo"], images)
+    supplement = oracle.map_rows(mappers["supplement"], texts)
+    composed_pseudo = oracle.compose_rows(cw, "photo_of", [pseudo])
+    composed_suppl = oracle.compose_rows(cw, "photo_of", [supplement])
     ori = ref_info_nce(images, composed_pseudo, tau)
     itcon = ref_info_nce(images, composed_suppl, tau)
     mse = ref_mse(composed_pseudo, composed_suppl)
@@ -131,25 +111,7 @@ def ref_pipeline_losses(
 
 
 # ---------------------------------------------------------------------------
-# finite differences over flattened mapper parameters
-
-_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
-def flatten_params(pseudo_w: dict, suppl_w: dict) -> np.ndarray:
-    parts = [pseudo_w[k].ravel() for k in _PARAM_ORDER]
-    parts += [suppl_w[k].ravel() for k in _PARAM_ORDER]
-    return np.concatenate(parts)
-
-
-def unflatten_params(vec: np.ndarray, template_p: dict, template_s: dict) -> tuple[dict, dict]:
-    out_p, out_s, pos = {}, {}, 0
-    for out, template in ((out_p, template_p), (out_s, template_s)):
-        for k in _PARAM_ORDER:
-            size = template[k].size
-            out[k] = vec[pos : pos + size].reshape(template[k].shape)
-            pos += size
-    return out_p, out_s
+# finite differences
 
 
 def fd_gradient(fn, vec: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -307,7 +269,7 @@ def brute_force_select(images: np.ndarray, texts: np.ndarray, sigma: float, lam:
 
 
 # ---------------------------------------------------------------------------
-# brute-force retrieval and metrics
+# retrieval
 
 
 def ref_rank(gallery: Gallery, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -332,35 +294,6 @@ def ranked_items(gallery: Gallery, rows: np.ndarray, scores: np.ndarray) -> list
     """``rank``'s [Q x k] row and score blocks as one list of (id, score)
     pairs per query, the form :func:`ref_rank` returns."""
     return [list(zip(gallery.ids[r], s.tolist())) for r, s in zip(rows, scores)]
-
-
-def brute_force_rank(ids: list[str], vectors: np.ndarray, query: np.ndarray, k: int):
-    scored = []
-    for i, g in zip(ids, np.asarray(vectors, dtype=np.float64)):
-        scored.append((float(g @ np.asarray(query, dtype=np.float64)), i))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [(i, s) for s, i in scored[:k]]
-
-
-def brute_force_recall(ranked_ids: list[list[str]], targets: list[set], k: int) -> float:
-    hits = 0
-    for ids, tgt in zip(ranked_ids, targets):
-        if set(ids[:k]) & tgt:
-            hits += 1
-    return hits / len(targets)
-
-
-def brute_force_map(ranked_ids: list[list[str]], targets: list[set], k: int) -> float:
-    total = 0.0
-    for ids, tgt in zip(ranked_ids, targets):
-        hits = 0
-        ap = 0.0
-        for r, item in enumerate(ids[:k], start=1):
-            if item in tgt:
-                hits += 1
-                ap += hits / r
-        total += ap / min(k, len(tgt))
-    return total / len(targets)
 
 
 # ---------------------------------------------------------------------------

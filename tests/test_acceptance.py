@@ -23,16 +23,11 @@ from cirmap.retrieval import Gallery, compose_query, evaluate_task, rank, rankin
 from cirmap.training import TrainConfig, init_mappers, train
 from cirmap.worldgen import WorldSpec, export_world, generate_world, load_task
 from oracles import (
-    brute_force_map,
-    brute_force_rank,
-    brute_force_recall,
     brute_force_select,
-    composer_weights,
-    flatten_params,
-    mapper_weights_f64,
+    oracle,
     ref_pipeline_losses,
+    ref_rank,
     rel_err,
-    unflatten_params,
     unit_rows,
 )
 
@@ -87,9 +82,10 @@ def test_criterion_1_gradient_fidelity():
                     )
             tape_grads[name] = np.concatenate(parts)
 
-        cw = composer_weights(composer)
-        pw, sw = mapper_weights_f64(pseudo), mapper_weights_f64(supplement)
-        theta = flatten_params(pw, sw)
+        # The oracle's weights: the composer from its seed, both mappers
+        # split from the one flat vector that finite differences perturb.
+        cw = oracle.composer_weights(d, 2000 + case)
+        theta = mappers.flat.astype(np.float64)
 
         fd = {name: np.zeros(theta.size) for name in LOSS_NAMES}
         for i in range(theta.size):
@@ -97,9 +93,8 @@ def test_criterion_1_gradient_fidelity():
             for sign, offset in (("up", 1e-3), ("down", -1e-3)):
                 vec = theta.copy()
                 vec[i] += offset
-                p_i, s_i = unflatten_params(vec, pw, sw)
                 vals[sign] = ref_pipeline_losses(
-                    images, texts, cw, p_i, s_i, tau, alpha, beta, selected
+                    images, texts, cw, oracle.split_mappers(vec, d, h), tau, alpha, beta, selected
                 )
             for name in LOSS_NAMES:
                 fd[name][i] = (vals["up"][name] - vals["down"][name]) / 2e-3
@@ -223,12 +218,11 @@ def test_criterion_4_metric_oracles():
         rows, _ = rank(gallery, queries, n)
         ranked_ids = [gallery.ids[r] for r in rows]
         target_sets = [set(gallery.ids[t]) for t in targets]
-        bf = brute_force_rank(gallery.ids, gallery.vectors, queries[0], n)
-        assert ranked_ids[0] == [i for i, _ in bf]
+        assert ranked_ids[0] == [i for i, _ in ref_rank(gallery, queries[0], n)]
         ours = ranking_metrics(rows, targets, ["recall", "map"], [1, 5, n])
         for k in (1, 5, n):
-            assert abs(ours[f"recall@{k}"] - brute_force_recall(ranked_ids, target_sets, k)) < 1e-9
-            assert abs(ours[f"map@{k}"] - brute_force_map(ranked_ids, target_sets, k)) < 1e-9
+            assert abs(ours[f"recall@{k}"] - oracle.recall_at_k(ranked_ids, target_sets, k)) < 1e-9
+            assert abs(ours[f"map@{k}"] - oracle.map_at_k(ranked_ids, target_sets, k)) < 1e-9
     print("[PASS] criterion 4: metric hand fixtures (2/3, 5/6) and 1000-case oracle agreement")
 
 

@@ -20,7 +20,7 @@ from cirmap.errors import CirmapError
 from cirmap.mappers import Mappers, checkpoint_paths, load_checkpoint, save_checkpoint
 from cirmap.training import TrainConfig, init_mappers
 from cirmap.worldgen import WorldSpec, generate_world, load_task, load_train_pairs
-from oracles import brute_force_map, brute_force_recall
+from oracles import oracle
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -835,14 +835,20 @@ def test_full_pipeline_determinism(tmp_path):
 
 def test_evaluate_per_query_flag(pipeline):
     # Every metric of each report is recomputed from the report's own
-    # per-query tops and the queries' targets, and must be equal to it.
+    # per-query tops and the queries' targets, and must be equal to it. The
+    # benchmark's float64 oracle also checks the world, the training run and
+    # the tops and scores of each mode it models (all but ``average``).
     tmp_path, config = pipeline
-    records = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert oracle.check_world(data) == []
+    assert oracle.check_training(run, json.loads(config.read_text())["train"], 16) == []
+    evaluation = oracle.EvalOracle(data, 17)
+    records = fileio.read_jsonl(data / "queries.jsonl")
     targets = [set(r["target_ids"]) for r in records]
     for mode in ("composed", "image_only", "text_only", "average"):
-        out = tmp_path / "run" / f"perq-{mode}.json"
+        out = run / f"perq-{mode}.json"
         argv = ["evaluate", "--config", str(config), "--mode", mode, "--per-query"]
-        argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint"), "--out", str(out)]
+        argv += ["--checkpoint", str(run / "checkpoint"), "--out", str(out)]
         assert main(argv) == 0
         report = json.loads(out.read_text())
         per_query = report["per_query"]
@@ -852,11 +858,10 @@ def test_evaluate_per_query_flag(pipeline):
         assert [row["targets"] for row in per_query] == [sorted(t) for t in targets]
         tops = [[i for i, _ in row["top"]] for row in per_query]
         assert all(len(ids) == 5 for ids in tops)
-        expected = {}
-        for k in (1, 5):
-            expected[f"recall@{k}"] = brute_force_recall(tops, targets, k)
-            expected[f"map@{k}"] = brute_force_map(tops, targets, k)
+        expected = oracle.metric_table(tops, targets, [1, 5], ["recall", "map"])
         assert report["metrics"] == expected, mode
+        if mode != "average":
+            assert evaluation.check_report(out, mode, 0.6, run / "checkpoint") == [], mode
 
 
 def _load_all(root: Path) -> None:

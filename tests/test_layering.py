@@ -2,15 +2,18 @@
 
 Modules of equal rank (composer and mappers; training and retrieval) may not
 import each other. The package ``__init__`` imports no package module: callers
-import the modules themselves.
+import the modules themselves. The benchmark's span tracer names functions
+of these modules too, and each must still exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import cirmap
+from oracles import spans
 
 RANKS = {
     "errors": 0,
@@ -77,3 +80,30 @@ def test_mining_reads_plain_arrays():
 
 def test_package_root_imports_no_module():
     assert package_imports("__init__") == set()
+
+
+# Traced functions that no longer exist: the benchmark's span table still
+# names them, and a change to the benchmark drops them from it.
+STALE_BOUNDARIES = {
+    "cirmap.composer.PromptComposer.compose",
+    "cirmap.composer.PromptComposer.prompt_text",
+    "cirmap.composer.PromptComposer.prompt_text_rows",
+    "cirmap.mappers.map_token",
+    "cirmap.losses.loss_ts",
+    "cirmap.losses.loss_deg",
+    "cirmap.losses.info_nce_bidirectional",
+    "cirmap.retrieval.recall_at_k",
+    "cirmap.retrieval.map_at_k",
+    "cirmap.retrieval.average_precision_at_k",
+}
+
+
+def test_every_traced_function_exists():
+    # The benchmark times each layer by wrapping the functions its span
+    # table names; a renamed or deleted one would drop out of its timings.
+    for module in MODULES:
+        importlib.import_module(f"cirmap.{module}")
+    with spans.Tracer(spans.Recorder()) as tracer:
+        pass
+    missing = set(tracer.absent) - STALE_BOUNDARIES
+    assert not missing, f"traced functions not found: {sorted(missing)}"

@@ -17,7 +17,7 @@ from cirmap.mappers import (
     parameter_count,
     save_checkpoint,
 )
-from oracles import fd_gradient, mapper_weights_f64, ref_mapper_rows, rel_err, unit_rows
+from oracles import fd_gradient, oracle, rel_err, unit_rows
 
 
 def test_zero_final_layer_gives_zero_token():
@@ -63,16 +63,17 @@ def test_dimension_checked():
 
 
 def test_matches_reference_forward():
-    params = Mappers.seeded(dim=8, hidden=10, seeds=(4, 5)).supplement
+    mappers = Mappers.seeded(dim=8, hidden=10, seeds=(4, 5))
     rng = np.random.default_rng(2)
     x = unit_rows(rng, 5, 8)
-    out = map_rows(params, Tensor(x)).values
-    ref = ref_mapper_rows(mapper_weights_f64(params), x)
+    out = map_rows(mappers.supplement, Tensor(x)).values
+    ref = oracle.map_rows(oracle.split_mappers(mappers.flat, 8, 10)["supplement"], x)
     assert rel_err(out, ref) < 1e-5
 
 
 def test_gradients_match_fd():
-    params = Mappers.seeded(dim=6, hidden=5, seeds=(6, 7)).pseudo
+    mappers = Mappers.seeded(dim=6, hidden=5, seeds=(6, 7))
+    params = mappers.pseudo
     rng = np.random.default_rng(3)
     x = unit_rows(rng, 3, 6)
 
@@ -81,14 +82,14 @@ def test_gradients_match_fd():
         loss = ad.mean(ad.tanh(out))
     grads = backward(loss, tape)
 
-    weights = mapper_weights_f64(params)
+    weights = oracle.split_mappers(mappers.flat, 6, 5)["pseudo"]
     for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
         base = weights[key].copy()
 
         def f(vec, key=key):
             w = {k: v.copy() for k, v in weights.items()}
             w[key] = vec.reshape(base.shape)
-            return float(np.mean(np.tanh(ref_mapper_rows(w, x))))
+            return float(np.mean(np.tanh(oracle.map_rows(w, x))))
 
         fd = fd_gradient(f, base.ravel())
         tape_grad = grads[params[key]].values
