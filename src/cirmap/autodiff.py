@@ -28,6 +28,27 @@ for it.
 Operations record onto the currently active :class:`Tape` (a context
 manager), so a fresh graph is built per training step and dropped afterwards.
 A tape is confined to one training context; nesting tapes is rejected.
+
+The tape keeps only what backward reads (Chen et al. 2016, arXiv
+1604.06174). Each recorded op leaves a node holding its backward closure and,
+per parent, where that parent's gradient goes: the parent's node on the same
+tape, the parent itself if it is a leaf, or nowhere. A node holds no output
+and no parent tensor, and :func:`backward` routes by node. What the closures
+keep:
+
+- :func:`linear` and :func:`matmul`: each side's operand only if the other
+  side needs a gradient; :func:`info_nce` the same, and its [n x n] float64
+  softmax coefficients.
+- :func:`tanh`: its float32 output.
+- :func:`l2_normalize_rows`: its float64 output and row norms.
+- :func:`mse`: the float64 difference of its operands.
+- :func:`gather_rows`: the row indices.
+- :func:`add`, :func:`scale`, :func:`add_rowvec` and :func:`mean`: no array.
+
+So a taped output lives while its caller or a backward closure holds it: a
+:func:`linear` output that feeds :func:`tanh` is freed as soon as the caller
+drops it, during the forward pass. The tape is not consumed by
+:func:`backward`, so one tape serves several losses.
 """
 
 from __future__ import annotations
@@ -47,7 +68,9 @@ class Tensor:
     """Immutable dense array of float32 values.
 
     ``requires_grad`` marks leaves whose gradients should be produced by
-    :func:`backward`; for op outputs it is derived from the parents.
+    :func:`backward`; for op outputs it is derived from the parents. A taped
+    op output records the node that produced it, which holds the graph behind
+    it; a leaf, or any untaped tensor, has none.
 
     An array that is already float32, C-contiguous and read-only is taken
     over, not copied, so a tensor can be a view of a larger buffer. The
@@ -58,7 +81,7 @@ class Tensor:
     the copy made read-only.
     """
 
-    __slots__ = ("values", "requires_grad")
+    __slots__ = ("values", "requires_grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         if not _frozen_f32(values):
@@ -66,6 +89,7 @@ class Tensor:
             values.flags.writeable = False
         self.values = values
         self.requires_grad = bool(requires_grad)
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,15 +109,18 @@ class Tensor:
 
 
 class _Node:
-    # The node holds its output so that the output's id stays unique while
-    # the tape lives; a dropped output's id could otherwise be reused by a
-    # leaf created later, which would then be routed as a produced node.
-    __slots__ = ("out", "parents", "backward_fn")
+    """One recorded op: its backward closure and one routing target per
+    parent, in parent order. A target is the parent's node on the same tape,
+    the parent tensor itself when it is a leaf of this tape (a tensor
+    produced on another tape counts as one), or None for a parent that needs
+    no gradient. ``tape_key`` names the tape that recorded the node."""
 
-    def __init__(self, out, parents, backward_fn):
-        self.out = out
-        self.parents = parents
+    __slots__ = ("backward_fn", "targets", "tape_key")
+
+    def __init__(self, backward_fn, targets, tape_key):
         self.backward_fn = backward_fn
+        self.targets = targets
+        self.tape_key = tape_key
 
 
 class Tape:
@@ -106,7 +133,8 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._produced: set[int] = set()
+        # Held by every node of this tape and by nothing that holds the tape.
+        self._key = object()
 
     def __enter__(self) -> "Tape":
         global _active_tape
@@ -119,9 +147,16 @@ class Tape:
         global _active_tape
         _active_tape = None
 
-    def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> None:
-        self._nodes.append(_Node(out, parents, backward_fn))
-        self._produced.add(id(out))
+    def _owns(self, t: Tensor) -> bool:
+        return t._node is not None and t._node.tape_key is self._key
+
+    def _record(self, parents: tuple[Tensor, ...], backward_fn) -> _Node:
+        targets = tuple(
+            p._node if self._owns(p) else p if p.requires_grad else None for p in parents
+        )
+        node = _Node(backward_fn, targets, self._key)
+        self._nodes.append(node)
+        return node
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -161,7 +196,7 @@ def _make(values, parents: tuple[Tensor, ...], backward_fn: Callable | None) -> 
     track = _tracked(parents)
     out = Tensor(_frozen(values), requires_grad=track)
     if track:
-        _active_tape._record(out, parents, backward_fn)
+        out._node = _active_tape._record(parents, backward_fn)
     return out
 
 
@@ -176,30 +211,30 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Tensor]:
     more consumers reach one node or leaf, their gradients are summed in
     64-bit. The returned map holds float32 gradients. Only leaves with
     ``requires_grad=True`` appear; detached inputs and frozen weights are
-    never materialized.
+    never materialized. A tensor produced on another tape is a leaf here.
+
+    Gradients are routed from node to node, never by object id. The tape is
+    read, not changed, so a second call on it gives the same gradients.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
+    if not tape._owns(loss):
         raise ContractError("loss was not produced on this tape (not reachable from parameters)")
 
-    slots: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    slots: dict[_Node, np.ndarray] = {loss._node: np.ones((), dtype=np.float64)}
     leaf_grads: dict[Tensor, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
-        upstream = slots.pop(id(node.out), None)
+        upstream = slots.pop(node, None)
         if upstream is None:
             continue
         parent_grads = node.backward_fn(upstream)
-        for parent, grad in zip(node.parents, parent_grads):
-            if grad is None or not parent.requires_grad:
+        for target, grad in zip(node.targets, parent_grads):
+            if grad is None or target is None:
                 continue
-            if id(parent) in tape._produced:
-                table, key = slots, id(parent)
-            else:
-                table, key = leaf_grads, parent
-            acc = table.get(key)
-            table[key] = grad if acc is None else np.add(acc, grad, dtype=np.float64)
+            table = slots if isinstance(target, _Node) else leaf_grads
+            acc = table.get(target)
+            table[target] = grad if acc is None else np.add(acc, grad, dtype=np.float64)
 
     return {p: Tensor(_frozen(g)) for p, g in leaf_grads.items()}
 

@@ -8,6 +8,7 @@ bit-identical parameter trajectories.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, replace
 
@@ -90,7 +91,7 @@ def lr_schedule(step: int, base_lr: float, warmup_steps: int) -> float:
 
 def adamw_step(
     flat: np.ndarray,
-    grads: list[np.ndarray | None],
+    grads: list[list[np.ndarray] | None],
     state: OptimizerState,
     lr_t: float,
     weight_decay: float,
@@ -98,12 +99,14 @@ def adamw_step(
     """One decoupled-weight-decay Adam update of the writable float32 vector
     ``flat``, in place; bias-corrected, 64-bit math.
 
-    ``grads`` holds one flat gradient per equal part of ``flat`` (one per
-    mapper), or None for a part the loss did not reach: that part is neither
-    decayed nor are its moments advanced. Decay applies before the Adam delta.
-    The update runs block by block in the state's float64 scratch; each
-    element gets the same operations, in the same order, as a whole-array
-    update would apply.
+    ``flat`` is cut into ``len(grads)`` equal parts (one per mapper). Each
+    part's gradient is a list of arrays that tile it in order, such as the
+    leaf gradients of one mapper in layout order; their total size must be
+    the part's. None stands for a part the loss did not reach: that part is
+    neither decayed nor are its moments advanced. Decay applies before the
+    Adam delta. The update runs block by block in the state's float64
+    scratch, filled straight from the pieces; each element gets the same
+    operations, in the same order, as a whole-array update would apply.
     """
     if lr_t < 0:
         raise ParameterError(f"lr_t must be >= 0, got {lr_t}")
@@ -112,20 +115,28 @@ def adamw_step(
         raise ShapeError(f"{flat.size} parameters, {len(grads)} parts, {state.m.size} moments")
     if flat.dtype != np.float32 or not flat.flags.writeable:
         raise ContractError("adamw_step updates a writable float32 vector in place")
+    parts = []
+    for i, pieces in enumerate(grads):
+        if pieces is None:
+            continue
+        # A bare array would iterate as rows or scalars, not as pieces.
+        if not isinstance(pieces, (list, tuple)):
+            raise ContractError(f"part {i}: a gradient is a list of pieces, not {type(pieces)}")
+        pieces = [np.ravel(piece) for piece in pieces]
+        starts = [0, *itertools.accumulate(piece.size for piece in pieces)]
+        if starts[-1] != size:
+            raise ShapeError(f"part {i} has {size} elements; its gradient pieces hold {starts[-1]}")
+        parts.append((i, pieces, starts))
     state.step += 1
     t = state.step
     decay, c1, c2 = lr_t * weight_decay, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-    for i, grad in enumerate(grads):
-        if grad is None:
-            continue
-        if np.shape(grad) != (size,):
-            raise ShapeError(f"gradient shape {np.shape(grad)} does not match part {i} ({size},)")
+    for i, pieces, starts in parts:
         for lo in range(0, size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, size)
             part = slice(i * size + lo, i * size + hi)
             theta, g, tmp = state.scratch[:, : hi - lo]
             m, v = state.m[part], state.v[part]
-            g[...] = grad[lo:hi]
+            _fill(g, pieces, starts, lo)
             theta[...] = flat[part]
             # theta -= lr_t * weight_decay * theta
             np.multiply(theta, decay, out=tmp)
@@ -148,6 +159,16 @@ def adamw_step(
             tmp /= g
             theta -= tmp
             flat[part] = theta
+
+
+def _fill(out: np.ndarray, pieces: list[np.ndarray], starts: list[int], lo: int) -> None:
+    """Copy elements ``lo`` to ``lo + out.size`` of the flat ``pieces``, read
+    as one vector whose piece k begins at ``starts[k]``, into ``out``."""
+    hi = lo + out.size
+    for piece, start in zip(pieces, starts):
+        a, b = max(lo, start), min(hi, start + piece.size)
+        if a < b:
+            out[a - lo : b - lo] = piece[a - start : b - start]
 
 
 def init_mappers(config: TrainConfig, dim: int) -> Mappers:
@@ -226,11 +247,10 @@ def train(
 
     # The one writable parameter vector: AdamW updates it in place between
     # steps, when no tape is alive, and the mappers read it through a
-    # read-only view. The gradient buffer is reused by every step.
+    # read-only view.
     mappers = init_mappers(config, composer.dim)
     params = mappers.flat.copy()
     mappers = replace(mappers, flat=params.view())
-    grad_buf = np.empty_like(params)
     state = OptimizerState(params.size)
     shuffle_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([config.seed, 1]))
@@ -246,13 +266,12 @@ def train(
             order = shuffle_rng.permutation(n)
         rows = order[pos * config.batch_size : (pos + 1) * config.batch_size]
         try:
-            grads, terms = _gradients(
-                config, mappers, composer, images[rows], texts[rows], step, grad_buf
-            )
+            grads, terms = _gradients(config, mappers, composer, images[rows], texts[rows], step)
         except (DegenerateInputError, FloatingPointError) as exc:
             raise TrainingDivergedError(f"numerical fault at step {step}: {exc}") from exc
         lr_t = lr_schedule(step, config.learning_rate, config.warmup_steps)
         adamw_step(params, grads, state, lr_t, config.weight_decay)
+        del grads  # not alive while the next step's graph is built
         step_metrics = {"step": step, "lr": lr_t, **terms}
         metrics.append(step_metrics)
         if step % 100 == 0 or step == config.steps - 1:
@@ -273,12 +292,12 @@ def train(
     return TrainResult(mappers=mappers, metrics=metrics)
 
 
-def _gradients(config, mappers, composer, batch_images, batch_texts, step, grad_buf):
-    """Forward and backward over one batch. Returns each mapper's flat gradient
-    (None when the loss does not reach it), written into its half of
-    ``grad_buf``, and the step's loss terms and N_S. The tape and the batch
-    graph are freed on return, so they are no longer alive while the
-    optimizer updates the vector."""
+def _gradients(config, mappers, composer, batch_images, batch_texts, step):
+    """Forward and backward over one batch. Returns each mapper's gradient as
+    its six leaf gradients in layout order (None when the loss does not reach
+    it), and the step's loss terms and N_S. The tape and the batch graph are
+    freed on return, so they are no longer alive while the optimizer updates
+    the vector."""
     with Tape() as tape:
         batch = forward_batch(batch_images, batch_texts, mappers, composer)
 
@@ -299,14 +318,10 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step, grad_
 
     # Every leaf of a mapper lies on the path to its output, so a mapper
     # gets a gradient for all six leaves or for none. The leaves are views
-    # of ``mappers.flat`` in layout order, so one buffer of its size holds
-    # every gradient at its parameter's offset.
-    grads = []
-    for weights, part in zip((mappers.pseudo, mappers.supplement), np.split(grad_buf, 2)):
-        if weights["w1"] not in grad_map:
-            grads.append(None)
-            continue
-        np.concatenate([grad_map[leaf].values.ravel() for leaf in weights.values()], out=part)
-        grads.append(part)
+    # of ``mappers.flat`` in layout order, so their gradients tile its part.
+    grads = [
+        [grad_map[leaf].values for leaf in weights.values()] if weights["w1"] in grad_map else None
+        for weights in (mappers.pseudo, mappers.supplement)
+    ]
     terms = {name: term.item() for name, term in parts.items()}
     return grads, {**terms, "N_S": 0 if sset_rows is None else len(sset_rows)}

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -492,6 +495,71 @@ def test_leaf_created_after_dropped_output_keeps_its_gradient():
         assert np.array_equal(grads[v].values, np.full(3, 2.0, dtype=np.float32))
 
 
+
+class TestLeanTape:
+    """The tape keeps only what backward reads and routes by node."""
+
+    def test_dropped_linear_output_is_freed_before_backward(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((6, 4)))
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+
+        def run(keep):
+            kept = []
+            with Tape() as tape:
+                pre = ad.linear(x, w, b)
+                pre_values = weakref.ref(pre.values)
+                if keep:
+                    kept.append(pre)
+                loss = ad.mean(ad.tanh(pre))
+                del pre  # tanh keeps its own output, not its input
+            gc.collect()
+            return pre_values() is not None, backward(loss, tape)
+
+        alive, grads = run(keep=False)
+        assert not alive
+        alive, kept_grads = run(keep=True)
+        assert alive
+        assert all(grads[p].values.tobytes() == kept_grads[p].values.tobytes() for p in (w, b))
+
+    def test_backward_twice_gives_the_same_gradients(self):
+        # Several losses share one tape, each passed to backward (gate 1).
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        images = Tensor(rng.standard_normal((5, 4)))
+        with Tape() as tape:
+            h = ad.tanh(ad.linear(images, w, b))
+            rows = ad.l2_normalize_rows(ad.matmul(h, w))
+            first = ad.add(ad.info_nce(images, rows, 0.5), ad.mse(rows, h))
+            second = ad.mean(ad.gather_rows(h, [1, 3]))
+        once = backward(first, tape)
+        other = backward(second, tape)
+        twice = backward(first, tape)
+        assert set(once) == set(twice) == set(other) == {w, b}
+        assert all(once[p].values.tobytes() == twice[p].values.tobytes() for p in (w, b))
+
+    def test_tensor_from_an_earlier_tape_is_a_leaf(self):
+        w = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+        with Tape():
+            h = ad.tanh(w)
+            earlier_loss = ad.mean(h)
+        with Tape() as tape:
+            loss = ad.mean(ad.scale(h, 2.0))
+        grads = backward(loss, tape)
+        assert set(grads) == {h}  # the earlier tape is not replayed
+        assert np.array_equal(grads[h].values, np.full((2, 3), 2.0 / 6, dtype=np.float32))
+        with pytest.raises(ContractError, match="not produced on this tape"):
+            backward(earlier_loss, tape)
+
+    def test_len_counts_recorded_nodes_after_backward(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.mean(ad.tanh(ad.scale(w, 0.5)))
+        assert len(tape) == 3
+        backward(loss, tape)
+        assert len(tape) == 3
 
 # ---------------------------------------------------------------------------
 # random graphs: tape gradients against finite differences of an

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from cirmap.autodiff import Tensor
 from cirmap.config import parse_config
 from cirmap.composer import PromptComposer
 from cirmap.errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
-from cirmap.mappers import Mappers, layout, load_checkpoint, map_rows, save_checkpoint
+from cirmap.mappers import (
+    Mappers,
+    layout,
+    load_checkpoint,
+    map_rows,
+    parameter_count,
+    save_checkpoint,
+)
 from cirmap.training import (
     ADAM_EPS,
     OptimizerState,
@@ -75,20 +83,20 @@ class TestAdamW:
 
     def test_zero_grad_zero_decay_is_identity(self):
         flat = self._flat()
-        adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.0)
+        adamw_step(flat, [[np.zeros(3)]], OptimizerState(3), 0.1, 0.0)
         assert np.array_equal(flat, self._flat())
 
     def test_first_step_is_sign_scaled(self):
         # one step from zero moments: delta = -lr * g / (|g| + eps)
         flat = self._flat()
         g = np.array([0.5, -0.25, 1.0])
-        adamw_step(flat, [g], OptimizerState(3), 0.01, 0.0)
+        adamw_step(flat, [[g]], OptimizerState(3), 0.01, 0.0)
         expected = self._flat().astype(np.float64) - 0.01 * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(flat, expected, atol=1e-7)
 
     def test_decay_only_shrinks(self):
         flat = self._flat()
-        adamw_step(flat, [np.zeros(3)], OptimizerState(3), 0.1, 0.5)
+        adamw_step(flat, [[np.zeros(3)]], OptimizerState(3), 0.1, 0.5)
         expected = self._flat() * (1.0 - 0.1 * 0.5)
         assert np.allclose(flat, expected, atol=1e-7)
 
@@ -96,7 +104,7 @@ class TestAdamW:
         flat = np.arange(6, dtype=np.float32)
         before = flat.copy()
         state = OptimizerState(6)
-        adamw_step(flat, [None, np.ones(3)], state, 0.1, 0.5)
+        adamw_step(flat, [None, [np.ones(3)]], state, 0.1, 0.5)
         assert np.array_equal(flat[:3], before[:3])
         assert not np.array_equal(flat[3:], before[3:])
         assert not state.m[:3].any() and not state.v[:3].any()
@@ -104,21 +112,54 @@ class TestAdamW:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adamw_step(self._flat(), [np.zeros(4)], OptimizerState(3), 0.1, 0.0)
+            adamw_step(self._flat(), [[np.zeros(4)]], OptimizerState(3), 0.1, 0.0)
 
     def test_read_only_or_float64_vector_rejected(self):
         frozen = self._flat()
         frozen.flags.writeable = False
         for flat in (frozen, self._flat().astype(np.float64)):
             with pytest.raises(ContractError):
-                adamw_step(flat, [np.ones(3)], OptimizerState(3), 0.1, 0.0)
+                adamw_step(flat, [[np.ones(3)]], OptimizerState(3), 0.1, 0.0)
         assert np.array_equal(frozen, self._flat())
+
+    def test_pieces_across_block_boundaries_match_one_flat_array(self, monkeypatch):
+        # Pieces of 0-11 elements straddle blocks of 7, so one block is filled
+        # from several pieces and one piece fills several blocks.
+        monkeypatch.setattr(training, "_ADAM_BLOCK", 7)
+        rng = np.random.default_rng(9)
+        sizes = [3, 0, 11, 1, 6, 2]  # 23 elements per part
+        flat = rng.standard_normal(46).astype(np.float32)
+        pieced, pieced_state = flat.copy(), OptimizerState(46)
+        whole, whole_state = flat.copy(), OptimizerState(46)
+        for step in range(6):
+            grads = [rng.standard_normal(23).astype(np.float32) for _ in range(2)]
+            if step in (1, 4):  # a part the loss did not reach
+                grads[step % 2] = None
+            cuts = np.cumsum(sizes)[:-1]
+            pieces = [None if g is None else np.split(g, cuts) for g in grads]
+            adamw_step(pieced, pieces, pieced_state, 0.01, 0.1)
+            adamw_step(whole, [None if g is None else [g] for g in grads], whole_state, 0.01, 0.1)
+            assert pieced.tobytes() == whole.tobytes()
+            assert pieced_state.m.tobytes() == whole_state.m.tobytes()
+            assert pieced_state.v.tobytes() == whole_state.v.tobytes()
+
+    def test_pieces_must_tile_their_part(self):
+        state = OptimizerState(6)
+        for pieces in ([np.ones(2)], [np.ones(2), np.ones(2)], []):
+            flat = np.ones(6, dtype=np.float32)
+            with pytest.raises(ShapeError, match="part 1"):
+                adamw_step(flat, [[np.ones(3)], pieces], state, 0.1, 0.5)
+            assert np.array_equal(flat, np.ones(6)) and state.step == 0
+        # A bare array where a piece list belongs would iterate as scalars.
+        with pytest.raises(ContractError, match="list of pieces"):
+            adamw_step(np.ones(6, dtype=np.float32), [np.ones(3), None], state, 0.1, 0.5)
+        assert state.step == 0
 
     def test_step_counter_increases(self):
         state = OptimizerState(6)
         flat = np.ones(6, dtype=np.float32)
         for expected in (1, 2, 3):
-            adamw_step(flat, [np.ones(3), None], state, 0.01, 0.0)
+            adamw_step(flat, [[np.ones(3)], None], state, 0.01, 0.0)
             assert state.step == expected
 
     def test_matches_per_name_reference_bitwise(self):
@@ -142,14 +183,15 @@ class TestAdamW:
             # step 3: the supplement mapper gets no gradient; step 0: the pseudo one
             skip = {0: "pseudo.", 3: "supplement."}.get(step, "-")
             grads = {name: g for name, g in grads.items() if not name.startswith(skip)}
-            halves = [
-                np.concatenate([grads[n].ravel() for n in shapes if n.startswith(role)])
+            # each mapper's gradient as its leaf gradients in layout order
+            leaves = [
+                [grads[n] for n in shapes if n.startswith(role)]
                 if not role.startswith(skip)
                 else None
                 for role in ("pseudo.", "supplement.")
             ]
             lr_t, decay = float(rng.uniform(0.0, 1e-2)), 0.1
-            adamw_step(flat, halves, state, lr_t, decay)
+            adamw_step(flat, leaves, state, lr_t, decay)
             ref = ref_adamw_step(ref, grads, ref_state, lr_t, decay)
 
             assert flat.tobytes() == np.concatenate([ref[n].ravel() for n in shapes]).tobytes()
@@ -171,7 +213,7 @@ class TestAdamW:
         for _ in range(10):
             g = rng.standard_normal(flat.size).astype(np.float32)
             lr_t = float(rng.uniform(0.0, 1e-2))
-            adamw_step(flat, [g], state, lr_t, 0.1)
+            adamw_step(flat, [[g]], state, lr_t, 0.1)
             ref = ref_adamw_step(ref, {"p": g}, ref_state, lr_t, 0.1)
             assert state.scratch[0].tobytes() == ref_state.theta["p"].tobytes()
             assert flat.tobytes() == ref["p"].tobytes()
@@ -374,8 +416,9 @@ def test_one_step_tape_size(monkeypatch):
     backward = training.ad.backward
 
     def counting_backward(loss, tape):
-        sizes.append(len(tape))
-        return backward(loss, tape)
+        grads = backward(loss, tape)
+        sizes.append(len(tape))  # read after the call, as the benchmark's tracer does
+        return grads
 
     monkeypatch.setattr(training.ad, "backward", counting_backward)
     world_doc = {"n_train_pairs": 2048, "gallery_size": 256, "n_eval_queries": 64, "dim": 32}
@@ -400,3 +443,35 @@ def test_one_step_tape_size(monkeypatch):
         else:
             assert result.metrics[0]["N_S"] == n_s
         assert sizes == [nodes], switches
+
+
+def test_training_memory_is_what_backward_reads():
+    # Two steps at a layered size stay within closed-form sizes: the optimizer
+    # state, one set of leaf gradients, what the backward closures keep
+    # (autodiff's module docstring lists it) and one layer's backward
+    # temporaries. A taped op that kept its output alive, or a second copy of
+    # the gradients, exceeds the bound.
+    d, hidden, b = 64, 512, 256
+    rng = np.random.default_rng(41)
+    images, texts = (unit_rows(rng, 2 * b, d).astype(np.float32) for _ in range(2))
+    config = TrainConfig(batch_size=b, steps=2, hidden=hidden, warmup_steps=1, seed=41)
+    composer = PromptComposer(d, 41)
+    tracemalloc.start()
+    try:
+        train(config, images, texts, composer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p, f32, f64 = 2 * parameter_count(d, hidden), 4, 8
+    # the parameters, two float64 moments and the AdamW scratch
+    state = f32 * p + 2 * f64 * p + 3 * f64 * min(p, training._ADAM_BLOCK)
+    gradients = f32 * p  # read in place by AdamW
+    closures = (
+        2 * 2 * f32 * b * hidden  # the two tanh outputs of each mapper
+        + 2 * (f32 * b * 2 * d + f64 * b * (d + 1))  # each composition: tanh, rows, norms
+        + 3 * f64 * b * b  # the softmax coefficients of each InfoNCE term
+        + f64 * b * d  # the MSE difference
+        + 4 * f32 * b * d  # the batch's images and texts, and the S-Set rows gathered
+    )
+    temporaries = 2 * f32 * max(b * hidden, hidden * hidden)
+    assert peak < state + gradients + closures + temporaries
