@@ -13,8 +13,9 @@ whether an op is recorded on a tape:
   passes its upstream gradient on as it is. :func:`info_nce` runs its logits
   GEMM and its backward GEMMs by the float32 rule when taped.
 - An untaped op (inference, world generation) evaluates in 64-bit and
-  truncates its result. An untaped :func:`linear` gives the bytes of an
-  untaped :func:`matmul` followed by an untaped :func:`add_rowvec`.
+  truncates its result. An untaped :func:`linear` truncates each product
+  as an untaped :func:`matmul` would, then sums the products and adds the
+  bias row with the bytes of 64-bit sums truncated, as :func:`add` gives.
 - A node that receives gradients from two or more consumers sums them in
   64-bit. Leaf gradients come out of :func:`backward` as float32.
 
@@ -36,14 +37,14 @@ tape, the parent itself if it is a leaf, or nowhere. A node holds no output
 and no parent tensor, and :func:`backward` routes by node. What the closures
 keep:
 
-- :func:`linear` and :func:`matmul`: each side's operand only if the other
-  side needs a gradient; :func:`info_nce` the same, and its [n x n] float64
-  softmax coefficients.
+- :func:`linear` (per pair) and :func:`matmul`: each side's operand only if
+  the other side needs a gradient; :func:`info_nce` the same, and its
+  [n x n] float64 softmax coefficients.
 - :func:`tanh`: its float32 output.
 - :func:`l2_normalize_rows`: its float64 output and row norms.
 - :func:`mse`: the float64 difference of its operands.
 - :func:`gather_rows`: the row indices.
-- :func:`add`, :func:`scale`, :func:`add_rowvec` and :func:`mean`: no array.
+- :func:`add`, :func:`scale` and :func:`mean`: no array.
 
 So a taped output lives while its caller or a backward closure holds it: a
 :func:`linear` output that feeds :func:`tanh` is freed as soon as the caller
@@ -53,7 +54,7 @@ drops it, during the forward pass. The tape is not consumed by
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -279,36 +280,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), grad)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus the bias row ``b`` added to every row: one dense layer.
-
-    Taped, it runs by the float32 rule and its bias gradient is the float64
-    batch sum of the upstream gradient; untaped, it gives the bytes of
-    ``add_rowvec(matmul(x, w), b)`` (see the module docstring).
+def linear(pairs: Iterable[tuple[Tensor, Tensor]], b: Tensor) -> Tensor:
+    """One dense layer: the sum of ``x @ w`` over the (input, weight)
+    ``pairs``, plus the bias row ``b`` added to every row. A layer passes one
+    pair; a composition passes one pair per slot. Products, partial sums and
+    the bias follow the precision rules of the module docstring.
     """
-    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
-    if b.values.ndim != 1 or b.shape[0] != w.shape[1]:
-        raise ShapeError(f"linear: bias {b.shape} does not fit outputs of width {w.shape[1]}")
-    if not _tracked((x, w, b)):
-        xw = (_f64(x) @ _f64(w)).astype(np.float32)
-        return _make(xw.astype(np.float64) + _f64(b), (x, w, b), None)
-    y = x.values @ w.values
+    pairs = tuple(pairs)
+    for x, w in pairs:
+        if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
+    out_shapes = {(x.shape[0], w.shape[1]) for x, w in pairs}
+    if len(out_shapes) != 1 or b.values.ndim != 1 or b.shape[0] != min(out_shapes)[1]:
+        raise ShapeError(f"linear: products of shapes {sorted(out_shapes)} and bias {b.shape}")
+    parents = (*(t for pair in pairs for t in pair), b)
+    track = _tracked(parents)
+    # The sums run in float32, taped or not: a float64 sum of two float32
+    # values rounds to their float32 sum (53 >= 2 * 24 + 2 bits), so untaped
+    # sums have the bytes of 64-bit sums truncated, as add gives.
+    y = None
+    for x, w in pairs:
+        xw = x.values @ w.values if track else (_f64(x) @ _f64(w)).astype(np.float32)
+        y = xw if y is None else np.add(y, xw, out=y)
     y += b.values
+    if not track:
+        return _make(y, parents, None)
     # Each side's gradient needs the other side's values; hold only those.
-    x_t = x.values.T if w.requires_grad else None
-    w_t = w.values.T if x.requires_grad else None
+    held = [
+        (x.values.T if w.requires_grad else None, w.values.T if x.requires_grad else None)
+        for x, w in pairs
+    ]
     need_b = b.requires_grad
 
     def grad(g):
         g32 = g.astype(np.float32, copy=False)
-        return (
-            None if w_t is None else g32 @ w_t,
-            None if x_t is None else x_t @ g32,
-            g.sum(axis=0, dtype=np.float64) if need_b else None,
-        )
+        grads = []
+        for x_t, w_t in held:
+            grads += (None if w_t is None else g32 @ w_t, None if x_t is None else x_t @ g32)
+        grads.append(g.sum(axis=0, dtype=np.float64) if need_b else None)
+        return grads
 
-    return _make(y, (x, w, b), grad)
+    return _make(y, parents, grad)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -323,20 +335,6 @@ def tanh(a: Tensor) -> Tensor:
         return (np.multiply(slope, g.astype(np.float32, copy=False), out=slope),)
 
     return _make(y, (a,), grad)
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an m-by-n matrix. Only the
-    two-slot composition still adds its bias apart from its GEMMs; a layer
-    is one :func:`linear`."""
-    if a.values.ndim != 2 or v.values.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {a.shape} and {v.shape}")
-    need_v = v.requires_grad
-    return _make(
-        _f64(a) + _f64(v),
-        (a, v),
-        lambda g: (g, g.sum(axis=0, dtype=np.float64) if need_v else None),
-    )
 
 
 def mean(a: Tensor) -> Tensor:

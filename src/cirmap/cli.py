@@ -82,6 +82,8 @@ def cmd_mine_sset(args) -> int:
     for flag, value in (("--sigma", args.sigma), ("--lambda", getattr(args, "lambda"))):
         if not math.isfinite(value):
             raise CirmapError(f"{flag} must be finite, got {value}")
+    if not args.sigma > 0:
+        raise CirmapError(f"--sigma must be positive, got {args.sigma}")
     images, image_ids = fileio.read_embeddings(Path(args.images))
     texts, text_ids = fileio.read_embeddings(Path(args.texts))
     if image_ids != text_ids:
@@ -89,8 +91,8 @@ def cmd_mine_sset(args) -> int:
     out_path = Path(args.out)
     rows = []
     n = images.shape[0]
-    batch = args.batch_size if args.batch_size else n
-    for start in range(0, n, batch):
+    batch = args.batch_size or n
+    for start in range(0, n, max(batch, 1)):  # no rows: no batch
         stop = min(start + batch, n)
         sel = mining.select_batch(
             images[start:stop], texts[start:stop], args.sigma, getattr(args, "lambda")

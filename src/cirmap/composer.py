@@ -8,6 +8,9 @@ contributes its own template vector and lays its slots out at fixed positions
 of the backbone input, with unused slot positions held at zero. Sharing the
 backbone across templates mirrors a single encoder processing every prompt,
 which is the property downstream composition relies on.
+
+Both templates take one path: one :func:`~cirmap.autodiff.linear` over the
+slot blocks, each meeting its own rows of W1; then tanh, W2 and a row norm.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ class PromptComposer:
         self._w1 = _uniform(rng, (in_dim, h), fan_in=in_dim)
         self._b1 = _uniform(rng, (h,), fan_in=in_dim)
         self._w2 = _uniform(rng, (h, d), fan_in=h)
-        # Frozen weights enter the graph as non-trainable tensors. The constant
-        # template block's share of the first layer is folded, in 64-bit, into
-        # one bias per template; only the slot blocks meet their rows of W1.
+        # The hashed arrays are read-only and W1's slot blocks and W2 enter
+        # the graph as views of them. The constant template block's share of
+        # the first layer is folded, in 64-bit, into one bias per template.
+        for arr in (*self._template_vectors.values(), self._w1, self._b1, self._w2):
+            arr.flags.writeable = False
         w1_template = self._w1[:d].astype(np.float64)
         self._bias_t = {
             name: Tensor(vec.astype(np.float64) @ w1_template + self._b1)
@@ -87,36 +92,16 @@ class PromptComposer:
             digest.update(arr.tobytes())
         return digest.hexdigest()
 
-    def _template_arity(self, template: str) -> int:
-        try:
-            return TEMPLATES[template]
-        except KeyError:
-            raise TemplateError(f"unknown template {template!r}") from None
-
     def compose_rows(self, template: str, slot_rows: list[Tensor]) -> Tensor:
         """Compose a batch: each slot argument is an [N x d] block of row vectors.
 
         This is the only composition path; a single prompt is a batch of one.
+        Its :func:`~cirmap.autodiff.linear` rejects blocks that are not [N x d].
         """
-        arity = self._template_arity(template)
+        arity = TEMPLATES.get(template)
+        if arity is None:
+            raise TemplateError(f"unknown template {template!r}")
         if len(slot_rows) != arity:
-            raise TemplateError(
-                f"template {template!r} takes {arity} slot(s), got {len(slot_rows)}"
-            )
-        d = self.dim
-        for s in slot_rows:
-            if s.values.ndim != 2 or s.shape[1] != d:
-                raise ShapeError(f"slot block must be [N x {d}], got {s.shape}")
-        n = slot_rows[0].shape[0]
-        if any(s.shape[0] != n for s in slot_rows):
-            raise ShapeError("slot blocks disagree on batch size")
-
-        bias = self._bias_t[template]
-        if arity == 1:
-            pre = ad.linear(slot_rows[0], self._w1_slots_t[0], bias)
-        else:
-            # The slot products are summed before the bias is added, which
-            # fixes the bytes of an inference composition.
-            products = [ad.matmul(s, w) for s, w in zip(slot_rows, self._w1_slots_t)]
-            pre = ad.add_rowvec(ad.add(*products), bias)
+            raise TemplateError(f"template {template!r} takes {arity} slot(s), got {len(slot_rows)}")
+        pre = ad.linear(zip(slot_rows, self._w1_slots_t), self._bias_t[template])
         return ad.l2_normalize_rows(ad.matmul(ad.tanh(pre), self._w2_t))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the settings' finiteness check."""
+
+import dataclasses
+import math
 
 
 class CirmapError(Exception):
@@ -39,3 +42,11 @@ class InconsistentSpecError(CirmapError, ValueError):
 
 class TrainingDivergedError(CirmapError, RuntimeError):
     """Training produced a non-finite loss and was aborted."""
+
+
+def check_finite_fields(settings, error: type[CirmapError]) -> None:
+    """Raise ``error`` on a NaN or infinite float field; range checks miss NaN."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_finite_fields
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class LossWeights:
     use_mse: bool = True  # False: the composed-block MSE term is held at zero
 
     def __post_init__(self):
+        check_finite_fields(self, ParameterError)
         if not self.tau > 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
         for name in ("alpha", "beta"):

@@ -51,13 +51,10 @@ def layout(dim: int, hidden: int) -> list[dict]:
 
 def map_rows(weights: dict[str, Tensor], x_rows: Tensor) -> Tensor:
     """Map an [N x d] block of embeddings to [N x d] tokens with one mapper's
-    six leaf tensors."""
-    dim = weights["w1"].shape[0]
-    if x_rows.values.ndim != 2 or x_rows.shape[1] != dim:
-        raise ShapeError(f"expected [N x {dim}] input, got {x_rows.shape}")
-    h1 = ad.tanh(ad.linear(x_rows, weights["w1"], weights["b1"]))
-    h2 = ad.tanh(ad.linear(h1, weights["w2"], weights["b2"]))
-    return ad.linear(h2, weights["w3"], weights["b3"])
+    six leaf tensors; its first layer rejects rows of another width."""
+    h1 = ad.tanh(ad.linear([(x_rows, weights["w1"])], weights["b1"]))
+    h2 = ad.tanh(ad.linear([(h1, weights["w2"])], weights["b2"]))
+    return ad.linear([(h2, weights["w3"])], weights["b3"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ import numpy as np
 from . import fileio
 from .autodiff import Tensor
 from .composer import PromptComposer
-from .errors import FormatError, InconsistentSpecError, ShapeError
+from .errors import FormatError, InconsistentSpecError, ShapeError, check_finite_fields
 from .retrieval import EvalTask, Gallery, eval_settings_problem, unique_ids
 
 # Gallery rows generated and composed together; bounds set-up's peak memory.
@@ -66,6 +66,7 @@ class WorldSpec:
     train_min_hamming: int = 1
 
     def __post_init__(self):
+        check_finite_fields(self, InconsistentSpecError)
         least = {
             "n_attributes": 2,
             "n_values_per_attribute": 2,
@@ -140,7 +141,13 @@ def _sample_separated_tuples(
     rng: np.random.Generator, n: int, n_attr: int, n_values: int, min_hamming: int
 ) -> np.ndarray:
     """Draw ``n`` tuples whose pairwise Hamming distance is at least
-    ``min_hamming``, rejecting candidates that come too close."""
+    ``min_hamming``, rejecting candidates that come too close. An ``n`` past
+    the Singleton bound fails before the first draw."""
+    fail = InconsistentSpecError(
+        f"cannot place {n} tuples with min Hamming {min_hamming} in {n_values}^{n_attr} space"
+    )
+    if n > n_values ** max(n_attr - min_hamming + 1, 0):
+        raise fail
     accepted = np.empty((n, n_attr), dtype=np.int64)
     seen: set[bytes] = set()  # min_hamming 1 rejects exact repeats only
     count = 0
@@ -148,10 +155,7 @@ def _sample_separated_tuples(
     while count < n:
         attempts += 1
         if attempts > 500 * n:
-            raise InconsistentSpecError(
-                f"cannot place {n} tuples with min Hamming {min_hamming} in "
-                f"{n_values}^{n_attr} space"
-            )
+            raise fail
         cand = rng.integers(0, n_values, size=n_attr)
         if min_hamming == 1:
             code = cand.tobytes()

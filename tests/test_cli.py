@@ -275,6 +275,42 @@ def test_mine_sset_non_finite_threshold_is_an_error(tmp_path, capsys, flag, valu
     assert not out.exists() and not (tmp_path / "selection.config.json").exists()
 
 
+def empty_embedding_files(tmp_path: Path) -> tuple[Path, Path]:
+    paths = tmp_path / "images.emb", tmp_path / "texts.emb"
+    for path in paths:
+        fileio.write_embeddings(path, np.zeros((0, 4), dtype=np.float32), [])
+    return paths
+
+
+@pytest.mark.parametrize("batch_size", ["0", "5"])
+def test_mine_sset_empty_input_writes_an_empty_selection(tmp_path, batch_size):
+    # With the default batch size, one batch over no rows once meant a step
+    # of 0 and a traceback.
+    images, texts = empty_embedding_files(tmp_path)
+    out = tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(images), "--texts", str(texts)]
+    assert main(argv + ["--batch-size", batch_size, "--out", str(out)]) == 0
+    assert fileio.read_jsonl(out) == []
+    echo = json.loads((tmp_path / "selection.config.json").read_text())
+    assert echo["batch_size"] == int(batch_size)
+
+
+@pytest.mark.parametrize("rows", [0, 192])
+@pytest.mark.parametrize("sigma", ["0", "-0.5"])
+def test_mine_sset_sigma_must_be_positive(tmp_path, capsys, rows, sigma):
+    # checked before any row is read, so an empty input is refused too
+    if rows:
+        assert main(["gen-data", "--config", str(write_config(tmp_path))]) == 0
+        images, texts = tmp_path / "data" / "train_images.emb", tmp_path / "data" / "train_texts.emb"
+    else:
+        images, texts = empty_embedding_files(tmp_path)
+    out = tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(images), "--texts", str(texts), "--sigma", sigma]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --sigma must be positive, got {float(sigma)}\n"
+    assert not out.exists() and not (tmp_path / "selection.config.json").exists()
+
+
 def test_readme_compose_example_names_a_query_of_its_config():
     # The README's compose example takes the ids of a query of the world its
     # minimal config generates; other ids are refused as used by no query.

@@ -65,6 +65,11 @@ def test_slot_dimension_checked(composer):
         composer.compose_rows("photo_of", [row(np.ones(8))])
 
 
+def test_slot_blocks_must_share_a_batch_size(composer):
+    with pytest.raises(ShapeError):
+        composer.compose_rows("photo_of_that", [Tensor(np.ones((3, 16))), Tensor(np.ones((2, 16)))])
+
+
 def test_gradient_through_slots_matches_fd(composer):
     cw = oracle.composer_weights(16, SEED)
     rng = np.random.default_rng(1)
@@ -114,6 +119,18 @@ def test_frozen_weights_unchanged_by_use(composer):
     rng = np.random.default_rng(2)
     composer.compose_rows("photo_of_that", [Tensor(unit_rows(rng, 4, 16))] * 2)
     assert composer.weights_hash() == before
+
+
+def test_hashed_weights_are_read_only():
+    # The hash covers the arrays a composition reads: none can be written.
+    # Writable private copies once let a write change the hash and no output.
+    composer = PromptComposer(16, 8)
+    arrays = [composer._w1, composer._b1, composer._w2, *composer._template_vectors.values()]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    for weight in (*composer._w1_slots_t, composer._w2_t):
+        assert any(np.shares_memory(weight.values, arr) for arr in arrays)
 
 
 def test_injectivity_at_desk_scale():

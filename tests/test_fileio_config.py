@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from cirmap import config as cfg
 from cirmap import fileio
-from cirmap.errors import ConfigError, FormatError
+from cirmap.errors import ConfigError, FormatError, InconsistentSpecError, ParameterError
+from cirmap.losses import LossWeights
+from cirmap.training import TrainConfig
+from cirmap.worldgen import WorldSpec
 from oracles import ref_read_ids, ref_read_jsonl
 
 
@@ -328,6 +333,26 @@ class TestRunConfig:
         path.write_text(f'{{"seed": 1, "{section}": {{"{key}": {literal}}}}}')
         with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite, got"):
             cfg.load_config(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, name, error",
+        [
+            pytest.param(cls, f.name, error, id=f"{cls.__name__}.{f.name}")
+            for cls, error in (
+                (LossWeights, ParameterError),
+                (TrainConfig, ParameterError),
+                (WorldSpec, InconsistentSpecError),
+            )
+            for f in fields(cls)
+            if isinstance(f.default, float)
+        ],
+    )
+    def test_in_process_settings_reject_non_finite_floats(self, cls, name, error, value):
+        # No range check catches NaN; TrainConfig(lam=nan) once trained with
+        # S-Set selecting no row.
+        with pytest.raises(error, match=f"^{name} must be finite, got {value}$"):
+            cls(**{name: value})
 
     # Values that passed the type checks and ended in a traceback from
     # numpy (a negative seed, no queries to stack, an empty hidden layer).

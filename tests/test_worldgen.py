@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -189,6 +190,27 @@ def test_infeasible_separation_rejected():
                 n_eval_queries=4,
             )
         )
+
+
+def test_tuples_past_the_singleton_bound_fail_before_drawing():
+    # 10^5 distinct tuples in a space of four: the sampler once drew 500
+    # candidates per tuple before it gave up.
+    spec = WorldSpec(
+        n_train_pairs=100_000,
+        n_attributes=2,
+        n_values_per_attribute=2,
+        gallery_size=16,
+        n_eval_queries=4,
+    )
+    start = time.perf_counter()
+    with pytest.raises(InconsistentSpecError, match="cannot place 100000 tuples"):
+        generate_world(spec)
+    assert time.perf_counter() - start < 0.5
+    # at min Hamming h past the width, one tuple still fits and two do not
+    rng = np.random.default_rng(0)
+    assert _sample_separated_tuples(rng, 1, 2, 3, min_hamming=3).shape == (1, 2)
+    with pytest.raises(InconsistentSpecError):
+        _sample_separated_tuples(rng, 2, 2, 3, min_hamming=3)
 
 
 def test_export_import_round_trip(tmp_path, world):
