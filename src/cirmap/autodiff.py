@@ -3,9 +3,9 @@
 Values are stored as 32-bit floats. The precision contract depends on
 whether an op is recorded on a tape:
 
-- A taped :func:`linear`, :func:`matmul` and :func:`tanh` run forward and
-  backward in float32, the storage precision; the gradients they pass to
-  each other stay float32. A bias gradient is the batch sum of the upstream
+- A taped :func:`linear` and :func:`tanh` run forward and backward in
+  float32, the storage precision; the gradients they pass to each other
+  stay float32. A bias gradient is the batch sum of the upstream
   gradient, taken in float64.
 - Softmaxes (inside :func:`info_nce`), :func:`l2_normalize_rows`,
   :func:`mse` and the remaining ops evaluate forward and backward in 64-bit,
@@ -13,9 +13,9 @@ whether an op is recorded on a tape:
   passes its upstream gradient on as it is. :func:`info_nce` runs its logits
   GEMM and its backward GEMMs by the float32 rule when taped.
 - An untaped op (inference, world generation) evaluates in 64-bit and
-  truncates its result. An untaped :func:`linear` truncates each product
-  as an untaped :func:`matmul` would, then sums the products and adds the
-  bias row with the bytes of 64-bit sums truncated, as :func:`add` gives.
+  truncates its result. An untaped :func:`linear` evaluates each product
+  in 64-bit and truncates it, then sums the products and adds the bias row
+  with the bytes of 64-bit sums truncated, as :func:`add` gives.
 - A node that receives gradients from two or more consumers sums them in
   64-bit. Leaf gradients come out of :func:`backward` as float32.
 
@@ -37,14 +37,14 @@ tape, the parent itself if it is a leaf, or nowhere. A node holds no output
 and no parent tensor, and :func:`backward` routes by node. What the closures
 keep:
 
-- :func:`linear` (per pair) and :func:`matmul`: each side's operand only if
-  the other side needs a gradient; :func:`info_nce` the same, and its
-  [n x n] float64 softmax coefficients.
+- :func:`linear` (per pair): each side's operand only if the other side
+  needs a gradient; :func:`info_nce` the same, and its [n x n] float64
+  softmax coefficients.
 - :func:`tanh`: its float32 output.
 - :func:`l2_normalize_rows`: its float64 output and row norms.
 - :func:`mse`: the float64 difference of its operands.
 - :func:`gather_rows`: the row indices.
-- :func:`add`, :func:`scale` and :func:`mean`: no array.
+- :func:`add` and :func:`scale`: no array.
 
 So a taped output lives while its caller or a backward closure holds it: a
 :func:`linear` output that feeds :func:`tanh` is freed as soon as the caller
@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError, ShapeError
 
-DEFAULT_ROW_NORM_EPS = 1e-12
+_ROW_NORM_EPS = 1e-12
 
 _active_tape: "Tape | None" = None
 
@@ -259,27 +259,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(_f64(a) * c, (a,), lambda g: (np.multiply(g, c, dtype=np.float64),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors. A product recorded on the tape runs
-    its forward and backward GEMMs in float32 and passes float32 gradients
-    on (see the module docstring); an untaped one evaluates in 64-bit."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    if not _tracked((a, b)):
-        return _make(_f64(a) @ _f64(b), (a, b), None)
-    # Each side's gradient needs the other side's values; hold only those.
-    a_t = a.values.T if b.requires_grad else None
-    b_t = b.values.T if a.requires_grad else None
-
-    def grad(g):
-        g = g.astype(np.float32, copy=False)
-        return (None if b_t is None else g @ b_t, None if a_t is None else a_t @ g)
-
-    return _make(a.values @ b.values, (a, b), grad)
-
-
 def linear(pairs: Iterable[tuple[Tensor, Tensor]], b: Tensor) -> Tensor:
     """One dense layer: the sum of ``x @ w`` over the (input, weight)
     ``pairs``, plus the bias row ``b`` added to every row. A layer passes one
@@ -337,16 +316,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), grad)
 
 
-def mean(a: Tensor) -> Tensor:
-    """Mean over all elements. No part of the package calls it; the tests use
-    it as their scalar reduction of a non-scalar op."""
-    n = a.size
-    shp = a.shape
-    return _make(
-        np.mean(_f64(a)), (a,), lambda g: (np.full(shp, float(g) / n, dtype=np.float64),)
-    )
-
-
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error over all elements."""
     _check_same_shape(a, b, "mse")
@@ -361,15 +330,18 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.mean(diff * diff), (a, b), grad)
 
 
-def l2_normalize_rows(a: Tensor, eps: float = DEFAULT_ROW_NORM_EPS) -> Tensor:
-    """Scale every row to unit Euclidean norm; rejects rows with norm below eps."""
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Scale every row to unit Euclidean norm; rejects rows with norm at most
+    1e-12."""
     if a.values.ndim != 2:
         raise ShapeError(f"l2_normalize_rows expects a 2-D tensor, got {a.shape}")
     av = _f64(a)
     norms = np.linalg.norm(av, axis=1, keepdims=True)
-    if not np.all(norms > eps):
+    if not np.all(norms > _ROW_NORM_EPS):
         bad = int(np.argmin(norms))
-        raise DegenerateInputError(f"row {bad} has norm {float(norms[bad, 0]):.3e} <= {eps:.0e}")
+        raise DegenerateInputError(
+            f"row {bad} has norm {float(norms[bad, 0]):.3e} <= {_ROW_NORM_EPS:.0e}"
+        )
     y = av / norms
 
     def grad(g):
@@ -392,8 +364,8 @@ def info_nce(a: Tensor, b: Tensor, temperature: float) -> Tensor:
     """Symmetric InfoNCE of two aligned [n x d] blocks: the mean over rows of
     -log softmax(a b^T / t) at the diagonal, plus the same over columns.
 
-    Its GEMMs follow the matmul precision rule, its softmaxes run in 64-bit
-    (module docstring). The backward is analytic: with row and column
+    Its GEMMs follow the :func:`linear` precision rule, its softmaxes run in
+    64-bit (module docstring). The backward is analytic: with row and column
     softmaxes P_r and P_c, the logits gradient is (P_r + P_c - 2I) g / (n t).
     """
     t = float(temperature)

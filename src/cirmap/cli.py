@@ -55,6 +55,12 @@ def cmd_train(args) -> int:
     # The frozen encoder is the one the data was generated with.
     task_doc = worldgen.read_task_doc(data_dir)
     images, texts = worldgen.load_train_pairs(data_dir)
+    for name, block in ((worldgen.TRAIN_IMAGES, images), (worldgen.TRAIN_TEXTS, texts)):
+        if block.shape[1] != task_doc["dim"]:
+            raise FormatError(
+                f"{data_dir / name}: rows are {block.shape[1]}-d, "
+                f"{data_dir / worldgen.TASK} has dim {task_doc['dim']}"
+            )
     composer = PromptComposer(task_doc["dim"], task_doc["composer_seed"])
     result = train(run_cfg.train, images, texts, composer)
 
@@ -84,10 +90,19 @@ def cmd_mine_sset(args) -> int:
             raise CirmapError(f"{flag} must be finite, got {value}")
     if not args.sigma > 0:
         raise CirmapError(f"--sigma must be positive, got {args.sigma}")
-    images, image_ids = fileio.read_embeddings(Path(args.images))
-    texts, text_ids = fileio.read_embeddings(Path(args.texts))
+    images_path, texts_path = Path(args.images), Path(args.texts)
+    images, image_ids = fileio.read_embeddings(images_path)
+    texts, text_ids = fileio.read_embeddings(texts_path)
     if image_ids != text_ids:
-        raise CirmapError("image and text id files disagree")
+        raise FormatError(
+            f"{fileio.ids_path_for(images_path)} and {fileio.ids_path_for(texts_path)} "
+            "hold different ids"
+        )
+    if images.shape[1] != texts.shape[1]:
+        raise FormatError(
+            f"{images_path}: rows are {images.shape[1]}-d, {texts_path} rows are "
+            f"{texts.shape[1]}-d"
+        )
     out_path = Path(args.out)
     rows = []
     n = images.shape[0]

@@ -10,7 +10,8 @@ backbone across templates mirrors a single encoder processing every prompt,
 which is the property downstream composition relies on.
 
 Both templates take one path: one :func:`~cirmap.autodiff.linear` over the
-slot blocks, each meeting its own rows of W1; then tanh, W2 and a row norm.
+slot blocks, each meeting its own rows of W1; then tanh, a second
+:func:`~cirmap.autodiff.linear` through W2 over a zero bias, and a row norm.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class PromptComposer:
         }
         self._w1_slots_t = [Tensor(self._w1[(1 + k) * d : (2 + k) * d]) for k in range(MAX_SLOTS)]
         self._w2_t = Tensor(self._w2)
+        # The output layer has no bias; adding a float32 zero row changes no
+        # byte of its output (x + 0.0 == x for every x but -0.0).
+        self._b2_t = Tensor(np.zeros(d, dtype=np.float32))
 
     def weights_hash(self) -> str:
         """SHA-256 over all frozen arrays; stable across runs of one seed."""
@@ -104,4 +108,4 @@ class PromptComposer:
         if len(slot_rows) != arity:
             raise TemplateError(f"template {template!r} takes {arity} slot(s), got {len(slot_rows)}")
         pre = ad.linear(zip(slot_rows, self._w1_slots_t), self._bias_t[template])
-        return ad.l2_normalize_rows(ad.matmul(ad.tanh(pre), self._w2_t))
+        return ad.l2_normalize_rows(ad.linear([(ad.tanh(pre), self._w2_t)], self._b2_t))

@@ -242,6 +242,7 @@ def ranking_metrics(
 
     recall@K is the share of queries with a target in the top K. AP@K sums
     the precision at each hit in the top K over min(K, number of targets).
+    A ranking narrower than K is the whole gallery, as :func:`rank` gives it.
     The terms are added rank by rank, then query by query, so each value is
     the sum a loop over the ranked lists would make.
     """
@@ -265,7 +266,9 @@ def ranking_metrics(
         if "recall" in metrics:
             out[f"recall@{k}"] = int(hits[:, :top].any(axis=1).sum()) / len(targets)
         if "map" in metrics:
-            ap = ap_sums[:, top - 1] / np.minimum(k, n_targets)
+            # min(top, n) == min(k, n), as no query has more targets than the
+            # gallery has rows; a k past numpy's integer range fails np.minimum
+            ap = ap_sums[:, top - 1] / np.minimum(top, n_targets)
             out[f"map@{k}"] = float(np.cumsum(ap)[-1]) / len(targets)
     return out
 

@@ -457,6 +457,10 @@ def read_task_doc(data_dir: Path) -> dict:
     path = Path(data_dir) / TASK
     task_doc = fileio.read_json(path)
     fileio.check_object(task_doc, _TASK_KEYS, str(path))
+    # The frozen encoder's bounds, as WorldSpec holds them for the config.
+    for key, least in (("dim", 2), ("composer_seed", 0)):
+        if task_doc[key] < least:
+            raise FormatError(f"{path}: key {key!r} must be >= {least}, got {task_doc[key]}")
     problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"])
     if problem:
         raise FormatError(f"{path}: key {problem[0]!r} {problem[1]}")

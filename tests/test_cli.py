@@ -130,6 +130,18 @@ def test_evaluate_composed_and_baselines(pipeline):
     assert baseline["mode"] == "image_only"
 
 
+@pytest.mark.parametrize("k", [2**63, 10**24])
+def test_evaluate_k_past_the_integer_range_scores_the_whole_gallery(tmp_path, k):
+    # Such a K once reached np.minimum and ended in an OverflowError.
+    config = write_config(tmp_path, eval={"k_values": [1, 48, k]})
+    assert main(["gen-data", "--config", str(config)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", str(config), "--mode", "average", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics[f"recall@{k}"] == metrics["recall@48"] == 1.0  # the gallery holds 48 rows
+    assert metrics[f"map@{k}"] == metrics["map@48"]
+
+
 def test_evaluate_gamma_override_echoed(pipeline):
     tmp_path, config = pipeline
     ckpt = tmp_path / "run" / "checkpoint"
@@ -239,7 +251,8 @@ def test_train_ids_read_as_a_template_and_as_lines_agree(tmp_path, capsys, swap)
     with pytest.raises(CirmapError, match="train image/text ids disagree"):
         load_train_pairs(data)
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: image and text id files disagree\n"
+    ids_paths = fileio.ids_path_for(images), fileio.ids_path_for(texts)
+    assert capsys.readouterr().err == "error: {} and {} hold different ids\n".format(*ids_paths)
 
 
 @pytest.mark.parametrize("batch_size, code", [("-5", 1), ("0", 0)])
@@ -280,6 +293,29 @@ def empty_embedding_files(tmp_path: Path) -> tuple[Path, Path]:
     for path in paths:
         fileio.write_embeddings(path, np.zeros((0, 4), dtype=np.float32), [])
     return paths
+
+
+@pytest.mark.parametrize(
+    "texts_shape,expected",
+    [
+        ((10, 6), "{images}: rows are 8-d, {texts} rows are 6-d"),
+        ((12, 8), "{} and {} hold different ids"),
+    ],
+    ids=["widths", "counts"],
+)
+def test_mine_sset_mismatched_inputs_name_both_files(tmp_path, capsys, texts_shape, expected):
+    images, texts, out = tmp_path / "images.emb", tmp_path / "texts.emb", tmp_path / "sel.jsonl"
+    rng = np.random.default_rng(4)
+    for path, shape in ((images, (10, 8)), (texts, texts_shape)):
+        ids = [f"pair-{i}" for i in range(shape[0])]
+        fileio.write_embeddings(path, rng.standard_normal(shape).astype(np.float32), ids)
+    argv = ["mine-sset", "--images", str(images), "--texts", str(texts), "--out", str(out)]
+    assert main(argv) == 1
+    message = expected.format(
+        fileio.ids_path_for(images), fileio.ids_path_for(texts), images=images, texts=texts
+    )
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("batch_size", ["0", "5"])
@@ -604,6 +640,34 @@ def test_task_value_out_of_range_is_an_error(pipeline, capsys, key, value, expec
     assert main(["evaluate", "--config", str(config), "--mode", "image_only"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{task_path}: {expected}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("dim", 1, "{task}: key 'dim' must be >= 2, got 1"),
+        ("composer_seed", -1, "{task}: key 'composer_seed' must be >= 0, got -1"),
+        # past numpy's integer range: only the rows' width check catches it
+        ("dim", 10**30, "rows are 16-d, {task} has dim 1000000000000000000000000000000"),
+    ],
+    ids=["dim-1", "composer_seed-negative", "dim-huge"],
+)
+def test_task_encoder_key_out_of_range_is_an_error(pipeline, capsys, command, key, value, expected):
+    # The frozen encoder is built from task.json: an unusable dim or seed is
+    # refused before it is built.
+    tmp_path, config = pipeline
+    task_path = tmp_path / "data" / "task.json"
+    doc = json.loads(task_path.read_text())
+    doc[key] = value
+    task_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(tmp_path / "run" / "checkpoint")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected.format(task=task_path) in err
     assert "Traceback" not in err
 
 

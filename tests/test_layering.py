@@ -82,6 +82,38 @@ def test_package_root_imports_no_module():
     assert package_imports("__init__") == set()
 
 
+def names_read_from_autodiff(module: str) -> set[str]:
+    """Names that ``module`` reads from autodiff: those it imports by name and
+    the attributes it reads off the module's alias."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "autodiff":
+                used.update(alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_autodiff_function_has_a_package_caller():
+    # The op set is the set of ops the pipeline records: an op that only the
+    # tests call is surface to keep correct for no caller.
+    tree = ast.parse((PACKAGE_DIR / "autodiff.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set().union(*(names_read_from_autodiff(m) for m in MODULES if m != "autodiff"))
+    assert "linear" in public and "Tensor" in used
+    assert sorted(public - used) == []
+
+
 # Traced functions that no longer exist: the benchmark's span table still
 # names them, and a change to the benchmark drops them from it.
 STALE_BOUNDARIES = {

@@ -408,7 +408,7 @@ def test_train_config_validation():
 def test_one_step_tape_size(monkeypatch):
     # One step of the README's minimal config (d32, b64) records 28 tape
     # nodes: 5 per mapper (three linear layers, two tanh), 4 per composition
-    # (slot layer with the template bias, tanh, matmul, normalize), 1 per
+    # (slot layer with the template bias, tanh, output layer, normalize), 1 per
     # InfoNCE term, the gather of the selected composed rows, the MSE, and 5
     # scales and adds that combine the terms. Without the S-Set term its
     # gather, its InfoNCE and its weighting scale go (25).
