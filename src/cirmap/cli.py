@@ -50,17 +50,9 @@ def cmd_train(args) -> int:
     run_cfg = cfg.load_config(args.config, seed_override=args.seed)
     data_dir = Path(run_cfg.paths.data_dir)
     run_dir = Path(args.out) if args.out else Path(run_cfg.paths.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
 
     # The frozen encoder is the one the data was generated with.
-    task_doc = worldgen.read_task_doc(data_dir)
-    images, texts = worldgen.load_train_pairs(data_dir)
-    for name, block in ((worldgen.TRAIN_IMAGES, images), (worldgen.TRAIN_TEXTS, texts)):
-        if block.shape[1] != task_doc["dim"]:
-            raise FormatError(
-                f"{data_dir / name}: rows are {block.shape[1]}-d, "
-                f"{data_dir / worldgen.TASK} has dim {task_doc['dim']}"
-            )
+    images, texts, task_doc = worldgen.load_train_pairs(data_dir)
     composer = PromptComposer(task_doc["dim"], task_doc["composer_seed"])
     result = train(run_cfg.train, images, texts, composer)
 
@@ -85,33 +77,19 @@ def cmd_train(args) -> int:
 def cmd_mine_sset(args) -> int:
     if args.batch_size < 0:
         raise CirmapError(f"--batch-size must be >= 0, got {args.batch_size}")
-    for flag, value in (("--sigma", args.sigma), ("--lambda", getattr(args, "lambda"))):
+    for flag, value in (("--sigma", args.sigma), ("--lambda", args.lam)):
         if not math.isfinite(value):
             raise CirmapError(f"{flag} must be finite, got {value}")
     if not args.sigma > 0:
         raise CirmapError(f"--sigma must be positive, got {args.sigma}")
-    images_path, texts_path = Path(args.images), Path(args.texts)
-    images, image_ids = fileio.read_embeddings(images_path)
-    texts, text_ids = fileio.read_embeddings(texts_path)
-    if image_ids != text_ids:
-        raise FormatError(
-            f"{fileio.ids_path_for(images_path)} and {fileio.ids_path_for(texts_path)} "
-            "hold different ids"
-        )
-    if images.shape[1] != texts.shape[1]:
-        raise FormatError(
-            f"{images_path}: rows are {images.shape[1]}-d, {texts_path} rows are "
-            f"{texts.shape[1]}-d"
-        )
+    images, texts = fileio.read_embedding_pair(args.images, args.texts)
     out_path = Path(args.out)
     rows = []
     n = images.shape[0]
     batch = args.batch_size or n
     for start in range(0, n, max(batch, 1)):  # no rows: no batch
         stop = min(start + batch, n)
-        sel = mining.select_batch(
-            images[start:stop], texts[start:stop], args.sigma, getattr(args, "lambda")
-        )
+        sel = mining.select_batch(images[start:stop], texts[start:stop], args.sigma, args.lam)
         for i in range(stop - start):
             rows.append(
                 {
@@ -128,7 +106,7 @@ def cmd_mine_sset(args) -> int:
             "images": str(args.images),
             "texts": str(args.texts),
             "sigma": args.sigma,
-            "lambda": getattr(args, "lambda"),
+            "lambda": args.lam,
             "batch_size": batch,
         },
     )
@@ -165,7 +143,6 @@ def cmd_evaluate(args) -> int:
     report = evaluate_task(task, mappers, composer, gamma, args.mode, args.per_query)
     report["seed"] = run_cfg.seed
     out_path = Path(args.out) if args.out else Path(run_cfg.paths.run_dir) / "report.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_json(out_path, report)
     cfg.echo_config(run_cfg, _sibling_echo_path(out_path), task_doc, mappers and mappers.hidden)
     log.info("metrics: %s", report["metrics"])
@@ -223,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--texts", required=True)
     p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
-    p.add_argument("--lambda", type=float, default=TrainConfig.lam)
+    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
     p.add_argument("--batch-size", type=int, default=0, help="0 = one batch over all rows")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine_sset)

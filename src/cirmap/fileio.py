@@ -23,6 +23,9 @@ id, its trailing zeros as the width and the rest as the prefix, and
 compares the file with that template's lines chunk by chunk. A file that
 matches is returned as that :class:`NumberedIds`; any other file is parsed
 line by line into an :class:`IdList`.
+
+The two sides of one set of pairs are read by :func:`read_embedding_pair`,
+which checks that their ids and their widths agree.
 """
 
 from __future__ import annotations
@@ -507,3 +510,17 @@ def read_embeddings(path: Path) -> tuple[np.ndarray, NumberedIds | IdList]:
     if not idp.exists():
         raise FormatError(f"{idp}: companion id file is missing")
     return matrix, _read_ids(idp, count)
+
+
+def read_embedding_pair(first: Path, second: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of two embedding files whose rows pair up: the same ids
+    in the same order, and rows of one width. Either mismatch raises
+    FormatError naming both files."""
+    first, second = Path(first), Path(second)
+    a, a_ids = read_embeddings(first)
+    b, b_ids = read_embeddings(second)
+    if a_ids != b_ids:
+        raise FormatError(f"{ids_path_for(first)} and {ids_path_for(second)} hold different ids")
+    if a.shape[1] != b.shape[1]:
+        raise FormatError(f"{first}: rows are {a.shape[1]}-d, {second} rows are {b.shape[1]}-d")
+    return a, b

@@ -16,27 +16,20 @@ from .mappers import Mappers, map_rows
 BASELINE_MODES = ("image_only", "text_only", "average")
 
 
-def unique_ids(ids) -> NumberedIds | IdList:
-    """``ids`` as they are if numbered, else as an IdList; a repeated id
-    raises ShapeError naming the first repeat in row order."""
-    if not isinstance(ids, NumberedIds):
-        ids = IdList.of(ids)
-    repeated = ids.first_repeat()
-    if repeated is not None:
-        raise ShapeError(f"id {repeated!r} appears twice")
-    return ids
-
-
 @dataclass
 class Gallery:
-    ids: NumberedIds | IdList  # any sequence of str, held as unique_ids gives it
+    """Gallery rows and their ids. The ids are taken as unique: ``load_task``
+    checks its id file for a repeat."""
+
+    ids: NumberedIds | IdList  # any other sequence of str is held as an IdList
     vectors: np.ndarray  # [G x d] unit rows
 
     def __post_init__(self):
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or len(self.ids) != self.vectors.shape[0]:
             raise ShapeError("gallery ids and vectors disagree")
-        self.ids = unique_ids(self.ids)
+        if not isinstance(self.ids, NumberedIds):
+            self.ids = IdList.of(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)

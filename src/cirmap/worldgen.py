@@ -37,11 +37,26 @@ import numpy as np
 from . import fileio
 from .autodiff import Tensor
 from .composer import PromptComposer
-from .errors import FormatError, InconsistentSpecError, ShapeError, check_finite_fields
-from .retrieval import EvalTask, Gallery, eval_settings_problem, unique_ids
+from .errors import FormatError, InconsistentSpecError, check_finite_fields
+from .retrieval import EvalTask, Gallery, eval_settings_problem
 
 # Gallery rows generated and composed together; bounds set-up's peak memory.
 _GALLERY_BLOCK_ROWS = 8192
+
+# The least value of each bounded WorldSpec field. task.json's dim and
+# composer_seed, which build the frozen encoder, are held to the same bounds.
+_LEAST = {
+    "n_attributes": 2,
+    "n_values_per_attribute": 2,
+    "dim": 2,
+    "seed": 0,
+    "composer_seed": 0,
+    "n_train_pairs": 1,
+    "n_eval_queries": 1,
+    "noise_scale": 0,
+    "collision_cluster": 2,
+    "train_min_hamming": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -67,19 +82,7 @@ class WorldSpec:
 
     def __post_init__(self):
         check_finite_fields(self, InconsistentSpecError)
-        least = {
-            "n_attributes": 2,
-            "n_values_per_attribute": 2,
-            "dim": 2,
-            "seed": 0,
-            "composer_seed": 0,
-            "n_train_pairs": 1,
-            "n_eval_queries": 1,
-            "noise_scale": 0,
-            "collision_cluster": 2,
-            "train_min_hamming": 1,
-        }
-        for name, bound in least.items():
+        for name, bound in _LEAST.items():
             if getattr(self, name) < bound:
                 raise InconsistentSpecError(f"{name} must be >= {bound}, got {getattr(self, name)}")
         if self.gallery_size < self.n_eval_queries:
@@ -383,7 +386,6 @@ WORLD_META = "world_meta.json"
 
 def export_world(world: World, data_dir: Path, metrics: list[str], k_values: list[int]) -> None:
     data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_embeddings(data_dir / TRAIN_IMAGES, world.train_images, world.train_ids)
     fileio.write_embeddings(data_dir / TRAIN_TEXTS, world.train_texts, world.train_ids)
     fileio.write_embeddings(data_dir / GALLERY, world.gallery_vectors, world.gallery_ids)
@@ -421,24 +423,6 @@ def export_world(world: World, data_dir: Path, metrics: list[str], k_values: lis
     fileio.write_json(data_dir / WORLD_META, meta)
 
 
-def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray]:
-    data_dir = Path(data_dir)
-    images, image_ids = fileio.read_embeddings(data_dir / TRAIN_IMAGES)
-    texts, text_ids = fileio.read_embeddings(data_dir / TRAIN_TEXTS)
-    if image_ids != text_ids:
-        raise FormatError(f"{data_dir}: train image/text ids disagree")
-    return images, texts
-
-
-def _indexed(emb_path: Path, build, *args):
-    """``build(*args)``, with a repeated id of an embedding file reported as
-    a FormatError naming its id file."""
-    try:
-        return build(*args)
-    except ShapeError as exc:
-        raise FormatError(f"{fileio.ids_path_for(emb_path)}: {exc}") from exc
-
-
 _TASK_KEYS = {
     "dim": int,
     "composer_seed": int,
@@ -457,20 +441,35 @@ def read_task_doc(data_dir: Path) -> dict:
     path = Path(data_dir) / TASK
     task_doc = fileio.read_json(path)
     fileio.check_object(task_doc, _TASK_KEYS, str(path))
-    # The frozen encoder's bounds, as WorldSpec holds them for the config.
-    for key, least in (("dim", 2), ("composer_seed", 0)):
-        if task_doc[key] < least:
-            raise FormatError(f"{path}: key {key!r} must be >= {least}, got {task_doc[key]}")
+    for key in ("dim", "composer_seed"):
+        if task_doc[key] < _LEAST[key]:
+            raise FormatError(f"{path}: key {key!r} must be >= {_LEAST[key]}, got {task_doc[key]}")
     problem = eval_settings_problem(task_doc["metrics"], task_doc["k_values"])
     if problem:
         raise FormatError(f"{path}: key {problem[0]!r} {problem[1]}")
     return task_doc
 
 
+def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The train images and texts, read as one pair, and ``task.json``, whose
+    ``dim`` the rows must have and whose encoder settings made them."""
+    data_dir = Path(data_dir)
+    task_doc = read_task_doc(data_dir)
+    images, texts = fileio.read_embedding_pair(data_dir / TRAIN_IMAGES, data_dir / TRAIN_TEXTS)
+    if images.shape[1] != task_doc["dim"]:
+        raise FormatError(
+            f"{data_dir / TRAIN_IMAGES}: rows are {images.shape[1]}-d, "
+            f"{data_dir / TASK} has dim {task_doc['dim']}"
+        )
+    return images, texts, task_doc
+
+
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     """Load the evaluation task; a missing, mistyped or out-of-range key of
     ``task.json`` or of a query record raises FormatError naming file and key,
-    and an unknown id or an empty target list one naming the query."""
+    an id that an id file holds twice or a query file with no records one
+    naming the file, and an unknown id or an empty target list one naming
+    the query."""
     data_dir = Path(data_dir)
     task_doc = read_task_doc(data_dir)
     gallery_path = data_dir / task_doc["gallery"]
@@ -486,10 +485,15 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         raise FormatError(
             f"{cond_path}: rows are {cond_matrix.shape[1]}-d, {gallery_path} rows are {dim}-d"
         )
-    gallery = _indexed(gallery_path, Gallery, gallery_ids, gallery_matrix)
-    cond_ids = _indexed(cond_path, unique_ids, cond_ids)
+    for path, ids in ((gallery_path, gallery_ids), (cond_path, cond_ids)):
+        repeated = ids.first_repeat()
+        if repeated is not None:
+            raise FormatError(f"{fileio.ids_path_for(path)}: id {repeated!r} appears twice")
+    gallery = Gallery(gallery_ids, gallery_matrix)
     queries_path = data_dir / task_doc["queries"]
     records = fileio.read_jsonl(queries_path)
+    if not records:
+        raise FormatError(f"{queries_path}: no queries to score")
     for n, rec in enumerate(records, start=1):
         fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
     ref_rows = gallery.ids.find([rec["reference_id"] for rec in records])

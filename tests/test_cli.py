@@ -234,25 +234,65 @@ def test_train_ids_read_as_a_template_and_as_lines_agree(tmp_path, capsys, swap)
     assert main(["gen-data", "--config", str(config)]) == 0
     data = tmp_path / "data"
     images, texts = data / "train_images.emb", data / "train_texts.emb"
-    if swap:
-        images, texts = texts, images
-    idp = fileio.ids_path_for(texts)
+    spaced, template = (images, texts) if swap else (texts, images)
+    idp = fileio.ids_path_for(spaced)
     compact = [json.dumps(row, separators=(",", ":")) + "\n" for row in fileio.read_jsonl(idp)]
     idp.write_text("".join(compact))
-    assert isinstance(fileio.read_embeddings(images)[1], fileio.NumberedIds)
-    assert isinstance(fileio.read_embeddings(texts)[1], fileio.IdList)
+    assert isinstance(fileio.read_embeddings(template)[1], fileio.NumberedIds)
+    assert isinstance(fileio.read_embeddings(spaced)[1], fileio.IdList)
     load_train_pairs(data)
     out = tmp_path / "selection.jsonl"
     argv = ["mine-sset", "--images", str(images), "--texts", str(texts), "--out", str(out)]
     assert main(argv) == 0 and len(fileio.read_jsonl(out)) == 192
 
-    # Ids that differ in one row still disagree.
+    # Ids that differ in one row still disagree, with one message for both
+    # readers of the pair.
     idp.write_text(idp.read_text().replace('"pair-00007"', '"pair-x0007"'))
-    with pytest.raises(CirmapError, match="train image/text ids disagree"):
-        load_train_pairs(data)
-    assert main(argv) == 1
     ids_paths = fileio.ids_path_for(images), fileio.ids_path_for(texts)
-    assert capsys.readouterr().err == "error: {} and {} hold different ids\n".format(*ids_paths)
+    message = "{} and {} hold different ids".format(*ids_paths)
+    with pytest.raises(CirmapError) as caught:
+        load_train_pairs(data)
+    assert str(caught.value) == message
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _texts_with_other_ids(images: Path, texts: Path) -> str:
+    matrix, ids = fileio.read_embeddings(texts)
+    fileio.write_embeddings(texts, matrix, [f"caption-{r}" for r in range(len(ids))])
+    return f"{fileio.ids_path_for(images)} and {fileio.ids_path_for(texts)} hold different ids"
+
+
+def _texts_in_8d(images: Path, texts: Path) -> str:
+    matrix, ids = fileio.read_embeddings(texts)
+    fileio.write_embeddings(texts, matrix[:, :8], ids)
+    return f"{images}: rows are 16-d, {texts} rows are 8-d"
+
+
+@pytest.mark.parametrize("edit", [_texts_with_other_ids, _texts_in_8d], ids=["ids", "widths"])
+def test_train_on_mismatched_pairs_names_both_files(tmp_path, capsys, edit):
+    # train and mine-sset read the train pairs with one reader, and print
+    # one message naming both files.
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    images, texts = tmp_path / "data" / "train_images.emb", tmp_path / "data" / "train_texts.emb"
+    message = edit(images, texts)
+    assert main(["train", "--config", str(config)]) == 1
+    out = tmp_path / "selection.jsonl"
+    argv = ["mine-sset", "--images", str(images), "--texts", str(texts), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n" * 2
+    assert not (tmp_path / "run").exists() and not out.exists()
+
+
+def test_failed_train_leaves_no_run_directory(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["gen-data", "--config", str(config)]) == 0
+    task_path = tmp_path / "data" / "task.json"
+    task_path.unlink()
+    assert main(["train", "--config", str(config)]) == 1
+    assert str(task_path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("batch_size, code", [("-5", 1), ("0", 0)])
@@ -767,6 +807,17 @@ def test_target_listed_twice_counts_once(pipeline):
             rec["target_ids"] = rec["target_ids"][::-1] + rec["target_ids"]
         fileio.write_jsonl(queries, records)
     assert reports[0] == reports[1]
+
+
+def test_empty_queries_file_names_the_file(pipeline, capsys):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    queries.write_text("\n")
+    out = tmp_path / "run" / "report.json"
+    argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {queries}: no queries to score\n"
+    assert not out.exists()
 
 
 def test_config_that_is_not_json_is_an_error(tmp_path, capsys):

@@ -82,6 +82,17 @@ def test_package_root_imports_no_module():
     assert package_imports("__init__") == set()
 
 
+def test_cli_reads_no_embedding_file_itself():
+    # Each data file is checked where it is read (fileio, worldgen, mappers),
+    # so the CLI holds no file-format check of its own.
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    assert "read_embedding_pair" in read and "read_embeddings" not in read
+
+
 def names_read_from_autodiff(module: str) -> set[str]:
     """Names that ``module`` reads from autodiff: those it imports by name and
     the attributes it reads off the module's alias."""

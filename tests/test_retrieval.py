@@ -669,15 +669,3 @@ def test_numbered_gallery_ranks_as_its_spelled_list(tmp_path):
     assert found == [0, 10_000, 99_999, 100_000, 100_001] + [None] * 12
     assert numbered.ids.first_repeat() is None and spelled.ids.first_repeat() is None
 
-
-def test_gallery_unique_ids():
-    rng = np.random.default_rng(23)
-    with pytest.raises(ShapeError, match="id 'a' appears twice"):
-        Gallery(["b", "a", "a"], unit_rows(rng, 3, 4).astype(np.float32))
-    # the first repeat in row order, not the first id that repeats
-    with pytest.raises(ShapeError, match="id 'c' appears twice"):
-        Gallery(["a", "c", "c", "a"], unit_rows(rng, 4, 4))
-    ids = ["b", "a", "a\x00", "", "\x00"]
-    g = Gallery(ids, unit_rows(rng, 5, 4))
-    looked_up = ["b", "a", "a\x00", "", "\x00", "c", "a\x00\x00", "\x00\x00"]
-    assert g.ids.find(looked_up) == [0, 1, 2, 3, 4, None, None, None]

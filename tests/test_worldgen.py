@@ -215,11 +215,12 @@ def test_tuples_past_the_singleton_bound_fail_before_drawing():
 
 def test_export_import_round_trip(tmp_path, world):
     export_world(world, tmp_path, *PROTOCOL)
-    images, texts = load_train_pairs(tmp_path)
+    images, texts, train_doc = load_train_pairs(tmp_path)
     assert images.tobytes() == world.train_images.tobytes()
     assert texts.tobytes() == world.train_texts.tobytes()
 
     task, doc = load_task(tmp_path)
+    assert train_doc == doc
     assert doc["composer_seed"] == world.spec.composer_seed
     assert task.gallery.vectors.tobytes() == world.gallery_vectors.tobytes()
     records = world.query_records
