@@ -1,8 +1,9 @@
 """Command-line surface: gen-data, train, mine-sset, evaluate, compose.
 
-Every subcommand exits nonzero on error, writes its fully resolved
-configuration beside its outputs, and takes all randomness from the config
-seed (optionally overridden with --seed).
+Every subcommand exits nonzero on error and writes its fully resolved
+configuration beside its outputs. gen-data and train take all randomness
+from the config seed, which their --seed overrides; evaluate, compose and
+mine-sset draw no random number.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _load_mappers_and_composer(
 
 
 def cmd_evaluate(args) -> int:
-    run_cfg = cfg.load_config(args.config, seed_override=args.seed)
+    run_cfg = cfg.load_config(args.config)
     data_dir = Path(run_cfg.paths.data_dir)
     task, task_doc = worldgen.load_task(data_dir)
     gamma = args.gamma if args.gamma is not None else run_cfg.eval.gamma
@@ -150,7 +151,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    run_cfg = cfg.load_config(args.config, seed_override=args.seed)
+    run_cfg = cfg.load_config(args.config)
     data_dir = Path(run_cfg.paths.data_dir)
     task, task_doc = worldgen.load_task(data_dir)
     mappers, composer = _load_mappers_and_composer(args.checkpoint, data_dir, task_doc)
@@ -209,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--mode", default="composed", choices=["composed", *BASELINE_MODES])
     p.add_argument("--per-query", action="store_true")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-id", required=True)
     p.add_argument("--condition-id", required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compose)
 
@@ -235,6 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CirmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # A refused allocation, such as for a size from the config; numpy names
+    # the request, Python's own MemoryError carries no message.
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -64,10 +64,6 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _compact(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
@@ -173,7 +169,7 @@ def type_name(hint) -> str:
 
 def write_jsonl(path: Path, rows) -> None:
     text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    atomic_write_text(path, text)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_jsonl(path: Path) -> list:

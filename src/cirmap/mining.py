@@ -37,26 +37,6 @@ def _rows(x) -> np.ndarray:
     return arr
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def caption_uncertainty(images, texts, sigma: float) -> np.ndarray:
-    """Softmax over batch captions per image at temperature sigma; detached.
-
-    Stored as float32, so the argmax in :func:`selection_from_uncertainty`
-    sees ties at float32 resolution and resolves them to the lowest index.
-    """
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ParameterError(f"sigma must be positive, got {sigma!r}")
-    v, w = _rows(images), _rows(texts)
-    if v.shape != w.shape:
-        raise ShapeError(f"images {v.shape} and texts {w.shape} disagree")
-    return _row_softmax((v @ w.T) / sigma).astype(np.float32)
-
-
 def selection_from_uncertainty(uncertainty, texts, threshold: float) -> BatchSelection:
     """Assemble a selection from a precomputed uncertainty matrix.
 
@@ -82,6 +62,19 @@ def selection_from_uncertainty(uncertainty, texts, threshold: float) -> BatchSel
 
 
 def select_batch(images, texts, sigma: float, threshold: float) -> BatchSelection:
-    """Full selection pipeline: uncertainty, both masks, ascending indices."""
-    u = caption_uncertainty(images, texts, sigma)
+    """Full selection pipeline: uncertainty, both masks, ascending indices.
+
+    The uncertainty is the softmax over batch captions per image at
+    temperature sigma, detached and stored as float32, so the argmax in
+    :func:`selection_from_uncertainty` sees ties at float32 resolution and
+    resolves them to the lowest index.
+    """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ParameterError(f"sigma must be positive, got {sigma!r}")
+    v, w = _rows(images), _rows(texts)
+    if v.shape != w.shape:
+        raise ShapeError(f"images {v.shape} and texts {w.shape} disagree")
+    logits = (v @ w.T) / sigma
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    u = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
     return selection_from_uncertainty(u, texts, threshold)

@@ -38,6 +38,8 @@ class Gallery:
 def eval_settings_problem(metrics: list[str], k_values: list[int]):
     """The first evaluation setting that breaks its rule, as (key, what is
     wrong), or None. The config's eval section and ``task.json`` share it."""
+    if not metrics:
+        return "metrics", "must name at least one metric, got []"
     unknown = sorted(set(metrics) - {"recall", "map"})
     if unknown:
         return "metrics", f"names unknown metrics {unknown}"

@@ -82,13 +82,6 @@ class OptimizerState:
         self.scratch = np.empty((3, min(size, _ADAM_BLOCK)))
 
 
-def lr_schedule(step: int, base_lr: float, warmup_steps: int) -> float:
-    """Linear warmup to base_lr, then constant."""
-    if warmup_steps > 0 and step < warmup_steps:
-        return base_lr * step / warmup_steps
-    return base_lr
-
-
 def adamw_step(
     flat: np.ndarray,
     grads: list[list[np.ndarray] | None],
@@ -176,18 +169,6 @@ def init_mappers(config: TrainConfig, dim: int) -> Mappers:
     return Mappers.seeded(dim, config.hidden_for(dim), (int(seeds[0]), int(seeds[1])))
 
 
-def forward_batch(
-    images: np.ndarray, texts: np.ndarray, mappers: Mappers, composer: PromptComposer
-) -> L.BatchEmbeddings:
-    """Build one batch graph: map both modalities to tokens and compose prompts."""
-    images_t = Tensor(images)
-    composed_pseudo = composer.compose_rows("photo_of", [map_rows(mappers.pseudo, images_t)])
-    composed_supplement = composer.compose_rows(
-        "photo_of", [map_rows(mappers.supplement, Tensor(texts))]
-    )
-    return L.BatchEmbeddings(images_t, composed_pseudo, composed_supplement)
-
-
 @dataclass
 class TrainResult:
     mappers: Mappers
@@ -269,7 +250,9 @@ def train(
             grads, terms = _gradients(config, mappers, composer, images[rows], texts[rows], step)
         except (DegenerateInputError, FloatingPointError) as exc:
             raise TrainingDivergedError(f"numerical fault at step {step}: {exc}") from exc
-        lr_t = lr_schedule(step, config.learning_rate, config.warmup_steps)
+        lr_t = config.learning_rate  # linear warmup to it, then constant
+        if step < config.warmup_steps:
+            lr_t = config.learning_rate * step / config.warmup_steps
         adamw_step(params, grads, state, lr_t, config.weight_decay)
         del grads  # not alive while the next step's graph is built
         step_metrics = {"step": step, "lr": lr_t, **terms}
@@ -299,7 +282,12 @@ def _gradients(config, mappers, composer, batch_images, batch_texts, step):
     freed on return, so they are no longer alive while the optimizer updates
     the vector."""
     with Tape() as tape:
-        batch = forward_batch(batch_images, batch_texts, mappers, composer)
+        images_t = Tensor(batch_images)
+        pseudo = map_rows(mappers.pseudo, images_t)
+        composed_pseudo = composer.compose_rows("photo_of", [pseudo])
+        supplement = map_rows(mappers.supplement, Tensor(batch_texts))
+        composed_supplement = composer.compose_rows("photo_of", [supplement])
+        batch = L.BatchEmbeddings(images_t, composed_pseudo, composed_supplement)
 
         sset_rows = None
         if config.use_sset:

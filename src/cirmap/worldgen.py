@@ -467,9 +467,9 @@ def load_train_pairs(data_dir: Path) -> tuple[np.ndarray, np.ndarray, dict]:
 def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
     """Load the evaluation task; a missing, mistyped or out-of-range key of
     ``task.json`` or of a query record raises FormatError naming file and key,
-    an id that an id file holds twice or a query file with no records one
-    naming the file, and an unknown id or an empty target list one naming
-    the query."""
+    an id that an id file or the query file holds twice or a query file with
+    no records one naming the file, and an unknown id or an empty target list
+    one naming the query."""
     data_dir = Path(data_dir)
     task_doc = read_task_doc(data_dir)
     gallery_path = data_dir / task_doc["gallery"]
@@ -496,6 +496,10 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         raise FormatError(f"{queries_path}: no queries to score")
     for n, rec in enumerate(records, start=1):
         fileio.check_object(rec, _QUERY_KEYS, f"{queries_path}: record {n}")
+    query_ids = fileio.IdList([rec["query_id"] for rec in records])
+    repeated = query_ids.first_repeat()
+    if repeated is not None:
+        raise FormatError(f"{queries_path}: query id {repeated!r} appears twice")
     ref_rows = gallery.ids.find([rec["reference_id"] for rec in records])
     cond_rows = cond_ids.find([rec["condition_id"] for rec in records])
     target_rows = gallery.ids.find([t for rec in records for t in rec["target_ids"]])
@@ -516,7 +520,7 @@ def load_task(data_dir: Path) -> tuple[EvalTask, dict]:
         targets.append(np.unique(np.array(found, dtype=np.intp)))
     task = EvalTask(
         gallery=gallery,
-        query_ids=[rec["query_id"] for rec in records],
+        query_ids=query_ids,
         reference_ids=[rec["reference_id"] for rec in records],
         condition_ids=[rec["condition_id"] for rec in records],
         reference_rows=gallery_matrix[np.array(ref_rows, dtype=np.intp)],

@@ -295,6 +295,35 @@ def test_failed_train_leaves_no_run_directory(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+REFUSED = "Unable to allocate 745. GiB for an array with shape (100000000000, 2000)"
+
+
+@pytest.mark.parametrize(
+    "args, line", [((REFUSED,), REFUSED), ((), "out of memory")], ids=["numpy", "bare"]
+)
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_refused_allocation_is_an_error_line(
+    tmp_path, capsys, monkeypatch, command, args, line
+):
+    # numpy raises MemoryError for a size the machine refuses (a huge
+    # world.dim or train.hidden), Python a bare one: either ends in an
+    # error line and leaves no data or run directory
+    def refuse(*_, **__):
+        raise MemoryError(*args)
+
+    config = write_config(tmp_path)
+    if command == "train":
+        assert main(["gen-data", "--config", str(config)]) == 0
+        monkeypatch.setattr("cirmap.cli.train", refuse)
+    else:
+        monkeypatch.setattr("cirmap.worldgen.generate_world", refuse)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert (tmp_path / "data").exists() == (command == "train")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("batch_size, code", [("-5", 1), ("0", 0)])
 def test_mine_sset_batch_size(tmp_path, capsys, batch_size, code):
     # a negative size is an error; 0 means one batch over all rows
@@ -562,6 +591,7 @@ def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, doc, where):
         ({"train": {"seed": -1}}, [], "train.seed must be >= 0, got -1"),
         ({"world": {"n_eval_queries": 0}}, [], "world.n_eval_queries must be >= 1, got 0"),
         ({"train": {"hidden": 0}}, [], "train.hidden must be >= 1, got 0"),
+        ({"eval": {"metrics": []}}, [], "eval.metrics must name at least one metric, got []"),
     ],
 )
 def test_config_value_out_of_range_is_an_error(tmp_path, capsys, command, overrides, argv, message):
@@ -667,8 +697,9 @@ def test_task_key_missing_or_mistyped_is_an_error(pipeline, capsys, edit, expect
         ("k_values", [], "key 'k_values' must be a non-empty list of integers >= 1, got []"),
         ("k_values", [0], "key 'k_values' must be a non-empty list of integers >= 1, got [0]"),
         ("metrics", ["foo"], "key 'metrics' names unknown metrics ['foo']"),
+        ("metrics", [], "key 'metrics' must name at least one metric, got []"),
     ],
-    ids=["k_values-empty", "k_values-zero", "metrics-unknown"],
+    ids=["k_values-empty", "k_values-zero", "metrics-unknown", "metrics-empty"],
 )
 def test_task_value_out_of_range_is_an_error(pipeline, capsys, key, value, expected):
     # the rules of the config's eval section hold for task.json too
@@ -856,6 +887,20 @@ def test_duplicate_id_names_file_and_id(pipeline, capsys, name):
     assert not out.exists()
 
 
+def test_repeated_query_id_names_file_and_id(pipeline, capsys):
+    tmp_path, config = pipeline
+    queries = tmp_path / "data" / "queries.jsonl"
+    records = fileio.read_jsonl(queries)
+    assert [rec["query_id"] for rec in records[:2]] == ["query-0000", "query-0001"]
+    records[1]["query_id"] = "query-0000"
+    fileio.write_jsonl(queries, records)
+    out = tmp_path / "run" / "report.json"
+    argv = ["evaluate", "--config", str(config), "--mode", "image_only", "--per-query"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {queries}: query id 'query-0000' appears twice\n"
+    assert not out.exists()
+
+
 def _conditions_in_4d(data):
     path = data / "conditions.emb"
     matrix, ids = fileio.read_embeddings(path)
@@ -906,22 +951,23 @@ def test_train_seed_override_keeps_the_data_encoder(tmp_path):
     seeds = init_mappers(TrainConfig(seed=7), 16).seeds
     assert (manifest["pseudo_seed"], manifest["supplement_seed"]) == seeds
     checkpoint = str(tmp_path / "run" / "checkpoint")
-    argv = ["evaluate", "--config", str(config), "--checkpoint", checkpoint, "--seed", "7"]
-    assert main(argv) == 0
+    assert main(["evaluate", "--config", str(config), "--checkpoint", checkpoint]) == 0
 
 
 def test_config_echoes_name_the_data_encoder(tmp_path):
-    # After --seed 7 on seed-17 data, every echo of a command that read the
-    # data names the encoder the run used: the data's dim and composer_seed.
-    # Evaluated with other metrics and K than the data's, the report and the
-    # echoes name the data's protocol, which is the one scored.
+    # After train --seed 7 on seed-17 data, every echo of a command that read
+    # the data names the encoder the run used: the data's dim and
+    # composer_seed. Train's echo carries its --seed; evaluate and compose
+    # take none, and theirs carry the config's seeds. Evaluated with other
+    # metrics and K than the data's, the report and the echoes name the
+    # data's protocol, which is the one scored.
     config = write_config(tmp_path)
     assert main(["gen-data", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config), "--seed", "7"]) == 0
     write_config(tmp_path, eval={"metrics": ["recall"], "k_values": [2, 50]})
     run = tmp_path / "run"
     query = fileio.read_jsonl(tmp_path / "data" / "queries.jsonl")[0]
-    common = ["--config", str(config), "--checkpoint", str(run / "checkpoint"), "--seed", "7"]
+    common = ["--config", str(config), "--checkpoint", str(run / "checkpoint")]
     argv = ["evaluate", *common, "--out", str(run / "report.json")]
     assert main(argv) == 0
     ids = ["--reference-id", query["reference_id"], "--condition-id", query["condition_id"]]
@@ -929,13 +975,29 @@ def test_config_echoes_name_the_data_encoder(tmp_path):
     manifest = json.loads((run / "checkpoint.json").read_text())
     report = json.loads((run / "report.json").read_text())
     assert set(report["metrics"]) == {"recall@1", "recall@5", "map@1", "map@5"}
-    for echo in ("config.resolved.json", "report.config.json", "vec.config.json"):
+    assert report["seed"] == 17
+    echoes = {"config.resolved.json": 7, "report.config.json": 17, "vec.config.json": 17}
+    for echo, seed in echoes.items():
         resolved = json.loads((run / echo).read_text())
-        assert resolved["seed"] == 7 and resolved["train"]["seed"] == 7, echo
+        assert resolved["seed"] == seed and resolved["train"]["seed"] == seed, echo
         assert resolved["world"]["composer_seed"] == manifest["composer_seed"] == 17, echo
         assert resolved["world"]["dim"] == manifest["dim"] == 16, echo
         assert resolved["eval"]["metrics"] == ["recall", "map"], echo
         assert resolved["eval"]["k_values"] == [1, 5], echo
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compose"])
+def test_seed_is_not_an_option_of_commands_that_draw_no_random_number(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    argv = [command, "--config", str(config), "--checkpoint", str(tmp_path / "checkpoint")]
+    if command == "compose":
+        argv += ["--reference-id", "item-00000", "--condition-id", "cond-0000"]
+    argv += ["--out", str(tmp_path / "out.json"), "--seed", "7"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_evaluate_composer_seed_mismatch_names_both_files(pipeline, capsys):

@@ -112,17 +112,14 @@ class TestEmbeddingFile:
     def test_id_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "vecs.emb"
         fileio.write_embeddings(path, np.zeros((2, 2), np.float32), ["a", "b"])
-        fileio.atomic_write_text(fileio.ids_path_for(path), '{"row": 0, "id": "a"}\n')
+        fileio.ids_path_for(path).write_text('{"row": 0, "id": "a"}\n')
         with pytest.raises(FormatError, match="ids"):
             fileio.read_embeddings(path)
 
     def test_id_rows_must_be_sequential(self, tmp_path):
         path = tmp_path / "vecs.emb"
         fileio.write_embeddings(path, np.zeros((2, 2), np.float32), ["a", "b"])
-        fileio.atomic_write_text(
-            fileio.ids_path_for(path),
-            '{"row": 0, "id": "a"}\n{"row": 5, "id": "b"}\n',
-        )
+        fileio.ids_path_for(path).write_text('{"row": 0, "id": "a"}\n{"row": 5, "id": "b"}\n')
         with pytest.raises(FormatError, match="malformed"):
             fileio.read_embeddings(path)
 
@@ -132,7 +129,7 @@ class TestEmbeddingFile:
     def test_id_record_must_be_a_row_id_object(self, tmp_path, record):
         path = tmp_path / "vecs.emb"
         fileio.write_embeddings(path, np.zeros((1, 2), np.float32), ["a"])
-        fileio.atomic_write_text(fileio.ids_path_for(path), record + "\n")
+        fileio.ids_path_for(path).write_text(record + "\n")
         with pytest.raises(FormatError, match="malformed id record at line 0"):
             fileio.read_embeddings(path)
 

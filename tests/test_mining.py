@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from cirmap.errors import ParameterError, ShapeError
-from cirmap.mining import (
-    caption_uncertainty,
-    select_batch,
-    selection_from_uncertainty,
-)
+from cirmap.mining import select_batch, selection_from_uncertainty
 from oracles import brute_force_select, unit_rows
 
 # Hand case from the batch-selection contract: row similarities and a caption
@@ -40,34 +36,24 @@ def softmax_rows(sims, sigma):
     return e / e.sum(axis=1, keepdims=True)
 
 
-class TestCaptionUncertainty:
-    def test_identical_texts_uniform(self):
+class TestSelectBatchInputs:
+    def test_identical_texts_tie_to_caption_zero(self):
         rng = np.random.default_rng(0)
         images = unit_rows(rng, 4, 6)
-        text = unit_rows(rng, 1, 6)
-        texts = np.tile(text, (4, 1))
-        u = caption_uncertainty(images, texts, 0.5)
-        assert np.allclose(u, 0.25, atol=1e-6)
-
-    def test_sharp_sigma_saturates(self):
-        u = softmax_rows(HAND_SIMS, 0.01)
-        assert u[0, 0] > 1 - 1e-6
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        u = caption_uncertainty(unit_rows(rng, 5, 8), unit_rows(rng, 5, 8), 0.01)
-        assert np.max(np.abs(u.astype(np.float64).sum(axis=1) - 1.0)) < 1e-6
+        texts = np.tile(unit_rows(rng, 1, 6), (4, 1))
+        sel = select_batch(images, texts, 0.5, 0.5)
+        assert sel.argmax_index.tolist() == [0, 0, 0, 0]
 
     def test_sigma_validation(self):
         rng = np.random.default_rng(2)
         rows = unit_rows(rng, 3, 4)
         with pytest.raises(ParameterError):
-            caption_uncertainty(rows, rows, 0.0)
+            select_batch(rows, rows, 0.0, 0.5)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeError):
-            caption_uncertainty(unit_rows(rng, 3, 4), unit_rows(rng, 4, 4), 0.1)
+            select_batch(unit_rows(rng, 3, 4), unit_rows(rng, 4, 4), 0.1, 0.5)
 
 
 class TestMispredictionMask:
@@ -168,13 +154,14 @@ class TestSelect:
         assert np.array_equal(sel.mask, sel.mask_f & sel.mask_s)
         assert sel.selected == [int(i) for i in np.nonzero(sel.mask)[0]]
 
-    def test_uncertainty_is_detached(self):
+    def test_prediction_is_argmax_of_float32_softmax(self):
         rng = np.random.default_rng(8)
         images = unit_rows(rng, 4, 5)
         texts = unit_rows(rng, 4, 5)
-        u = caption_uncertainty(images, texts, 0.05)
-        assert isinstance(u, np.ndarray) and u.dtype == np.float32
+        # the prediction is the argmax of a plain float32 softmax
+        u = softmax_rows(images @ texts.T, 0.05).astype(np.float32)
         sel = select_batch(images, texts, 0.05, 0.2)
+        assert isinstance(sel.argmax_index, np.ndarray)
         assert sel.argmax_index.tolist() == np.argmax(u, axis=1).tolist()
 
 

@@ -22,9 +22,7 @@ from cirmap.training import (
     OptimizerState,
     TrainConfig,
     adamw_step,
-    forward_batch,
     init_mappers,
-    lr_schedule,
     train,
 )
 from cirmap.worldgen import WorldSpec, generate_world
@@ -60,19 +58,14 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
-class TestLrSchedule:
-    def test_step_zero(self):
-        assert lr_schedule(0, 5e-4, 1000) == 0.0
-
-    def test_end_of_warmup(self):
-        assert lr_schedule(1000, 5e-4, 1000) == 5e-4
-        assert lr_schedule(5000, 5e-4, 1000) == 5e-4
-
-    def test_midpoint_linear(self):
-        assert lr_schedule(500, 5e-4, 1000) == pytest.approx(2.5e-4)
-
-    def test_no_warmup(self):
-        assert lr_schedule(0, 5e-4, 0) == 5e-4
+def test_lr_warms_up_linearly_then_holds(small_world):
+    # the rate of each step, as train records it: linear from 0 over the
+    # warmup steps, then the configured rate; no warmup starts at the rate
+    warmed = [0.0, 1.25e-4, 2.5e-4, 3.75e-4, 5e-4, 5e-4]
+    for warmup_steps, expected in ((4, warmed), (0, [5e-4] * 6)):
+        cfg = small_config(steps=6, warmup_steps=warmup_steps, learning_rate=5e-4)
+        result = train(cfg, small_world.train_images, small_world.train_texts, COMPOSER)
+        assert [m["lr"] for m in result.metrics] == expected
 
 
 class TestAdamW:
@@ -219,38 +212,16 @@ class TestAdamW:
             assert flat.tobytes() == ref["p"].tobytes()
 
 
-class TestForwardBatch:
-    def test_blocks_unit_norm(self):
-        rng = np.random.default_rng(0)
-        cfg = small_config()
-        mappers = init_mappers(cfg, 16)
-        composer = PromptComposer(16, 21)
-        batch = forward_batch(unit_rows(rng, 8, 16), unit_rows(rng, 8, 16), mappers, composer)
-        for block in (batch.composed_pseudo, batch.composed_supplement):
-            norms = np.linalg.norm(block.values.astype(np.float64), axis=1)
-            assert np.max(np.abs(norms - 1.0)) < 1e-6
-
-    def test_identical_mappers_identical_blocks(self):
-        rng = np.random.default_rng(1)
-        cfg = small_config()
-        mappers = init_mappers(cfg, 16)
-        twin = Mappers.seeded(16, cfg.hidden, (mappers.seeds[0], mappers.seeds[0]))
-        rows = unit_rows(rng, 4, 16)
-        composer = PromptComposer(16, 21)
-        batch = forward_batch(rows, rows, twin, composer)
-        assert np.array_equal(batch.composed_pseudo.values, batch.composed_supplement.values)
-
-    def test_matches_hand_chained_calls(self):
-        rng = np.random.default_rng(2)
-        cfg = small_config()
-        mappers = init_mappers(cfg, 16)
-        composer = PromptComposer(16, 21)
-        images, texts = unit_rows(rng, 2, 16), unit_rows(rng, 2, 16)
-        batch = forward_batch(images, texts, mappers, composer)
-
-        tokens = map_rows(mappers.pseudo, Tensor(images))
-        by_hand = composer.compose_rows("photo_of", [tokens])
-        assert np.array_equal(batch.composed_pseudo.values, by_hand.values)
+def test_identical_mappers_identical_blocks():
+    rng = np.random.default_rng(1)
+    cfg = small_config()
+    mappers = init_mappers(cfg, 16)
+    twin = Mappers.seeded(16, cfg.hidden, (mappers.seeds[0], mappers.seeds[0]))
+    rows = Tensor(unit_rows(rng, 4, 16))
+    composer = PromptComposer(16, 21)
+    pseudo = composer.compose_rows("photo_of", [map_rows(twin.pseudo, rows)])
+    supplement = composer.compose_rows("photo_of", [map_rows(twin.supplement, rows)])
+    assert np.array_equal(pseudo.values, supplement.values)
 
 
 class TestTrain:
